@@ -36,6 +36,7 @@ from .models import (
     ARCHITECTURES,
     ModelSpec,
     finite_difference_gradients,
+    flat_gradients,
     init_params,
     max_relative_error,
     model_backward,
@@ -43,7 +44,7 @@ from .models import (
     uniform_features,
 )
 from .normalization import NORM_SCHEMES
-from .training import Metrics, TrainConfig, make_splits, run_sweep, synthesize_dataset, train_model
+from .training import Metrics, TrainConfig, make_splits, run_sweep, synthesize_dataset, train_splits
 
 SYNTH_KINDS = ("structure_only", "hybrid", "sparse_digraph_deep")
 
@@ -81,7 +82,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        if not hasattr(args, key):
+        if key not in vars(args):
             continue  # key does not apply to this subcommand
         flag = "--" + key.replace("_", "-")
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
@@ -90,7 +91,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
 
 
 def _load_graph(args) -> "SparseCountMatrix":
-    g = read_edge_list(args.graph)
+    g = read_edge_list(args.graph) if args.graph else _resolve_data(args)[0]
     if getattr(args, "symmetrize", False):
         g = symmetrize(g)
     if getattr(args, "reverse", False):
@@ -188,16 +189,7 @@ def _write_analyze_csv(out, rows):
 
 def cmd_density_curve(args) -> int:
     _print_config(args)
-    if args.graph:
-        graph = _load_graph(args)
-    else:
-        graph, _, _ = _resolve_data(args)
-        if args.symmetrize:
-            graph = symmetrize(graph)
-        if args.reverse:
-            graph = transpose(graph)
-        if args.selfloops:
-            graph = add_self_loops(graph)
+    graph = _load_graph(args)
     lines = ["k,density,nnz"]
     for k in range(1, args.kmax + 1):
         pat = mat_power_support(graph, k)
@@ -248,17 +240,12 @@ def cmd_train(args) -> int:
         labels, per_class_train=args.per_class_train, per_class_val=args.per_class_val,
         n_splits=args.splits, seed=args.seed,
     )
-    runs, failures = [], 0
-    for si, split in enumerate(splits):
-        run_seed = int(np.random.SeedSequence(entropy=args.seed, spawn_key=(si, 17)).generate_state(1)[0])
-        try:
-            runs.append(train_model(spec, graph, x, labels, split, replace(cfg, seed=run_seed)))
-        except HopscopeError as exc:
-            failures += 1
-            print(f"split {si}: run failed ({exc})")
-    merged = Metrics.merge(runs) if runs else Metrics((), (), (), ())
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    for si, exc in failed:
+        print(f"split {si}: run failed ({exc})")
+    merged = Metrics.merge(runs)
     print(f"test accuracy: mean={fmt_real(merged.mean)} std={fmt_real(merged.std)} "
-          f"over {len(runs)} runs ({failures} failures)")
+          f"over {len(runs)} runs ({len(failed)} failures)")
     if runs:
         print(f"majority baseline mean={fmt_real(float(np.mean(merged.majority_baselines)))} "
               f"epochs_run={list(merged.epochs_run)}")
@@ -331,16 +318,10 @@ def cmd_gradcheck(args) -> int:
         analytic, _ = model_backward(spec, graph, x, params, upstream)
         numeric = finite_difference_gradients(spec, graph, x, params, upstream, step=1e-4)
         if args.corrupt:
-            w = analytic[0].W if hasattr(analytic[0], "W") else analytic[0].W1
-            w = w.copy()
+            w = analytic[0].W.copy()
             w.flat[0] += 0.1 * max(1.0, np.abs(w).max())
-            analytic[0] = replace(analytic[0], **({"W": w} if hasattr(analytic[0], "W") else {"W1": w}))
-        flat_a, flat_n = [], []
-        for ga, gn in zip(analytic, numeric):
-            for name in ("W", "b") if hasattr(ga, "W") else ("W0", "W1", "b"):
-                flat_a.append(getattr(ga, name).ravel())
-                flat_n.append(getattr(gn, name).ravel())
-        err = max_relative_error(np.concatenate(flat_a), np.concatenate(flat_n))
+            analytic[0] = replace(analytic[0], W=w)
+        err = max_relative_error(flat_gradients(analytic), flat_gradients(numeric))
         break
     if err is None:
         raise InputError("could not draw a kink-free instance; try another seed")
@@ -482,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(args, argv)
         return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HopscopeError as exc:
+    except (HopscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, from_dense, from_edge_list
+from .graphs import SparseCountMatrix, content_lines, from_edge_list, parse_edge_pairs
 from .normalization import WeightedAdjacency
 
 __all__ = [
@@ -90,37 +90,30 @@ def dataset_stats(graph: SparseCountMatrix, labels: np.ndarray) -> DatasetStats:
     )
 
 
-def _read_lines(path: Path) -> list[tuple[int, str]]:
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"missing or unreadable file: {path}") from exc
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
 
 
 def _parse_edges(path: Path) -> tuple[list[tuple[int, int]], int | None]:
-    pairs = []
-    declared = None
-    for lineno, line in _read_lines(path):
-        if line.startswith("%"):
-            parts = line[1:].split()
-            if len(parts) != 2 or parts[0] != "nodes":
-                raise DatasetError(f"{path}:{lineno}: bad header {line!r}")
-            declared = int(parts[1])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetError(f"{path}:{lineno}: expected 'src<TAB>dst'")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: non-integer endpoint") from exc
-    return pairs, declared
+    try:
+        return parse_edge_pairs(_read_text(path), where=f"{path}:")
+    except InputError as exc:
+        raise DatasetError(str(exc)) from exc
+
+
+def _node_index(token: str, remap: dict[int, int] | None, n: int, fname: str, lineno: int) -> int:
+    """Dense index of the node id ``token`` read at ``fname:lineno``."""
+    try:
+        node = int(token)
+    except ValueError as exc:
+        raise DatasetError(f"{fname}:{lineno}: non-integer node id {token!r}") from exc
+    known = (0 <= node < n) if remap is None else node in remap
+    if not known:
+        raise DatasetError(f"{fname}:{lineno}: unknown node {node}")
+    return node if remap is None else remap[node]
 
 
 def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBundle:
@@ -151,17 +144,15 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
     graph = from_edge_list(pairs, n)
 
     raw_labels: dict[int, int] = {}
-    for lineno, line in _read_lines(root / "labels.tsv"):
+    for lineno, line in content_lines(_read_text(root / "labels.tsv")):
         parts = line.split()
         if len(parts) != 2:
             raise DatasetError(f"labels.tsv:{lineno}: expected 'node<TAB>class'")
-        node, cls = int(parts[0]), int(parts[1])
-        if remap is not None:
-            if node not in remap:
-                raise DatasetError(f"labels.tsv:{lineno}: unknown node {node}")
-            node = remap[node]
-        elif not (0 <= node < n):
-            raise DatasetError(f"labels.tsv:{lineno}: unknown node {node}")
+        node = _node_index(parts[0], remap, n, "labels.tsv", lineno)
+        try:
+            cls = int(parts[1])
+        except ValueError as exc:
+            raise DatasetError(f"labels.tsv:{lineno}: non-integer class {parts[1]!r}") from exc
         if node in raw_labels:
             raise DatasetError(f"labels.tsv:{lineno}: duplicate label for node {node}")
         raw_labels[node] = cls
@@ -177,18 +168,15 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
     if fpath.exists():
         rows: dict[int, list[float]] = {}
         width = None
-        for lineno, line in _read_lines(fpath):
+        for lineno, line in content_lines(_read_text(fpath)):
             parts = line.split(",")
             if len(parts) < 2:
                 raise DatasetError(f"features.csv:{lineno}: expected 'node,v1,...'")
-            node = int(parts[0])
-            if remap is not None:
-                if node not in remap:
-                    raise DatasetError(f"features.csv:{lineno}: unknown node {node}")
-                node = remap[node]
-            elif not (0 <= node < n):
-                raise DatasetError(f"features.csv:{lineno}: unknown node {node}")
-            vals = [float(v) for v in parts[1:]]
+            node = _node_index(parts[0], remap, n, "features.csv", lineno)
+            try:
+                vals = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise DatasetError(f"features.csv:{lineno}: non-numeric value in {line!r}") from exc
             if width is None:
                 width = len(vals)
             elif len(vals) != width:

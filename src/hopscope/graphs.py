@@ -34,6 +34,8 @@ __all__ = [
     "graph_meta",
     "read_edge_list",
     "parse_edge_list",
+    "parse_edge_pairs",
+    "content_lines",
 ]
 
 
@@ -241,6 +243,38 @@ def graph_meta(a: SparseCountMatrix) -> GraphMeta:
     return GraphMeta(n_nodes=a.n_rows, has_self_loops=has_loops, is_symmetric=sym)
 
 
+def content_lines(text: str):
+    """Yield ``(lineno, line)`` for every line left non-blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, int]], int | None]:
+    """The ``(src, dst)`` pairs of an edge-list text and its ``%nodes`` count, None if absent.
+
+    A malformed line raises :class:`InputError` naming it ``{where}{lineno}``.
+    """
+    edges: list[tuple[int, int]] = []
+    declared = None
+    for lineno, line in content_lines(text):
+        if line.startswith("%"):
+            parts = line[1:].split()
+            if len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdecimal():
+                raise InputError(f"{where}{lineno}: bad header {line!r}, expected '%nodes N'")
+            declared = int(parts[1])
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"{where}{lineno}: expected 'src<TAB>dst', got {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise InputError(f"{where}{lineno}: non-integer endpoint in {line!r}") from exc
+    return edges, declared
+
+
 def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) -> SparseCountMatrix:
     """Parse the tab-separated edge-list format.
 
@@ -249,26 +283,7 @@ def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) 
     as ``max endpoint + 1``. With ``dedup``, repeated pairs collapse to a
     single unit edge.
     """
-    edges: list[tuple[int, int]] = []
-    declared = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("%"):
-            parts = line[1:].split()
-            if len(parts) != 2 or parts[0] != "nodes":
-                raise InputError(f"line {lineno}: bad header {raw.strip()!r}")
-            declared = int(parts[1])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: expected 'src<TAB>dst', got {raw.strip()!r}")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: non-integer endpoint in {raw.strip()!r}") from exc
-        edges.append((src, dst))
+    edges, declared = parse_edge_pairs(text)
     if n_nodes is None:
         n_nodes = declared
     if n_nodes is None:

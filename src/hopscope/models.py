@@ -11,6 +11,12 @@ Five architectures share one layer vocabulary:
   model while the aggregation matches the single-layer one);
 * ``graphsage`` — k layers of ``act(Â H W1 + H W0 + b)``.
 
+Every layer is one :class:`LayerParams` record: weight ``W`` on ``Â H``
+(on ``H`` in a plain linear layer), bias ``b`` and, for SAGE only, a
+self weight ``W0`` on ``H``, so ``SageLayerParams(W0, W1, b)`` is the
+GCN layer with ``W = W1`` plus a root term. One kernel computes every
+layer, and ``_FIELDS`` fixes the array order of every per-layer loop.
+
 Hidden layers apply the activation; the final layer always emits raw
 logits. Feature and hidden matrices are plain float64 ndarrays. All
 kernels are pure: dropout enters only through explicit mask arguments so
@@ -22,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, add_self_loops, degrees, symmetrize, transpose
@@ -46,6 +51,7 @@ __all__ = [
     "model_backward",
     "collapse_linear",
     "finite_difference_gradients",
+    "flat_gradients",
     "max_relative_error",
     "gradient_check",
     "relu_kink_risk",
@@ -62,21 +68,29 @@ PROPAGATIONS = ("forward", "reverse", "bidirectional")
 ACTIVATIONS = ("relu", "identity")
 
 
+# Array order of every per-layer loop: gradient norms, the l2 term, flat
+# gradients and optimizer state. Norms and the l2 term sum in this order,
+# so reordering it changes their last bits.
+_FIELDS = ("W0", "W", "b")
+
+
 @dataclass(frozen=True)
 class LayerParams:
-    """Weight and bias of a GCN or plain linear layer."""
+    """One layer: weight ``W``, bias ``b`` and, for SAGE only, self weight ``W0``."""
 
     W: np.ndarray
     b: np.ndarray
+    W0: np.ndarray | None = None
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Names of the arrays this layer holds, in ``_FIELDS`` order."""
+        return _FIELDS if self.W0 is not None else _FIELDS[1:]
 
 
-@dataclass(frozen=True)
-class SageLayerParams:
-    """Self weight, neighbor weight, and bias of a SAGE-style layer."""
-
-    W0: np.ndarray
-    W1: np.ndarray
-    b: np.ndarray
+def SageLayerParams(W0: np.ndarray, W1: np.ndarray, b: np.ndarray) -> LayerParams:
+    """A SAGE layer ``act(Â H W1 + H W0 + b)``: the GCN layer plus a self weight."""
+    return LayerParams(W=W1, b=b, W0=W0)
 
 
 @dataclass(frozen=True)
@@ -152,32 +166,39 @@ def _check_finite(h: np.ndarray, where: str):
         raise NumericError(f"non-finite values in {where}")
 
 
-def gcn_layer_forward(
-    ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str = "relu"
-) -> np.ndarray:
-    """``act(Â H W + b)`` with the bias broadcast across rows."""
+def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str):
+    """The one layer kernel: ``(Â H, Â H W + H W0 + b)`` before the activation.
+
+    A ``linear`` layer skips the aggregation (``Â H`` is None and ``W``
+    acts on ``H``); ``H W0`` enters only for SAGE layers.
+    """
+    if (kind == "sage") != (p.W0 is not None):
+        raise InputError(f"{kind} layer {'without' if p.W0 is None else 'with'} a self weight W0")
+    m = None if kind == "linear" else ahat_sp @ h
+    z = (h if m is None else m) @ p.W
+    if p.W0 is not None:
+        z = z + h @ p.W0
+    return m, z + p.b
+
+
+def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     if ahat.n_cols != h.shape[0]:
         raise InputError(f"shape mismatch: Â is {ahat.n_rows}x{ahat.n_cols}, H has {h.shape[0]} rows")
-    if h.shape[1] != p.W.shape[0]:
+    if any(h.shape[1] != getattr(p, n).shape[0] for n in p.fields[:-1]):
         raise InputError(f"shape mismatch: H has {h.shape[1]} cols, W expects {p.W.shape[0]}")
-    z = ahat.to_scipy() @ h @ p.W + p.b
-    out = _act(act, z)
-    _check_finite(out, "gcn layer output")
+    out = _act(act, _layer(ahat.to_scipy(), h, p, kind)[1])
+    _check_finite(out, f"{kind} layer output")
     return out
 
 
-def sage_layer_forward(
-    ahat: WeightedAdjacency, h: np.ndarray, p: SageLayerParams, act: str = "relu"
-) -> np.ndarray:
+def gcn_layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str = "relu") -> np.ndarray:
+    """``act(Â H W + b)`` with the bias broadcast across rows."""
+    return _layer_forward(ahat, h, p, act, "gcn")
+
+
+def sage_layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str = "relu") -> np.ndarray:
     """``act(Â H W1 + H W0 + b)``; with a zero Â this is a plain MLP layer."""
-    if ahat.n_cols != h.shape[0]:
-        raise InputError(f"shape mismatch: Â is {ahat.n_rows}x{ahat.n_cols}, H has {h.shape[0]} rows")
-    if h.shape[1] != p.W1.shape[0] or h.shape[1] != p.W0.shape[0]:
-        raise InputError("shape mismatch between H and SAGE weights")
-    z = ahat.to_scipy() @ h @ p.W1 + h @ p.W0 + p.b
-    out = _act(act, z)
-    _check_finite(out, "sage layer output")
-    return out
+    return _layer_forward(ahat, h, p, act, "sage")
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +244,14 @@ def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
 
 
 def init_params(spec: ModelSpec, in_dim: int, n_classes: int, rng: np.random.Generator):
-    """Glorot-uniform weights and zero biases for every layer."""
+    """Glorot-uniform weights and zero biases for every layer.
+
+    A SAGE layer draws its self weight ``W0`` before ``W``.
+    """
     params = []
     for kind, (d_in, d_out) in zip(spec.layer_kinds(), _layer_dims(spec, in_dim, n_classes)):
-        if kind == "sage":
-            params.append(
-                SageLayerParams(
-                    W0=_glorot(rng, d_in, d_out),
-                    W1=_glorot(rng, d_in, d_out),
-                    b=np.zeros(d_out),
-                )
-            )
-        else:
-            params.append(LayerParams(W=_glorot(rng, d_in, d_out), b=np.zeros(d_out)))
+        w0 = _glorot(rng, d_in, d_out) if kind == "sage" else None
+        params.append(LayerParams(W=_glorot(rng, d_in, d_out), b=np.zeros(d_out), W0=w0))
     return params
 
 
@@ -255,15 +271,7 @@ def _forward_pass(spec, ahat_sp, x, params, hidden_masks):
     n_layers = len(kinds)
     for i, (kind, p) in enumerate(zip(kinds, params)):
         last = i == n_layers - 1
-        if kind == "gcn":
-            m = ahat_sp @ h
-            z = m @ p.W + p.b
-        elif kind == "linear":
-            m = None
-            z = h @ p.W + p.b
-        else:  # sage
-            m = ahat_sp @ h
-            z = m @ p.W1 + h @ p.W0 + p.b
+        m, z = _layer(ahat_sp, h, p, kind)
         out = z if last else _act(spec.activation, z)
         mask = None
         if not last and hidden_masks is not None and hidden_masks[i] is not None:
@@ -311,28 +319,16 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
         if c["mask"] is not None:
             g = g * c["mask"]
         gz = g if c["last"] else g * _act_grad(spec.activation, c["z"])
-        db = gz.sum(axis=0)
-        if c["kind"] == "gcn":
-            dW = c["m"].T @ gz
-            g = ahat_t @ (gz @ p.W.T)
-            grads[i] = LayerParams(W=dW, b=db)
-        elif c["kind"] == "linear":
-            dW = c["h"].T @ gz
-            g = gz @ p.W.T
-            grads[i] = LayerParams(W=dW, b=db)
-        else:
-            dW1 = c["m"].T @ gz
-            dW0 = c["h"].T @ gz
-            g = ahat_t @ (gz @ p.W1.T) + gz @ p.W0.T
-            grads[i] = SageLayerParams(W0=dW0, W1=dW1, b=db)
+        src = c["h"] if c["m"] is None else c["m"]
+        dW0 = None if p.W0 is None else c["h"].T @ gz
+        grads[i] = LayerParams(W=src.T @ gz, b=gz.sum(axis=0), W0=dW0)
+        g = gz @ p.W.T
+        if c["m"] is not None:
+            g = ahat_t @ g
+        if p.W0 is not None:
+            g = g + gz @ p.W0.T
 
-    norms = []
-    for gp in grads:
-        if isinstance(gp, SageLayerParams):
-            sq = np.sum(gp.W0**2) + np.sum(gp.W1**2) + np.sum(gp.b**2)
-        else:
-            sq = np.sum(gp.W**2) + np.sum(gp.b**2)
-        norms.append(float(np.sqrt(sq)))
+    norms = [float(np.sqrt(sum(np.sum(getattr(gp, n) ** 2) for n in gp.fields))) for gp in grads]
     return grads, norms
 
 
@@ -360,12 +356,6 @@ def collapse_linear(a: SparseCountMatrix, x: np.ndarray, params, k: int) -> np.n
 # gradient verification
 
 
-def _param_arrays(p):
-    if isinstance(p, SageLayerParams):
-        return ("W0", "W1", "b")
-    return ("W", "b")
-
-
 def finite_difference_gradients(spec: ModelSpec, a, x, params, upstream_grad, step: float = 1e-4):
     """Central-difference gradients of ``sum(upstream * logits)``."""
     ahat = _resolve_ahat(spec, a)
@@ -377,7 +367,7 @@ def finite_difference_gradients(spec: ModelSpec, a, x, params, upstream_grad, st
     grads = []
     for li, p in enumerate(params):
         pieces = {}
-        for name in _param_arrays(p):
+        for name in p.fields:
             arr = getattr(p, name)
             g = np.zeros_like(arr)
             flat = arr.ravel()
@@ -393,6 +383,11 @@ def finite_difference_gradients(spec: ModelSpec, a, x, params, upstream_grad, st
             pieces[name] = g / (2.0 * step)
         grads.append(replace(p, **pieces))
     return grads
+
+
+def flat_gradients(grads) -> np.ndarray:
+    """Every array of every layer, raveled and joined in ``_FIELDS`` order."""
+    return np.concatenate([getattr(g, n).ravel() for g in grads for n in g.fields])
 
 
 def max_relative_error(got, want) -> float:
@@ -420,10 +415,4 @@ def gradient_check(spec: ModelSpec, a, x, params, upstream_grad, step: float = 1
     ahat = _resolve_ahat(spec, a)
     analytic, _ = model_backward(spec, ahat, x, params, upstream_grad)
     numeric = finite_difference_gradients(spec, ahat, x, params, upstream_grad, step=step)
-    worst = 0.0
-    all_got, all_want = [], []
-    for ga, gn in zip(analytic, numeric):
-        for name in _param_arrays(ga):
-            all_got.append(getattr(ga, name).ravel())
-            all_want.append(getattr(gn, name).ravel())
-    return max(worst, max_relative_error(np.concatenate(all_got), np.concatenate(all_want)))
+    return max_relative_error(flat_gradients(analytic), flat_gradients(numeric))

@@ -22,7 +22,6 @@ from .graphs import SparseCountMatrix, add_self_loops, from_edge_list
 from .hops import density, mat_power_support
 from .models import (
     ModelSpec,
-    SageLayerParams,
     build_aggregation,
     init_params,
     model_backward,
@@ -37,6 +36,7 @@ __all__ = [
     "SweepRow",
     "make_splits",
     "train_model",
+    "train_splits",
     "run_sweep",
     "synthesize_dataset",
     "majority_baseline",
@@ -73,8 +73,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise InputError("learning rate must be positive")
+        if self.l2 < 0:
+            raise InputError("l2 must be non-negative")
         if not (0.0 <= self.dropout < 1.0):
             raise InputError("dropout must be in [0, 1)")
+        if self.lr_sched_patience < 1:
+            raise InputError("lr_sched_patience must be at least 1")
         if self.early_stop_patience >= self.max_epochs:
             raise InputError("early-stop patience must be below max_epochs")
 
@@ -168,12 +172,8 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def _grad_fields(p):
-    return ("W0", "W1", "b") if isinstance(p, SageLayerParams) else ("W", "b")
-
-
 def _snapshot(params):
-    return [replace(p, **{n: getattr(p, n).copy() for n in _grad_fields(p)}) for p in params]
+    return [replace(p, **{n: getattr(p, n).copy() for n in p.fields}) for p in params]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
@@ -200,13 +200,13 @@ def train_model(
     ahat = build_aggregation(spec, graph)
     params = init_params(spec, x.shape[1], n_classes, rng)
 
-    m_state = [{n: np.zeros_like(getattr(p, n)) for n in _grad_fields(p)} for p in params]
-    v_state = [{n: np.zeros_like(getattr(p, n)) for n in _grad_fields(p)} for p in params]
+    m_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
+    v_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     lr = cfg.lr
 
-    hidden_shapes = _hidden_shapes(x.shape[0], params)
+    hidden_shapes = [(x.shape[0], p.W.shape[1]) for p in params[:-1]]
     best_val, best_epoch, best_params = -1.0, 0, _snapshot(params)
     no_improve = 0
     sched_no_improve = 0
@@ -230,7 +230,7 @@ def train_model(
             loss += 0.5 * cfg.l2 * sum(
                 float(np.sum(getattr(p, n) ** 2))
                 for p in params
-                for n in _grad_fields(p)
+                for n in p.fields
                 if n != "b"
             )
         if not np.isfinite(loss):
@@ -248,7 +248,7 @@ def train_model(
         new_params = []
         for li, (p, g) in enumerate(zip(params, grads)):
             updates = {}
-            for name in _grad_fields(p):
+            for name in p.fields:
                 garr = getattr(g, name)
                 if cfg.l2 > 0 and name != "b":
                     garr = garr + cfg.l2 * getattr(p, name)
@@ -286,9 +286,21 @@ def train_model(
     )
 
 
-def _hidden_shapes(n: int, params) -> list[tuple[int, int]]:
-    widths = [p.W1 if isinstance(p, SageLayerParams) else p.W for p in params[:-1]]
-    return [(n, w.shape[1]) for w in widths]
+def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
+    """One :func:`train_model` run per split, seeded by ``spawn_key=(si, 17)``.
+
+    Returns ``(runs, failed)``: the finished runs' Metrics, and a
+    ``(split index, error)`` pair for each run that raised
+    :class:`HopscopeError`.
+    """
+    runs, failed = [], []
+    for si, split in enumerate(splits):
+        run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
+        try:
+            runs.append(train_model(spec, graph, x, labels, split, replace(cfg, seed=run_seed)))
+        except HopscopeError as exc:
+            failed.append((si, exc))
+    return runs, failed
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +357,8 @@ def run_sweep(
     for template in arches:
         for k in ks:
             spec = replace(template, k=k)
-            runs, failures = [], 0
-            for si, split in enumerate(splits):
-                run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
-                try:
-                    runs.append(train_model(spec, graph, x, labels, split, replace(cfg, seed=run_seed)))
-                except (NumericError, HopscopeError):
-                    failures += 1
-            merged = Metrics.merge(runs) if runs else Metrics((), (), (), ())
+            runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+            merged = Metrics.merge(runs)
             rows.append(
                 SweepRow(
                     arch=spec.arch,
@@ -362,7 +368,7 @@ def run_sweep(
                     acc_mean=merged.mean,
                     acc_std=merged.std,
                     density=_reach_density(spec, graph, k),
-                    failures=failures,
+                    failures=len(failed),
                 )
             )
     return rows

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hopscope.cli import main
+from hopscope.errors import InputError
+from hopscope.graphs import read_edge_list
 
 
 def run_cli(*args):
@@ -117,6 +119,15 @@ def test_gradcheck_pass_and_corrupt_negative_control(capsys):
     assert run_cli("gradcheck", "--arch", "k_layer_gcn", "--k", "3", "--seed", "1") == 0
     assert run_cli("gradcheck", "--arch", "hybrid_power_plus_linear", "--k", "4", "--seed", "2") == 0
     assert run_cli("gradcheck", "--arch", "k_layer_gcn", "--k", "3", "--seed", "1", "--corrupt") == 1
+    assert run_cli("gradcheck", "--arch", "graphsage", "--k", "2", "--seed", "5", "--corrupt") == 1
+
+
+def test_non_integer_node_count_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text("%nodes x\n0\t1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 1"):
+        read_edge_list(path)
+    assert run_cli("analyze-loops", "--graph", path, "--lemma", "self_loop", "--kmax", "2") == 2
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hopscope import (
     save_sweep_csv,
     synthesize_dataset,
 )
+from hopscope.cli import main
 from hopscope.datasets import resolve_dataset_dir
 from hopscope.training import SweepRow
 
@@ -65,6 +66,21 @@ def test_ragged_features(tmp_path):
     (path / "features.csv").write_text("0,1,2\n1,1\n2,0,0\n", encoding="utf-8")
     with pytest.raises(DatasetError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("edges.tsv", "%nodes x\n0\t1\n", "edges.tsv:1"),
+    ("labels.tsv", "0\t0\none\t1\n2\t0\n", "labels.tsv:2"),
+    ("labels.tsv", "0\t0\n1\tB\n2\t0\n", "labels.tsv:2"),
+    ("features.csv", "0,1\n1,1\nx,1\n", "features.csv:3"),
+    ("features.csv", "0,1\n1,abc\n2,1\n", "features.csv:2"),
+], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value"])
+def test_malformed_dataset_file_is_dataset_error(tmp_path, capsys, name, text, where):
+    write_toy(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError, match=where):
+        load_dataset(tmp_path)
+    assert main(["train", "--dataset", str(tmp_path), "--arch", "k_layer_gcn", "--splits", "1"]) == 2
 
 
 def test_sparse_external_ids_are_remapped(tmp_path):

@@ -111,6 +111,31 @@ def test_sage_layer_degenerations():
     assert np.allclose(got, want)
 
 
+def test_sage_record_is_gcn_record_plus_self_weight():
+    w0, w1, b = np.ones((3, 2)), np.full((3, 2), 2.0), np.zeros(2)
+    p = SageLayerParams(W0=w0, W1=w1, b=b)
+    assert isinstance(p, LayerParams)
+    assert p.W is w1 and p.W0 is w0
+    assert p.fields == ("W0", "W", "b")
+    assert LayerParams(W=w1, b=b).fields == ("W", "b")
+
+
+def test_layer_record_must_match_layer_kind():
+    rng = np.random.default_rng(4)
+    ahat = normalize(p3(), "none")
+    h = rng.standard_normal((3, 2))
+    gcn = LayerParams(W=np.ones((2, 2)), b=np.zeros(2))
+    sage = SageLayerParams(W0=np.ones((2, 2)), W1=np.ones((2, 2)), b=np.zeros(2))
+    with pytest.raises(InputError):
+        sage_layer_forward(ahat, h, gcn)
+    with pytest.raises(InputError):
+        gcn_layer_forward(ahat, h, sage)
+    with pytest.raises(InputError):
+        model_forward(ModelSpec(arch="graphsage", k=1), p3(), h, [gcn])
+    with pytest.raises(InputError):
+        model_forward(ModelSpec(arch="k_layer_gcn", k=1), p3(), h, [sage])
+
+
 def test_layer_shape_errors():
     rng = np.random.default_rng(3)
     ahat = normalize(p3(), "none")

@@ -13,6 +13,8 @@ from hopscope import (
     synthesize_dataset,
     train_model,
 )
+from hopscope.errors import NumericError
+from hopscope.training import train_splits
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,10 @@ def test_config_validation():
         TrainConfig(max_epochs=50, early_stop_patience=50)
     with pytest.raises(InputError):
         TrainConfig(dropout=1.0)
+    with pytest.raises(InputError):
+        TrainConfig(l2=-1e-4)
+    with pytest.raises(InputError):
+        TrainConfig(lr_sched_patience=0)
     full = TrainConfig.paper_protocol()
     assert (full.max_epochs, full.early_stop_patience, full.lr_sched_patience) == (1500, 410, 80)
 
@@ -140,6 +146,35 @@ def test_dropout_runs_and_stays_deterministic(tiny_structure_ds):
     a = train_model(spec, graph, x, labels, split, cfg)
     b = train_model(spec, graph, x, labels, split, cfg)
     assert a.accuracies == b.accuracies
+
+
+def test_graphsage_l2_dropout_is_bit_deterministic(tiny_structure_ds):
+    graph, x, labels = tiny_structure_ds
+    split = make_splits(labels, n_splits=1, seed=0)[0]
+    spec = ModelSpec(arch="graphsage", k=3, hidden_width=8, norm="row", propagation="reverse")
+    cfg = TrainConfig(lr=0.05, l2=1e-3, dropout=0.3, max_epochs=30, early_stop_patience=20,
+                      lr_sched_patience=10, seed=4)
+    a = train_model(spec, graph, x, labels, split, cfg)
+    b = train_model(spec, graph, x, labels, split, cfg)
+    assert a == b  # every field, gradient-norm traces included
+    assert len(a.grad_norm_traces[0]) == a.epochs_run[0]
+    assert all(len(per_epoch) == 3 for per_epoch in a.grad_norm_traces[0])
+
+
+def test_train_splits_seed_rule_and_failures(tiny_structure_ds):
+    graph, x, labels = tiny_structure_ds
+    splits = make_splits(labels, n_splits=2, seed=3)
+    spec = ModelSpec(arch="k_layer_gcn", k=1, norm="row", propagation="reverse")
+    cfg = TrainConfig(lr=0.05, max_epochs=10, early_stop_patience=5, lr_sched_patience=5, seed=3)
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    assert failed == []
+    seed1 = int(np.random.SeedSequence(entropy=3, spawn_key=(1, 17)).generate_state(1)[0])
+    assert runs[1] == train_model(spec, graph, x, labels, splits[1], TrainConfig(
+        lr=0.05, max_epochs=10, early_stop_patience=5, lr_sched_patience=5, seed=seed1))
+
+    runs, failed = train_splits(spec, graph, np.full_like(x, np.nan), labels, splits, cfg)
+    assert runs == []
+    assert [(si, type(exc)) for si, exc in failed] == [(0, NumericError), (1, NumericError)]
 
 
 # ---------------------------------------------------------------------------
