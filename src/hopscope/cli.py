@@ -82,12 +82,17 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _CONFIG_KEYS[key]
+        try:
+            value = kind(val)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: {key} needs a {kind.__name__}, got {val!r}") from None
         if key not in vars(args):
             continue  # key does not apply to this subcommand
         flag = "--" + key.replace("_", "-")
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
             continue  # explicit flag wins
-        setattr(args, key, _CONFIG_KEYS[key](val))
+        setattr(args, key, value)
 
 
 def _load_graph(args) -> "SparseCountMatrix":
@@ -189,6 +194,8 @@ def _write_analyze_csv(out, rows):
 
 def cmd_density_curve(args) -> int:
     _print_config(args)
+    if args.kmax < 1:
+        raise InputError(f"--kmax must be at least 1, got {args.kmax}")
     graph = _load_graph(args)
     lines = ["k,density,nnz"]
     for k in range(1, args.kmax + 1):

@@ -21,6 +21,11 @@ Hidden layers apply the activation; the final layer always emits raw
 logits. Feature and hidden matrices are plain float64 ndarrays. All
 kernels are pure: dropout enters only through explicit mask arguments so
 a given (params, masks) pair always reproduces the same numbers.
+
+Who recomputes what: ``model_forward`` builds the CSR of Â per call;
+``model_backward`` also reruns the forward and builds ``Âᵀ``. The
+trainer builds both once per run and calls ``_forward_pass`` and
+``_backward_pass`` (a reverse sweep over the forward's caches) directly.
 """
 
 from __future__ import annotations
@@ -283,13 +288,19 @@ def _forward_pass(spec, ahat_sp, x, params, hidden_masks):
     return h, caches
 
 
+def _features(ahat: WeightedAdjacency, x) -> np.ndarray:
+    """``x`` as float64, checked to have one row per node of ``ahat``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != ahat.n_rows:
+        raise InputError(f"feature matrix must be ({ahat.n_rows}, d)")
+    return x
+
+
 def model_forward(spec: ModelSpec, a, x: np.ndarray, params, hidden_masks=None) -> np.ndarray:
     """Logits of the whole model; ``a`` is a raw count matrix or a
     prebuilt aggregation from :func:`build_aggregation`."""
     ahat = _resolve_ahat(spec, a)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != ahat.n_rows:
-        raise InputError(f"feature matrix must be ({ahat.n_rows}, d)")
+    x = _features(ahat, x)
     logits, _ = _forward_pass(spec, ahat.to_scipy(), x, params, hidden_masks)
     return logits
 
@@ -300,7 +311,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     Returns ``(grads, layer_grad_norms)`` where ``grads`` mirrors the
     structure of ``params`` and each norm is the Frobenius norm of that
     layer's stacked weight/bias gradients (the vanishing-gradient
-    diagnostic).
+    diagnostic). It reruns the forward for its caches and builds ``Âᵀ``.
     """
     ahat = _resolve_ahat(spec, a)
     x = np.asarray(x, dtype=np.float64)
@@ -309,10 +320,13 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if upstream_grad.shape != logits.shape:
         raise InputError(f"upstream gradient must have shape {logits.shape}")
-    ahat_t = ahat_sp.T.tocsr()
+    return _backward_pass(spec, ahat_sp.T.tocsr(), params, caches, upstream_grad)
 
+
+def _backward_pass(spec, ahat_t, params, caches, upstream):
+    """Reverse sweep over the caches of ``_forward_pass``; returns ``(grads, norms)``."""
     grads: list = [None] * len(params)
-    g = upstream_grad
+    g = upstream
     for i in range(len(params) - 1, -1, -1):
         c = caches[i]
         p = params[i]

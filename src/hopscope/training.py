@@ -22,12 +22,15 @@ from .graphs import SparseCountMatrix, add_self_loops, from_edge_list
 from .hops import density, mat_power_support
 from .models import (
     ModelSpec,
-    build_aggregation,
+    _backward_pass,
+    _features,
+    _forward_pass,
+    _resolve_ahat,
     init_params,
-    model_backward,
     model_forward,
     uniform_features,
 )
+from .normalization import WeightedAdjacency
 
 __all__ = [
     "SplitSpec",
@@ -183,7 +186,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
 
 def train_model(
     spec: ModelSpec,
-    graph: SparseCountMatrix,
+    graph: SparseCountMatrix | WeightedAdjacency,
     x: np.ndarray,
     labels,
     split: SplitSpec,
@@ -191,13 +194,21 @@ def train_model(
 ) -> Metrics:
     """One deterministic training run; returns single-run Metrics.
 
+    ``graph`` is a raw count matrix or a prebuilt aggregation. Â and Âᵀ
+    are built once per run; the backward reuses the caches of the
+    epoch's forward, and an epoch that draws no dropout masks reuses the
+    previous eval forward: one forward per epoch without dropout, two with.
+
     Divergence (non-finite loss or activations) raises
     :class:`NumericError` carrying the epoch at which it happened.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    ahat = build_aggregation(spec, graph)
+    ahat = _resolve_ahat(spec, graph)
+    x = _features(ahat, x)
+    ahat_sp = ahat.to_scipy()
+    ahat_t = ahat_sp.T.tocsr()
     params = init_params(spec, x.shape[1], n_classes, rng)
 
     m_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
@@ -213,6 +224,7 @@ def train_model(
     traces = []
     epoch = 0
     y_train = labels[split.train]
+    evaluated = None  # (logits, caches) of the current params without masks
 
     for epoch in range(1, cfg.max_epochs + 1):
         masks = None
@@ -221,10 +233,13 @@ def train_model(
             masks = [
                 (rng.random(shape) < keep).astype(np.float64) / keep for shape in hidden_shapes
             ] + [None]  # output layer never masked
-        try:
-            logits = model_forward(spec, ahat, x, params, hidden_masks=masks)
-        except NumericError as exc:
-            raise NumericError(str(exc), epoch=epoch) from exc
+        if masks is not None or evaluated is None:
+            evaluated = None  # one set of caches alive at a time, as in a lone forward
+            try:
+                evaluated = _forward_pass(spec, ahat_sp, x, params, masks)
+            except NumericError as exc:
+                raise NumericError(str(exc), epoch=epoch) from exc
+        logits, caches = evaluated
         loss = _cross_entropy(logits[split.train], y_train)
         if cfg.l2 > 0:
             loss += 0.5 * cfg.l2 * sum(
@@ -241,7 +256,7 @@ def train_model(
         probs[np.arange(len(y_train)), y_train] -= 1.0
         upstream[split.train] = probs / len(y_train)
 
-        grads, norms = model_backward(spec, ahat, x, params, upstream, hidden_masks=masks)
+        grads, norms = _backward_pass(spec, ahat_t, params, caches, upstream)
         traces.append(tuple(norms))
 
         t += 1
@@ -260,8 +275,9 @@ def train_model(
             new_params.append(replace(p, **updates))
         params = new_params
 
-        eval_logits = model_forward(spec, ahat, x, params)
-        val_acc = _accuracy(eval_logits, labels, split.val)
+        evaluated = caches = None
+        evaluated = _forward_pass(spec, ahat_sp, x, params, None)
+        val_acc = _accuracy(evaluated[0], labels, split.val)
         if val_acc > best_val:
             best_val, best_epoch, best_params = val_acc, epoch, _snapshot(params)
             no_improve = 0
@@ -275,6 +291,7 @@ def train_model(
             if no_improve >= cfg.early_stop_patience:
                 break
 
+    evaluated = ahat_sp = ahat_t = None  # freed before model_forward builds its own CSR
     final_logits = model_forward(spec, ahat, x, best_params)
     test_acc = _accuracy(final_logits, labels, split.test)
     return Metrics(
@@ -289,15 +306,21 @@ def train_model(
 def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
     """One :func:`train_model` run per split, seeded by ``spawn_key=(si, 17)``.
 
-    Returns ``(runs, failed)``: the finished runs' Metrics, and a
-    ``(split index, error)`` pair for each run that raised
-    :class:`HopscopeError`.
+    The aggregation is built once and shared by every split. Returns
+    ``(runs, failed)``: the finished runs' Metrics, and a ``(split index,
+    error)`` pair for each run that raised :class:`HopscopeError`; when
+    the aggregation itself cannot be built, every split fails with that
+    error.
     """
     runs, failed = [], []
+    try:
+        ahat = _resolve_ahat(spec, graph)
+    except HopscopeError as exc:
+        return runs, [(si, exc) for si in range(len(splits))]
     for si, split in enumerate(splits):
         run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
         try:
-            runs.append(train_model(spec, graph, x, labels, split, replace(cfg, seed=run_seed)))
+            runs.append(train_model(spec, ahat, x, labels, split, replace(cfg, seed=run_seed)))
         except HopscopeError as exc:
             failed.append((si, exc))
     return runs, failed

@@ -157,6 +157,23 @@ def test_bad_config_key_exit_2(looped_graph_file, tmp_path):
                    "--kmax", "2", "--config", cfg) == 2
 
 
+@pytest.mark.parametrize("line, key", [("lr=abc", "lr"), ("max_epochs=1.5", "max_epochs")])
+def test_bad_config_value_exit_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# run settings\n{line}\n", encoding="utf-8")
+    assert run_cli("train", "--synth", "structure_only", "--n", "250", "--arch", "k_layer_gcn",
+                   "--k", "1", "--splits", "1", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: {key}" in err
+
+
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_density_curve_nonpositive_kmax_exit_2(looped_graph_file, tmp_path, kmax):
+    out = tmp_path / "d.csv"
+    assert run_cli("density-curve", "--graph", looped_graph_file, "--kmax", kmax, "--out", out) == 2
+    assert not out.exists()
+
+
 def test_m_node_without_m_exit_2(looped_graph_file):
     assert run_cli("analyze-loops", "--graph", looped_graph_file, "--lemma", "m_node",
                    "--kmax", "2") == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from hopscope import (
     synthesize_dataset,
     train_model,
 )
-from hopscope.errors import NumericError
+from hopscope import models, training
+from hopscope.errors import CountOverflowError, NumericError
+from hopscope.models import build_aggregation, init_params, model_backward, model_forward
 from hopscope.training import train_splits
 
 
@@ -175,6 +179,120 @@ def test_train_splits_seed_rule_and_failures(tiny_structure_ds):
     runs, failed = train_splits(spec, graph, np.full_like(x, np.nan), labels, splits, cfg)
     assert runs == []
     assert [(si, type(exc)) for si, exc in failed] == [(0, NumericError), (1, NumericError)]
+
+
+def reference_train(spec, graph, x, labels, split, cfg):
+    """The straightforward epoch loop on the public kernels: per epoch a
+    training forward, a backward that recomputes it, and an eval forward."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    ahat = build_aggregation(spec, graph)
+    params = init_params(spec, x.shape[1], int(labels.max()) + 1, rng)
+    m_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
+    v_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
+    lr, traces, y = cfg.lr, [], labels[split.train]
+    best_val, best_epoch, best_params, no_improve, sched = -1.0, 0, params, 0, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        masks = None
+        if cfg.dropout > 0.0 and len(params) > 1:
+            keep = 1.0 - cfg.dropout
+            masks = [(rng.random((x.shape[0], p.W.shape[1])) < keep).astype(np.float64) / keep
+                     for p in params[:-1]] + [None]
+        logits = model_forward(spec, ahat, x, params, hidden_masks=masks)
+        probs = training._softmax(logits[split.train])
+        probs[np.arange(len(y)), y] -= 1.0
+        upstream = np.zeros_like(logits)
+        upstream[split.train] = probs / len(y)
+        grads, norms = model_backward(spec, ahat, x, params, upstream, hidden_masks=masks)
+        traces.append(tuple(norms))
+        new_params = []
+        for li, (p, g) in enumerate(zip(params, grads)):
+            upd = {}
+            for n in p.fields:
+                garr = getattr(g, n)
+                if cfg.l2 > 0 and n != "b":
+                    garr = garr + cfg.l2 * getattr(p, n)
+                m_state[li][n] = 0.9 * m_state[li][n] + (1 - 0.9) * garr
+                v_state[li][n] = 0.999 * v_state[li][n] + (1 - 0.999) * garr * garr
+                m_hat = m_state[li][n] / (1 - 0.9**epoch)
+                v_hat = v_state[li][n] / (1 - 0.999**epoch)
+                upd[n] = getattr(p, n) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            new_params.append(replace(p, **upd))
+        params = new_params
+        val_acc = training._accuracy(model_forward(spec, ahat, x, params), labels, split.val)
+        if val_acc > best_val:
+            best_val, best_epoch, best_params, no_improve, sched = val_acc, epoch, params, 0, 0
+        else:
+            no_improve, sched = no_improve + 1, sched + 1
+            if sched >= cfg.lr_sched_patience:
+                lr, sched = lr * 0.5, 0
+            if no_improve >= cfg.early_stop_patience:
+                break
+    test_acc = training._accuracy(model_forward(spec, ahat, x, best_params), labels, split.test)
+    return Metrics(accuracies=(test_acc,), majority_baselines=(majority_baseline(labels, split),),
+                   epochs_run=(epoch,), best_epochs=(best_epoch,), grad_norm_traces=(tuple(traces),))
+
+
+@pytest.mark.parametrize("arch, l2, dropout", [
+    ("k_layer_gcn", 0.0, 0.0),
+    ("graphsage", 5e-4, 0.3),
+    ("hybrid_power_plus_linear", 0.0, 0.0),
+])
+def test_train_model_matches_reference_loop(tiny_structure_ds, arch, l2, dropout):
+    graph, x, labels = tiny_structure_ds
+    split = make_splits(labels, n_splits=1, seed=2)[0]
+    spec = ModelSpec(arch=arch, k=3, hidden_width=6, norm="sym", propagation="bidirectional")
+    # patience short enough that the scheduler halves lr and early stopping may fire
+    cfg = TrainConfig(lr=0.05, l2=l2, dropout=dropout, max_epochs=25, early_stop_patience=12,
+                      lr_sched_patience=4, seed=6)
+    got = train_model(spec, graph, x, labels, split, cfg)
+    want = reference_train(spec, graph, x, labels, split, cfg)
+    assert got == want  # every field, gradient-norm traces included
+
+
+def _count_calls(monkeypatch, fn, *modules):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dropout, forwards", [(0.0, lambda e: e + 2), (0.4, lambda e: 2 * e + 1)])
+def test_forward_passes_per_run(tiny_structure_ds, monkeypatch, dropout, forwards):
+    graph, x, labels = tiny_structure_ds
+    split = make_splits(labels, n_splits=1, seed=0)[0]
+    spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=6, norm="row", propagation="reverse")
+    cfg = TrainConfig(lr=0.05, dropout=dropout, max_epochs=7, early_stop_patience=6, seed=1)
+    calls = _count_calls(monkeypatch, models._forward_pass, models, training)
+    m = train_model(spec, graph, x, labels, split, cfg)
+    assert len(calls) == forwards(m.epochs_run[0])
+
+
+def test_train_splits_builds_one_aggregation(tiny_structure_ds, monkeypatch):
+    graph, x, labels = tiny_structure_ds
+    splits = make_splits(labels, n_splits=3, seed=3)
+    spec = ModelSpec(arch="one_layer_power_k", k=2, norm="sym", propagation="bidirectional")
+    cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=3)
+    calls = _count_calls(monkeypatch, models.build_aggregation, models)
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    assert (len(runs), failed, len(calls)) == (3, [], 1)
+
+
+def test_train_splits_failed_aggregation_fails_every_split(tiny_structure_ds):
+    graph, x, labels = tiny_structure_ds
+    splits = make_splits(labels, n_splits=3, seed=3)
+    # 400-step walk counts on the bidirectional graph leave int64
+    spec = ModelSpec(arch="one_layer_power_k", k=400, norm="none", propagation="bidirectional")
+    cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=3)
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    assert runs == []
+    assert [si for si, _ in failed] == [0, 1, 2]
+    assert all(isinstance(exc, CountOverflowError) for _, exc in failed)
 
 
 # ---------------------------------------------------------------------------
