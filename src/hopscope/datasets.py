@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 DATA_DIR_ENV = "HOPSCOPE_DATA_DIR"
+_WRITE_BLOCK = 1 << 16  # edge lines formatted per write in save_dataset
 
 
 def fmt_real(x: float) -> str:
@@ -97,11 +99,17 @@ def _read_text(path: Path) -> str:
         raise DatasetError(f"missing or unreadable file: {path}") from exc
 
 
-def _parse_edges(path: Path) -> tuple[list[tuple[int, int]], int | None]:
+def _parse_edges(path: Path) -> tuple[np.ndarray, int | None]:
+    """The ``(m, 2)`` int64 endpoint array of an edge-list file and its ``%nodes`` count."""
     try:
-        return parse_edge_pairs(_read_text(path), where=f"{path}:")
+        pairs, declared = parse_edge_pairs(_read_text(path), where=f"{path}:")
     except InputError as exc:
         raise DatasetError(str(exc)) from exc
+    try:
+        edges = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    except OverflowError as exc:
+        raise DatasetError(f"{path}: node id outside the 64-bit integer range") from exc
+    return edges.reshape(-1, 2), declared
 
 
 def _node_index(token: str, remap: dict[int, int] | None, n: int, fname: str, lineno: int) -> int:
@@ -127,21 +135,21 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
     root = Path(dir_path)
     if not root.is_dir():
         raise DatasetError(f"dataset directory not found: {root}")
-    pairs, declared = _parse_edges(root / "edges.tsv")
+    edges, declared = _parse_edges(root / "edges.tsv")
     if dedup:
-        pairs = sorted(set(pairs))
+        edges = np.unique(edges, axis=0)
 
     if declared is not None:
         n = declared
-        if pairs and max(max(p) for p in pairs) >= n:
+        if len(edges) and edges.max() >= n:
             raise DatasetError(f"edge endpoint exceeds declared %nodes {n}")
         remap = None
     else:
-        ids = sorted({x for p in pairs for x in p})
+        ids, edges = np.unique(edges, return_inverse=True)
         n = len(ids)
-        remap = {orig: i for i, orig in enumerate(ids)}
-        pairs = [(remap[s], remap[d]) for s, d in pairs]
-    graph = from_edge_list(pairs, n)
+        remap = dict(zip(ids.tolist(), range(n)))
+        edges = edges.reshape(-1, 2)
+    graph = from_edge_list(edges, n)
 
     raw_labels: dict[int, int] = {}
     for lineno, line in content_lines(_read_text(root / "labels.tsv")):
@@ -261,12 +269,15 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     """Write a dataset directory in the loadable on-disk format."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"%nodes {graph.n_rows}"]
-    for i in range(graph.n_rows):
-        cols, vals = graph.row(i)
-        for c, v in zip(cols.tolist(), vals.tolist()):
-            lines.extend([f"{i}\t{c}"] * v)
-    (out / "edges.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # One line per unit of multiplicity, in row-major order of the entries,
+    # formatted a block at a time so the text never sits in memory whole.
+    src = np.repeat(graph.row_ids(), graph.values)
+    dst = np.repeat(graph.col_indices, graph.values)
+    with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
+        fh.write(f"%nodes {graph.n_rows}\n")
+        for lo in range(0, len(src), _WRITE_BLOCK):
+            block = zip(src[lo:lo + _WRITE_BLOCK].tolist(), dst[lo:lo + _WRITE_BLOCK].tolist())
+            fh.write("".join([f"{s}\t{d}\n" for s, d in block]))
     labels = np.asarray(labels, dtype=np.int64)
     (out / "labels.tsv").write_text(
         "\n".join(f"{i}\t{int(c)}" for i, c in enumerate(labels)) + "\n", encoding="utf-8"

@@ -13,6 +13,7 @@ workers.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -82,10 +83,13 @@ class SparseCountMatrix:
             raise InputError("column index out of range")
         if np.any(v <= 0):
             raise InputError("stored values must be positive")
-        for i in range(self.n_rows):
-            row = ci[ro[i]:ro[i + 1]]
-            if len(row) > 1 and np.any(np.diff(row) <= 0):
-                raise InputError(f"column indices not strictly increasing in row {i}")
+        # A non-increasing step is a violation unless it crosses into the next row.
+        bad = np.diff(ci) <= 0
+        starts = ro[1:-1]
+        bad[starts[(starts > 0) & (starts < len(ci))] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(ro, np.argmax(bad), side="right")) - 1
+            raise InputError(f"column indices not strictly increasing in row {i}")
 
     @property
     def nnz(self) -> int:
@@ -106,11 +110,13 @@ class SparseCountMatrix:
             shape=(self.n_rows, self.n_cols),
         )
 
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with ``col_indices``."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        for i in range(self.n_rows):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[self.row_ids(), self.col_indices] = self.values
         return out
 
     def __eq__(self, other) -> bool:
@@ -171,23 +177,46 @@ def _from_scipy(m: sp.spmatrix) -> SparseCountMatrix:
     )
 
 
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` array of integral values; an ndarray is taken as it is."""
+    try:
+        arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"edges must be (src, dst) pairs: {exc}") from exc
+    if arr.ndim == 1 and len(arr) == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("edges must be (src, dst) pairs")
+    if arr.dtype.kind == "f":
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            bad = arr[~whole.all(axis=1)][0]
+            raise InputError(f"non-integer edge endpoint: {tuple(bad.tolist())}")
+    elif arr.dtype.kind not in "iu":
+        raise InputError(f"edge endpoints must be integers, got {arr.dtype} values")
+    return arr
+
+
 def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:
     """Build the adjacency matrix of a directed multigraph.
 
-    Duplicate ``(src, dst)`` pairs accumulate into the integer entry, so a
-    doubled edge yields value 2.
+    ``edges`` is an ``(m, 2)`` array or any iterable of ``(src, dst)``
+    pairs of integers. Duplicate pairs accumulate into the integer entry,
+    so a doubled edge yields value 2.
     """
+    try:
+        n_nodes = operator.index(n_nodes)
+    except TypeError:
+        raise InputError(f"n_nodes must be an integer, got {n_nodes!r}") from None
     if n_nodes < 0:
         raise InputError("n_nodes must be non-negative")
-    edges = list(edges)
-    if not edges:
+    arr = _edge_array(edges)
+    if not len(arr):
         return SparseCountMatrix(n_nodes, n_nodes, np.zeros(n_nodes + 1, dtype=np.int64), [], [])
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InputError("edges must be (src, dst) pairs")
     if arr.min() < 0 or arr.max() >= n_nodes:
         bad = arr[(arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1)][0]
-        raise InputError(f"edge endpoint out of range for n_nodes={n_nodes}: {tuple(bad)}")
+        raise InputError(f"edge endpoint out of range for n_nodes={n_nodes}: {tuple(bad.tolist())}")
+    arr = arr.astype(np.int64, copy=False)
     data = np.ones(len(arr), dtype=np.int64)
     coo = sp.coo_matrix((data, (arr[:, 0], arr[:, 1])), shape=(n_nodes, n_nodes))
     return _from_scipy(coo)

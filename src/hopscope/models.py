@@ -162,10 +162,6 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) if name == "relu" else z
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    return (z > 0).astype(np.float64) if name == "relu" else np.ones_like(z)
-
-
 def _check_finite(h: np.ndarray, where: str):
     if not np.all(np.isfinite(h)):
         raise NumericError(f"non-finite values in {where}")
@@ -332,7 +328,7 @@ def _backward_pass(spec, ahat_t, params, caches, upstream):
         p = params[i]
         if c["mask"] is not None:
             g = g * c["mask"]
-        gz = g if c["last"] else g * _act_grad(spec.activation, c["z"])
+        gz = g * (c["z"] > 0) if spec.activation == "relu" and not c["last"] else g
         src = c["h"] if c["m"] is None else c["m"]
         dW0 = None if p.W0 is None else c["h"].T @ gz
         grads[i] = LayerParams(W=src.T @ gz, b=gz.sum(axis=0), W0=dW0)

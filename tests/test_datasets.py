@@ -14,6 +14,7 @@ from hopscope import (
     save_sweep_csv,
     synthesize_dataset,
 )
+from hopscope import datasets
 from hopscope.cli import main
 from hopscope.datasets import resolve_dataset_dir
 from hopscope.training import SweepRow
@@ -74,7 +75,8 @@ def test_ragged_features(tmp_path):
     ("labels.tsv", "0\t0\n1\tB\n2\t0\n", "labels.tsv:2"),
     ("features.csv", "0,1\n1,1\nx,1\n", "features.csv:3"),
     ("features.csv", "0,1\n1,abc\n2,1\n", "features.csv:2"),
-], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value"])
+    ("edges.tsv", "0\t1\n1\t99999999999999999999\n", "edges.tsv: node id outside the 64-bit"),
+], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value", "edges-id-range"])
 def test_malformed_dataset_file_is_dataset_error(tmp_path, capsys, name, text, where):
     write_toy(tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")
@@ -114,6 +116,44 @@ def test_save_dataset_round_trip(tmp_path):
     assert bundle.graph == graph
     assert np.array_equal(bundle.labels, labels)
     assert np.allclose(bundle.features, x, rtol=1e-11)
+
+
+def _reference_edges_tsv(graph):
+    """The edge-list text of a per-row writer: one line per unit of multiplicity."""
+    lines = [f"%nodes {graph.n_rows}"]
+    for i in range(graph.n_rows):
+        cols, vals = graph.row(i)
+        for c, v in zip(cols.tolist(), vals.tolist()):
+            lines.extend([f"{i}\t{c}"] * v)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_save_dataset_edges_match_per_row_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_WRITE_BLOCK", 4)  # several blocks, one split mid-row
+    rng = np.random.default_rng(4)
+    n = 40
+    edges = rng.integers(0, n // 2, size=(120, 2))  # nodes n/2.. stay empty
+    edges = np.concatenate([edges, np.repeat([[3, 7], [19, 0]], [3, 5], axis=0)])
+    graph = from_edge_list(edges, n)
+    assert graph.values.max() >= 5 and np.count_nonzero(np.diff(graph.row_offsets) == 0) >= n // 2
+    save_dataset(graph, None, np.zeros(n, dtype=np.int64), tmp_path / "ds")
+    assert (tmp_path / "ds" / "edges.tsv").read_bytes() == _reference_edges_tsv(graph)
+
+
+def test_save_dataset_writes_empty_graph(tmp_path):
+    graph = from_edge_list([], 3)
+    save_dataset(graph, None, [0, 1, 0], tmp_path)
+    assert (tmp_path / "edges.tsv").read_bytes() == _reference_edges_tsv(graph) == b"%nodes 3\n"
+    assert load_dataset(tmp_path).graph == graph
+
+
+def test_save_load_round_trip_at_ten_thousand_nodes(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 10_000
+    edges = rng.integers(0, n, size=(40_000, 2))
+    graph = from_edge_list(np.concatenate([edges, edges[:4_000]]), n)
+    save_dataset(graph, None, rng.integers(0, 3, size=n), tmp_path)
+    assert load_dataset(tmp_path).graph == graph
 
 
 def test_resolve_dataset_dir_env(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from hopscope import (
     InputError,
+    SparseCountMatrix,
     add_self_loops,
     degrees,
     from_dense,
@@ -151,3 +152,97 @@ def test_parse_edge_list_malformed():
         parse_edge_list("a\tb\n")
     with pytest.raises(InputError):
         parse_edge_list("%vertices 3\n")
+
+
+# ---------------------------------------------------------------------------
+# constructor invariants
+
+
+def csr(n_cols, rows):
+    """A ``SparseCountMatrix`` whose row ``i`` stores ``rows[i]`` (columns, each value 1)."""
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    cols = [c for r in rows for c in r]
+    return SparseCountMatrix(len(rows), n_cols, offsets, cols, [1] * len(cols))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 2, [0], [], []), "dimensions must be non-negative"),
+    ((2, 2, [0, 0], [], []), r"length n_rows \+ 1"),
+    ((1, 2, [1, 1], [], []), "non-decreasing from 0 to nnz"),
+    ((1, 2, [0, 2], [0], [1]), "non-decreasing from 0 to nnz"),
+    ((2, 2, [0, 2, 1], [0], [1]), "non-decreasing from 0 to nnz"),
+    ((1, 2, [0, 1], [0], [1, 1]), "equal length"),
+    ((1, 2, [0, 1], [2], [1]), "column index out of range"),
+    ((1, 2, [0, 1], [-1], [1]), "column index out of range"),
+    ((1, 2, [0, 1], [0], [0]), "values must be positive"),
+    ((1, 2, [0, 1], [0], [-2]), "values must be positive"),
+    ((1, 3, [0, 2], [2, 1], [1, 1]), "not strictly increasing in row 0$"),
+])
+def test_constructor_rejects_each_broken_invariant(args, message):
+    with pytest.raises(InputError, match=message):
+        SparseCountMatrix(*args)
+
+
+@pytest.mark.parametrize("bad", [[3, 1], [2, 2], [0, 3, 3]])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_unsorted_or_duplicate_columns_name_their_row(bad, where):
+    rows = [[0, 2], [1, 3], [0, 1, 4], [2], [1, 4]]
+    rows[where] = bad
+    with pytest.raises(InputError, match=f"not strictly increasing in row {where}$"):
+        csr(5, rows)
+
+
+def test_first_offending_row_is_named_after_empty_rows():
+    with pytest.raises(InputError, match="in row 3$"):
+        csr(4, [[], [], [0, 1], [2, 1], [], [1, 1], []])
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 3], [0, 1], [1]],  # columns decrease across each row boundary
+    [[], [], [1]],  # empty leading rows
+    [[0, 2], [], []],  # empty trailing rows
+    [[3], [], [0, 1], [], [], [2]],  # empty interior rows
+    [[], [], []],
+    [],
+])
+def test_constructor_accepts_valid_layouts(rows):
+    a = csr(4, rows)
+    assert a.nnz == sum(len(r) for r in rows)
+    assert np.array_equal(a.row_ids(), [i for i, r in enumerate(rows) for _ in r])
+
+
+def test_to_dense_scatters_multiplicities():
+    a = SparseCountMatrix(3, 4, [0, 2, 2, 3], [0, 3, 1], [2, 5, 1])
+    assert np.array_equal(a.to_dense(), [[2, 0, 0, 5], [0, 0, 0, 0], [0, 1, 0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# edge intake
+
+
+def test_from_edge_list_accepts_arrays_lists_and_generators():
+    pairs = [(0, 1), (2, 0), (0, 1), (1, 1)]
+    want = from_edge_list(pairs, 3)
+    assert from_edge_list(np.array(pairs), 3) == want
+    assert from_edge_list(np.array(pairs, dtype=np.int32), 3) == want
+    assert from_edge_list((p for p in pairs), 3) == want
+    assert from_edge_list([[float(s), float(d)] for s, d in pairs], 3) == want
+    assert from_edge_list(np.zeros((0, 2), dtype=np.int64), 3) == from_edge_list([], 3)
+    assert from_edge_list(iter(()), 3) == from_edge_list([], 3)
+
+
+@pytest.mark.parametrize("edges, n_nodes, message", [
+    ([(0.7, 1)], 3, r"non-integer edge endpoint: \(0.7, 1.0\)"),
+    (np.array([[0, 1], [1, np.nan]]), 3, "non-integer edge endpoint"),
+    ([("a", 1)], 3, "must be integers"),
+    ([(0, None)], 3, "must be integers"),
+    ([(0, 1), (1,)], 3, r"\(src, dst\) pairs"),
+    ([(0, 1, 2)], 3, r"\(src, dst\) pairs"),
+    (5, 3, r"\(src, dst\) pairs"),
+    ([(0, 1)], 2.5, "n_nodes must be an integer"),
+    ([(0, 1)], "3", "n_nodes must be an integer"),
+    ([(0, 3)], 3, r"out of range for n_nodes=3: \(0, 3\)$"),
+])
+def test_from_edge_list_rejects_malformed_input(edges, n_nodes, message):
+    with pytest.raises(InputError, match=message):
+        from_edge_list(edges, n_nodes)

@@ -310,6 +310,15 @@ def test_gradcheck_every_architecture(arch):
     assert gradient_check(spec, g, x, params, upstream) < 1e-4
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_gradcheck_identity_activation(arch):
+    rng = np.random.default_rng(zlib.crc32(arch.encode()) + 1)
+    spec = ModelSpec(arch=arch, k=3, hidden_width=4, activation="identity", norm="sym")
+    g, x, params = kink_free_instance(spec, rng)
+    upstream = rng.standard_normal((6, 3))
+    assert gradient_check(spec, g, x, params, upstream) < 1e-4
+
+
 def test_dropout_masks_affect_forward_deterministically():
     rng = np.random.default_rng(11)
     spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4, norm="sym")
