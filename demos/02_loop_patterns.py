@@ -26,8 +26,7 @@ print("1. Self-loops: every k-step pattern survives into k+1")
 print("=" * 64)
 g = hs.add_self_loops(random_digraph(10, 0.12))
 report = hs.verify_loop_lemma(g, "self_loop", k_max=6)
-for check in report.checks:
-    pat = hs.mat_power_support(g, check.k)
+for check, pat in zip(report.checks, hs.power_ladder(g)):
     print(f"  k={check.k}: nnz={pat.nnz:3d} density={hs.density(pat):.3f} inclusion={check.holds}")
 
 print()

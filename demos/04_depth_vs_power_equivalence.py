@@ -48,10 +48,8 @@ graph = hs.from_edge_list(
     [(int(i), int(j)) for i in range(m) for j in range(m) if i != j and rng.random() < 2.0 / m], m
 )
 print("  k   plain      +self-loops   bidirected")
-for k in range(1, 11):
-    d_plain = hs.density(hs.mat_power_support(graph, k))
-    d_loop = hs.density(hs.mat_power_support(hs.add_self_loops(graph), k))
-    d_bidir = hs.density(hs.mat_power_support(hs.symmetrize(graph), k))
-    print(f"  {k:2d}  {d_plain:.4f}     {d_loop:.4f}        {d_bidir:.4f}")
+ladders = zip(*(hs.power_ladder(a) for a in (graph, hs.add_self_loops(graph), hs.symmetrize(graph))))
+for k, (plain, loop, bidir) in zip(range(1, 11), ladders):
+    print(f"  {k:2d}  {hs.density(plain):.4f}     {hs.density(loop):.4f}        {hs.density(bidir):.4f}")
 print("self-loops accumulate every lower power and reverse edges double")
 print("the frontier, while the plain directed power stays comparatively thin")

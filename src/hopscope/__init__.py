@@ -43,6 +43,7 @@ from .hops import (
     mat_power_count,
     mat_power_support,
     path_count_oracle,
+    power_ladder,
     support_equal,
     support_of,
     support_periodicity,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,11 @@ from .datasets import (
 )
 from .errors import HopscopeError, InputError, LoopHypothesisError
 from .graphs import add_self_loops, from_edge_list, read_edge_list, symmetrize, transpose
-from .hops import dag_profile, density, mat_power_support, verify_loop_lemma
+from .hops import dag_profile, density, power_ladder, verify_loop_lemma
 from .models import (
     ARCHITECTURES,
     ModelSpec,
+    _propagated,
     finite_difference_gradients,
     flat_gradients,
     init_params,
@@ -152,14 +154,12 @@ def cmd_analyze_loops(args) -> int:
             return 0
         h = prof.longest_path_len
         print(f"acyclic: longest path h={h}")
-        kmax = max(args.kmax, h + 1)
         rows, ok_all = [], True
-        for k in range(1, kmax + 1):
-            pat = mat_power_support(graph, k)
-            consistent = (pat.nnz == 0) == (k > h)
+        for k, dens, nnz in _density_curve(graph, max(args.kmax, h + 1)):
+            consistent = (nnz == 0) == (k > h)
             ok_all = ok_all and consistent
-            rows.append((k, density(pat), pat.nnz, consistent))
-            print(f"k={k:3d} nnz={pat.nnz:6d} density={density(pat):.6f} consistent={consistent}")
+            rows.append((k, dens, nnz, consistent))
+            print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} consistent={consistent}")
         _write_analyze_csv(args.out, rows)
         print("dag nilpotency check:", "PASS" if ok_all else "FAIL")
         return 0 if ok_all else 1
@@ -170,11 +170,10 @@ def cmd_analyze_loops(args) -> int:
         print(f"hypothesis not satisfied: {exc}")
         return 0
     rows = []
-    for check in report.checks:
-        pat = mat_power_support(graph, check.k)
-        rows.append((check.k, density(pat), pat.nnz, check.holds))
+    for check, (k, dens, nnz) in zip(report.checks, _density_curve(graph, args.kmax)):
+        rows.append((k, dens, nnz, check.holds))
         extra = "" if check.holds else f"  counterexample={check.counterexample}"
-        print(f"k={check.k:3d} nnz={pat.nnz:6d} density={density(pat):.6f} holds={check.holds}{extra}")
+        print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} holds={check.holds}{extra}")
     _write_analyze_csv(args.out, rows)
     if report.cycle is not None:
         print(f"checked against cycle {report.cycle}")
@@ -182,28 +181,34 @@ def cmd_analyze_loops(args) -> int:
     return 0 if report.all_hold else 1
 
 
-def _write_analyze_csv(out, rows):
-    if not out:
-        return
-    lines = ["k,density,nnz,subset_holds"]
-    for k, dens, nnz, holds in rows:
-        lines.append(f"{k},{fmt_real(dens)},{nnz},{str(bool(holds)).lower()}")
+def _density_curve(graph, kmax: int) -> list[tuple[int, float, int]]:
+    """``(k, density, nnz)`` of ``support(A^k)`` for k = 1..kmax, read off one power ladder."""
+    return [(k, density(p), p.nnz) for k, p in enumerate(islice(power_ladder(graph), kmax), start=1)]
+
+
+def _write_lines(out, lines):
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+
+
+def _write_density_csv(out, curve):
+    _write_lines(out, ["k,density,nnz"] + [f"{k},{fmt_real(dens)},{nnz}" for k, dens, nnz in curve])
+
+
+def _write_analyze_csv(out, rows):
+    if out:
+        lines = [f"{k},{fmt_real(dens)},{nnz},{str(bool(holds)).lower()}" for k, dens, nnz, holds in rows]
+        _write_lines(out, ["k,density,nnz,subset_holds"] + lines)
 
 
 def cmd_density_curve(args) -> int:
     _print_config(args)
     if args.kmax < 1:
         raise InputError(f"--kmax must be at least 1, got {args.kmax}")
-    graph = _load_graph(args)
-    lines = ["k,density,nnz"]
-    for k in range(1, args.kmax + 1):
-        pat = mat_power_support(graph, k)
-        lines.append(f"{k},{fmt_real(density(pat))},{pat.nnz}")
-        print(f"k={k:3d} nnz={pat.nnz:6d} density={density(pat):.6f}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    curve = _density_curve(_load_graph(args), args.kmax)
+    for k, dens, nnz in curve:
+        print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f}")
+    _write_density_csv(args.out, curve)
     return 0
 
 
@@ -263,8 +268,7 @@ def cmd_train(args) -> int:
                 f"{si},{fmt_real(r.accuracies[0])},{fmt_real(r.majority_baselines[0])},"
                 f"{r.epochs_run[0]},{r.best_epochs[0]}"
             )
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _write_lines(args.out, lines)
     return 0 if runs else 1
 
 
@@ -290,15 +294,7 @@ def cmd_sweep(args) -> int:
         print(f"{r.arch:26s} k={r.k:2d} acc={r.acc_mean:.4f}±{r.acc_std:.4f} "
               f"density={r.density:.4f} failures={r.failures}")
     if args.density_out:
-        from .models import _propagated
-
-        p = _propagated(graph, args.prop)
-        lines = ["k,density,nnz"]
-        for k in range(1, args.kmax + 1):
-            pat = mat_power_support(p, k)
-            lines.append(f"{k},{fmt_real(density(pat))},{pat.nnz}")
-        Path(args.density_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {args.density_out}")
+        _write_density_csv(args.density_out, _density_curve(_propagated(graph, args.prop), args.kmax))
     all_failed = all(r.failures > 0 and np.isnan(r.acc_mean) for r in rows)
     return 1 if (rows and all_failed) else 0
 

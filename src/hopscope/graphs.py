@@ -40,8 +40,16 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _int64_field(values, name: str) -> np.ndarray:
+    """``values`` as a read-only contiguous int64 array; floats must be whole numbers within int64."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        ok = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)
+        if not ok.all():
+            raise InputError(f"{name} must hold integers, got {arr[~ok][0].item()!r}")
+    elif arr.dtype.kind not in "iu":
+        raise InputError(f"{name} must hold integers, got {arr.dtype} values")
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -64,9 +72,8 @@ class SparseCountMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", _frozen(np.asarray(self.row_offsets, dtype=np.int64)))
-        object.__setattr__(self, "col_indices", _frozen(np.asarray(self.col_indices, dtype=np.int64)))
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=np.int64)))
+        for name in ("row_offsets", "col_indices", "values"):
+            object.__setattr__(self, name, _int64_field(getattr(self, name), name))
         self._validate()
 
     def _validate(self):
@@ -147,7 +154,7 @@ class DegreeVector:
     def __post_init__(self):
         if self.kind not in ("in", "out"):
             raise InputError(f"degree kind must be 'in' or 'out', got {self.kind!r}")
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=np.int64)))
+        object.__setattr__(self, "values", _int64_field(self.values, "degree values"))
 
     @property
     def total(self) -> int:
@@ -280,17 +287,23 @@ def content_lines(text: str):
             yield lineno, line
 
 
+def _plain(text: str) -> bool:
+    """ASCII without ``_`` or ``+``: there ``int()`` reads exactly the endpoint grammar ``-?[0-9]+``."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, int]], int | None]:
     """The ``(src, dst)`` pairs of an edge-list text and its ``%nodes`` count, None if absent.
 
     A malformed line raises :class:`InputError` naming it ``{where}{lineno}``.
     """
+    strict = not _plain(text)  # only such texts pay for a check per line
     edges: list[tuple[int, int]] = []
     declared = None
     for lineno, line in content_lines(text):
         if line.startswith("%"):
             parts = line[1:].split()
-            if len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdecimal():
+            if len(parts) != 2 or parts[0] != "nodes" or not (parts[1].isascii() and parts[1].isdecimal()):
                 raise InputError(f"{where}{lineno}: bad header {line!r}, expected '%nodes N'")
             declared = int(parts[1])
             continue
@@ -298,6 +311,8 @@ def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, i
         if len(parts) != 2:
             raise InputError(f"{where}{lineno}: expected 'src<TAB>dst', got {line!r}")
         try:
+            if strict and not _plain(line):
+                raise ValueError("outside the endpoint grammar")
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise InputError(f"{where}{lineno}: non-integer endpoint in {line!r}") from exc

@@ -16,7 +16,9 @@ behavior of the pattern sequence.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "support_of",
     "mat_power_count",
     "mat_power_support",
+    "power_ladder",
     "support_subset",
     "support_equal",
     "verify_loop_lemma",
@@ -50,6 +53,14 @@ INT64_MAX = np.iinfo(np.int64).max
 
 # ---------------------------------------------------------------------------
 # support patterns
+
+
+def _bits(r: int) -> Iterator[int]:
+    """Indices of the set bits of ``r``, ascending."""
+    while r:
+        lsb = r & -r
+        yield lsb.bit_length() - 1
+        r ^= lsb
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,7 @@ class SupportPattern:
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=bool)
         for i, r in enumerate(self.rows):
-            while r:
-                lsb = r & -r
-                out[i, lsb.bit_length() - 1] = True
-                r ^= lsb
+            out[i, list(_bits(r))] = True
         return out
 
     @property
@@ -89,15 +97,7 @@ class SupportPattern:
 
     @property
     def is_symmetric(self) -> bool:
-        for i, r in enumerate(self.rows):
-            m = r
-            while m:
-                lsb = m & -m
-                j = lsb.bit_length() - 1
-                if not (self.rows[j] >> i) & 1:
-                    return False
-                m ^= lsb
-        return True
+        return all((self.rows[j] >> i) & 1 for i, r in enumerate(self.rows) for j in _bits(r))
 
     def __repr__(self):
         return f"SupportPattern(n={self.n}, nnz={self.nnz})"
@@ -107,23 +107,15 @@ def _identity_rows(n: int) -> list[int]:
     return [1 << i for i in range(n)]
 
 
-def _rows_from_csr(n_rows: int, row_offsets, col_indices, values) -> list[int]:
-    rows = []
-    for i in range(n_rows):
-        lo, hi = row_offsets[i], row_offsets[i + 1]
-        r = 0
-        for c, v in zip(col_indices[lo:hi].tolist(), values[lo:hi].tolist()):
-            if v != 0:
-                r |= 1 << c
-        rows.append(r)
-    return rows
-
-
 def support_of(m) -> SupportPattern:
     """Non-zero pattern of a count or weighted CSR matrix."""
     if not m.is_square:
         raise InputError("support is defined for square matrices")
-    rows = _rows_from_csr(m.n_rows, m.row_offsets, m.col_indices, m.values)
+    rows = [0] * m.n_rows
+    nz = m.values != 0
+    row_ids = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
+    for i, c in zip(row_ids[nz].tolist(), m.col_indices[nz].tolist()):
+        rows[i] |= 1 << c
     return SupportPattern(m.n_rows, tuple(rows))
 
 
@@ -140,20 +132,27 @@ def _bool_matmul(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
+def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
+    """Yield ``support(A^1), support(A^2), ...`` without end, one boolean product per step.
+
+    Sweeps over k read one ladder: ``support(A^K)`` costs ``K - 1`` products.
+    """
+    base = support_of(a)
+    cur = base
+    while True:
+        yield cur
+        cur = SupportPattern(base.n, tuple(_bool_matmul(cur.rows, base.rows)))
+
+
 def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
     """Boolean-semiring power: the pattern of ``A^k`` without overflow risk."""
     if not a.is_square:
         raise InputError("matrix power requires a square matrix")
     if k < 0:
         raise InputError("power must be non-negative")
-    n = a.n_rows
     if k == 0:
-        return SupportPattern(n, tuple(_identity_rows(n)))
-    base = support_of(a).rows
-    acc = list(base)
-    for _ in range(k - 1):
-        acc = _bool_matmul(acc, base)
-    return SupportPattern(n, tuple(acc))
+        return SupportPattern(a.n_rows, tuple(_identity_rows(a.n_rows)))
+    return next(islice(power_ladder(a), k - 1, None))
 
 
 def support_subset(p: SupportPattern, q: SupportPattern) -> bool:
@@ -327,19 +326,15 @@ def support_periodicity(a: SparseCountMatrix, k_cap: int) -> SupportPeriodicity 
         raise InputError("support_periodicity requires a square matrix")
     if k_cap < 2:
         raise InputError("k_cap must be at least 2")
-    base = support_of(a).rows
-    seen: dict[tuple[int, ...], int] = {}
-    cur = list(base)
-    for k in range(1, k_cap + 1):
-        if not any(cur):
+    seen: dict[SupportPattern, int] = {}
+    for k, pat in enumerate(islice(power_ladder(a), k_cap), start=1):
+        if not any(pat.rows):
             raise InputError(
                 "adjacency is nilpotent (pattern vanished); use dag_profile for acyclic graphs"
             )
-        key = tuple(cur)
-        if key in seen:
-            return SupportPeriodicity(preperiod=seen[key], period=k - seen[key])
-        seen[key] = k
-        cur = _bool_matmul(cur, base)
+        if pat in seen:
+            return SupportPeriodicity(preperiod=seen[pat], period=k - seen[pat])
+        seen[pat] = k
     return None
 
 
@@ -366,25 +361,28 @@ class LoopLemmaReport:
         return all(c.holds for c in self.checks)
 
     def first_failure(self) -> LoopCheck | None:
-        for c in self.checks:
-            if not c.holds:
-                return c
-        return None
+        return next((c for c in self.checks if not c.holds), None)
 
 
 def _first_extra_bit(lhs: list[int], rhs: list[int]) -> tuple[int, int] | None:
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         extra = a & ~b
         if extra:
-            lsb = extra & -extra
-            return i, lsb.bit_length() - 1
+            return i, next(_bits(extra))
     return None
 
 
+# Path extensions one cycle search may make (about 0.3 s of search). The
+# search is exponential: proving that a bidirected K7,7 has no 9-cycle
+# takes several million extensions, and each +2 in m about 15x more.
+CYCLE_SEARCH_BUDGET = 1_000_000
+
+
 def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest directed simple cycle of length m."""
+    """Lexicographically smallest directed simple cycle of length m, within ``CYCLE_SEARCH_BUDGET``."""
     n = a.n_rows
     succ = [a.row(i)[0].tolist() for i in range(n)]
+    budget = iter(range(CYCLE_SEARCH_BUDGET))
 
     def extend(path: list[int], start: int) -> tuple[int, ...] | None:
         v = path[-1]
@@ -393,6 +391,8 @@ def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
         for w in succ[v]:
             if w == start or w in path:
                 continue
+            if next(budget, None) is None:
+                raise InputError(f"cycle search for m={m} gave up after {CYCLE_SEARCH_BUDGET} extensions")
             got = extend(path + [w], start)
             if got is not None:
                 return got
@@ -410,19 +410,14 @@ def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def _touch_rows(supports: list[list[int]], k: int, cyc_mask: int, n: int) -> list[int]:
+def _touch_rows(supports: list, k: int, cyc_mask: int, n: int) -> list[int]:
     """Pattern of pairs (i, j) joined by a length-k walk through the cycle."""
-    ident = _identity_rows(n)
     out = [0] * n
     for t in range(k + 1):
-        left = supports[t] if t > 0 else ident
-        right = supports[k - t] if k - t > 0 else ident
+        left, right = supports[t], supports[k - t]
         for i in range(n):
-            hit = left[i] & cyc_mask
-            while hit:
-                lsb = hit & -hit
-                out[i] |= right[lsb.bit_length() - 1]
-                hit ^= lsb
+            for j in _bits(left[i] & cyc_mask):
+                out[i] |= right[j]
     return out
 
 
@@ -448,7 +443,8 @@ def verify_loop_lemma(
     if k_max < 1:
         raise InputError("k_max must be at least 1")
     n = a.n_rows
-    s1 = support_of(a)
+    ladder = power_ladder(a)
+    s1 = next(ladder)
     cycle: tuple[int, ...] | None = None
 
     if lemma == "self_loop":
@@ -467,30 +463,17 @@ def verify_loop_lemma(
         cycle = _find_cycle(a, m)
         if cycle is None:
             raise LoopHypothesisError(f"no directed simple cycle of length {m} exists")
+        cyc_mask = sum(1 << v for v in cycle)
         shift = m
     else:
         raise InputError(f"unknown lemma kind {lemma!r}")
 
-    supports: list[list[int]] = [[]]  # index 0 unused; filled below
-    cur = list(s1.rows)
-    supports[0] = _identity_rows(n)
-    for _ in range(k_max + shift):
-        supports.append(cur)
-        cur = _bool_matmul(cur, s1.rows)
-
-    if lemma == "m_node":
-        cyc_mask = 0
-        for v in cycle:
-            cyc_mask |= 1 << v
-
+    # supports[k] is support(A^k) for k = 0..k_max+shift
+    supports = [_identity_rows(n), s1.rows] + [p.rows for p in islice(ladder, k_max + shift - 1)]
     checks = []
     for k in range(1, k_max + 1):
-        if lemma == "m_node":
-            lhs = _touch_rows(supports, k, cyc_mask, n)
-        else:
-            lhs = supports[k]
-        rhs = supports[k + shift]
-        bad = _first_extra_bit(lhs, rhs)
+        lhs = _touch_rows(supports, k, cyc_mask, n) if lemma == "m_node" else supports[k]
+        bad = _first_extra_bit(lhs, supports[k + shift])
         checks.append(LoopCheck(k=k, holds=bad is None, counterexample=bad))
     return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), cycle=cycle)
 

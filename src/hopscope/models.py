@@ -214,6 +214,14 @@ def _propagated(a: SparseCountMatrix, propagation: str) -> SparseCountMatrix:
     return symmetrize(a)
 
 
+def _reach_adjacency(spec: ModelSpec, a: SparseCountMatrix) -> SparseCountMatrix:
+    """Propagation, then self-loops for ``k_layer_gcn_selfloop``: ``support(M^k)`` is the k-hop reach."""
+    p = _propagated(a, spec.propagation)
+    if spec.arch == "k_layer_gcn_selfloop":
+        p = add_self_loops(p)
+    return p
+
+
 def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacency:
     """The single Â a model uses, built once from the raw adjacency.
 
@@ -221,9 +229,7 @@ def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacenc
     power (for the power architectures), then normalization using the
     degrees of whatever matrix came out of the structural steps.
     """
-    p = _propagated(a, spec.propagation)
-    if spec.arch == "k_layer_gcn_selfloop":
-        p = add_self_loops(p)
+    p = _reach_adjacency(spec, a)
     if spec.arch in ("one_layer_power_k", "hybrid_power_plus_linear"):
         p = mat_power_count(p, spec.k)
     return normalize(p, spec.norm)

@@ -14,17 +14,19 @@ paths, and a low-density digraph built for very deep stability runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import HopscopeError, InputError, NumericError
-from .graphs import SparseCountMatrix, add_self_loops, from_edge_list
-from .hops import density, mat_power_support
+from .graphs import SparseCountMatrix, from_edge_list
+from .hops import density, power_ladder
 from .models import (
     ModelSpec,
     _backward_pass,
     _features,
     _forward_pass,
+    _reach_adjacency,
     _resolve_ahat,
     init_params,
     model_forward,
@@ -342,15 +344,6 @@ class SweepRow:
     failures: int
 
 
-def _reach_density(spec: ModelSpec, graph: SparseCountMatrix, k: int) -> float:
-    from .models import _propagated  # structural transform shared with the kernels
-
-    p = _propagated(graph, spec.propagation)
-    if spec.arch == "k_layer_gcn_selfloop":
-        p = add_self_loops(p)
-    return density(mat_power_support(p, k))
-
-
 def run_sweep(
     arches: list[ModelSpec],
     k_range,
@@ -378,6 +371,8 @@ def run_sweep(
     )
     rows = []
     for template in arches:
+        reach = islice(power_ladder(_reach_adjacency(template, graph)), ks[-1])
+        densities = [density(p) for p in reach]
         for k in ks:
             spec = replace(template, k=k)
             runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
@@ -390,7 +385,7 @@ def run_sweep(
                     propagation=spec.propagation,
                     acc_mean=merged.mean,
                     acc_std=merged.std,
-                    density=_reach_density(spec, graph, k),
+                    density=densities[k - 1],
                     failures=len(failed),
                 )
             )

@@ -179,6 +179,15 @@ def test_m_node_without_m_exit_2(looped_graph_file):
                    "--kmax", "2") == 2
 
 
+def test_hopeless_cycle_search_exit_2(tmp_path, capsys):
+    # bidirected K7,7 is bipartite, so the search for a 9-cycle runs out of budget
+    path = tmp_path / "k77.tsv"
+    edges = "".join(f"{i}\t{7 + j}\n{7 + j}\t{i}\n" for i in range(7) for j in range(7))
+    path.write_text(edges, encoding="utf-8")
+    assert run_cli("analyze-loops", "--graph", path, "--lemma", "m_node", "--m", "9", "--kmax", "2") == 2
+    assert "cycle search for m=9 gave up" in capsys.readouterr().err
+
+
 def test_reverse_flag_transposes(tmp_path):
     path = tmp_path / "p2.tsv"
     path.write_text("0\t1\n", encoding="utf-8")

@@ -76,7 +76,12 @@ def test_ragged_features(tmp_path):
     ("features.csv", "0,1\n1,1\nx,1\n", "features.csv:3"),
     ("features.csv", "0,1\n1,abc\n2,1\n", "features.csv:2"),
     ("edges.tsv", "0\t1\n1\t99999999999999999999\n", "edges.tsv: node id outside the 64-bit"),
-], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value", "edges-id-range"])
+    ("edges.tsv", "%nodes \u0663\n0\t1\n", "edges.tsv:1: bad header"),
+    ("edges.tsv", "%nodes 3\n0\t1\n1_0\t2\n", "edges.tsv:3: non-integer endpoint"),
+    ("edges.tsv", "%nodes 3\n0\t+1\n", "edges.tsv:2: non-integer endpoint"),
+    ("edges.tsv", "%nodes 3\n0\t\u0661\n", "edges.tsv:2: non-integer endpoint"),
+], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value", "edges-id-range",
+        "edges-non-ascii-count", "edges-underscore", "edges-plus", "edges-non-ascii-id"])
 def test_malformed_dataset_file_is_dataset_error(tmp_path, capsys, name, text, where):
     write_toy(tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")

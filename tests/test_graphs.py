@@ -13,6 +13,7 @@ from hopscope import (
     symmetrize,
     transpose,
 )
+from hopscope.graphs import parse_edge_pairs
 
 
 def p3():
@@ -154,6 +155,27 @@ def test_parse_edge_list_malformed():
         parse_edge_list("%vertices 3\n")
 
 
+# int() takes each of these; the edge-list grammar does not
+LOOSE_INTEGERS = {"underscore": "1_000", "plus": "+5", "non-ascii": "\u0663"}
+
+
+@pytest.mark.parametrize("form", LOOSE_INTEGERS)
+@pytest.mark.parametrize("template, where", [
+    ("%nodes {}\n0\t1\n", "line 1: bad header"),
+    ("%nodes 2000\n0\t1\n{}\t0\n", "line 3: non-integer endpoint"),
+    ("# comment\n0\t{}\n", "line 2: non-integer endpoint"),
+])
+def test_parse_edge_list_rejects_what_only_int_accepts(form, template, where):
+    with pytest.raises(InputError, match=where):
+        parse_edge_list(template.format(LOOSE_INTEGERS[form]))
+
+
+def test_parse_edge_list_keeps_negative_ids_and_loose_comments():
+    assert parse_edge_pairs("-3\t0\n") == ([(-3, 0)], None)
+    # a comment holding '_', '+' or non-ASCII text leaves valid lines valid
+    assert parse_edge_pairs("%nodes 12  # n_nodes + \u0663\n10\t-1\n") == ([(10, -1)], 12)
+
+
 # ---------------------------------------------------------------------------
 # constructor invariants
 
@@ -177,6 +199,13 @@ def csr(n_cols, rows):
     ((1, 2, [0, 1], [0], [0]), "values must be positive"),
     ((1, 2, [0, 1], [0], [-2]), "values must be positive"),
     ((1, 3, [0, 2], [2, 1], [1, 1]), "not strictly increasing in row 0$"),
+    ((1, 2, [0, 1], [0.7], [1.9]), "col_indices must hold integers, got 0.7$"),
+    ((1, 2, [0, 1], [0], [1.9]), "values must hold integers, got 1.9$"),
+    ((1, 2, [0.0, 0.5], [0], [1]), "row_offsets must hold integers, got 0.5$"),
+    ((1, 2, [0, 1], [0], [np.nan]), "values must hold integers, got nan$"),
+    ((1, 2, [0, 1], [np.inf], [1]), "col_indices must hold integers, got inf$"),
+    ((1, 2, [0, 1], [0], [2.0**64]), "values must hold integers"),
+    ((1, 2, [0, 1], ["0"], [1]), "col_indices must hold integers, got <U1 values"),
 ])
 def test_constructor_rejects_each_broken_invariant(args, message):
     with pytest.raises(InputError, match=message):
@@ -209,6 +238,10 @@ def test_constructor_accepts_valid_layouts(rows):
     a = csr(4, rows)
     assert a.nnz == sum(len(r) for r in rows)
     assert np.array_equal(a.row_ids(), [i for i, r in enumerate(rows) for _ in r])
+
+
+def test_constructor_accepts_integral_floats():
+    assert SparseCountMatrix(1, 2, [0.0, 1.0], [1.0], [2.0]) == SparseCountMatrix(1, 2, [0, 1], [1], [2])
 
 
 def test_to_dense_scatters_multiplicities():

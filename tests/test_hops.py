@@ -1,3 +1,6 @@
+import time
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from hopscope import (
     CountOverflowError,
     InputError,
     LoopHypothesisError,
+    ModelSpec,
+    TrainConfig,
     add_self_loops,
     binomial_expansion_check,
     dag_profile,
@@ -13,13 +18,18 @@ from hopscope import (
     mat_power_count,
     mat_power_support,
     path_count_oracle,
+    power_ladder,
+    run_sweep,
     support_equal,
     support_of,
     support_periodicity,
     support_subset,
     symmetrize,
+    synthesize_dataset,
     verify_loop_lemma,
 )
+from hopscope import hops
+from hopscope.cli import main
 
 
 def p3():
@@ -215,6 +225,91 @@ def test_unrestricted_m_node_inclusion_is_false_in_general():
     assert not support_subset(s1, s4)
     report = verify_loop_lemma(a, "m_node", 1, m=3)
     assert report.all_hold
+
+
+def bidirected_k77():
+    """Bipartite, so it has no odd cycle; proving that for m=9 takes millions of path extensions."""
+    return symmetrize(from_edge_list([(i, 7 + j) for i in range(7) for j in range(7)], 14))
+
+
+def test_cycle_search_gives_up_within_its_budget():
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="cycle search for m=9 gave up after 1000000 extensions"):
+        verify_loop_lemma(bidirected_k77(), "m_node", 2, m=9)
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the power ladder
+
+
+@pytest.fixture()
+def products(monkeypatch):
+    """Record every boolean product the ladder makes."""
+    calls = []
+    real = hops._bool_matmul
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(hops, "_bool_matmul", counting)
+    return calls
+
+
+def test_ladder_takes_one_product_per_step(products):
+    a = k3()
+    rungs = list(islice(power_ladder(a), 5))
+    assert len(rungs) == 5 and len(products) == 4
+    products.clear()
+    mat_power_support(a, 6)
+    assert len(products) == 5
+    products.clear()
+    mat_power_support(a, 0)
+    mat_power_support(a, 1)
+    assert products == []
+
+
+@pytest.mark.parametrize("lemma, graph, m, shift", [
+    ("self_loop", lambda: add_self_loops(p3()), None, 1),
+    ("two_node", lambda: symmetrize(p3()), None, 2),
+    ("m_node", lambda: from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)], 4), 3, 3),
+])
+@pytest.mark.parametrize("k_max", [1, 4])
+def test_loop_lemma_walks_one_ladder(products, lemma, graph, m, shift, k_max):
+    verify_loop_lemma(graph(), lemma, k_max, m=m)
+    assert len(products) == k_max + shift - 1
+
+
+def test_cli_density_outputs_walk_one_ladder(products, tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{i}\t{(i + 1) % 6}\n{i}\t{i}\n" for i in range(6)), encoding="utf-8")
+    assert main(["density-curve", "--graph", str(path), "--kmax", "7", "--out", str(tmp_path / "d.csv")]) == 0
+    assert len(products) == 6
+    products.clear()
+    assert main(["analyze-loops", "--graph", str(path), "--lemma", "self_loop", "--kmax", "6"]) == 0
+    assert len(products) <= 11
+    products.clear()
+    path.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    assert main(["analyze-loops", "--graph", str(path), "--lemma", "dag", "--kmax", "5"]) == 0
+    assert len(products) == 4
+
+
+def test_sweep_densities_walk_one_ladder_per_template(products):
+    data = synthesize_dataset("structure_only", n=60, seed=1)
+    templates = [ModelSpec(arch=a, k=1, hidden_width=4) for a in ("k_layer_gcn", "k_layer_gcn_selfloop")]
+    cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
+    rows = run_sweep(templates, [4, 1], data, cfg, n_splits=1, per_class_train=2, per_class_val=2)
+    assert len(products) == 2 * 3
+    for r in rows:
+        a = data[0] if r.arch == "k_layer_gcn" else add_self_loops(data[0])
+        assert r.density == density(support_of(mat_power_count(a, r.k)))
+
+
+def test_periodicity_stops_at_the_first_repeat(products):
+    # support(A^4) == support(A^1) on a directed triangle: rungs 1..4, three products
+    support_periodicity(from_edge_list([(0, 1), (1, 2), (2, 0)], 3), 50)
+    assert len(products) == 3
 
 
 # ---------------------------------------------------------------------------

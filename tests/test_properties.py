@@ -1,5 +1,7 @@
 """Hypothesis-driven structural properties over arbitrary small digraphs."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hopscope import (
     from_edge_list,
     mat_power_count,
     mat_power_support,
+    power_ladder,
     support_equal,
     support_of,
     support_subset,
@@ -63,6 +66,13 @@ def test_symmetric_patterns_grow_by_two(a, k):
 @settings(max_examples=40, deadline=None)
 def test_support_power_agrees_with_count_power(a, k):
     assert support_equal(mat_power_support(a, k), support_of(mat_power_count(a, k)))
+
+
+@given(digraphs(), st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_power_ladder_rungs_are_count_power_supports(a, k_max):
+    for k, rung in enumerate(islice(power_ladder(a), k_max), start=1):
+        assert support_equal(rung, support_of(mat_power_count(a, k)))
 
 
 @given(digraphs(max_nodes=6), st.integers(0, 3), st.integers(0, 3))
