@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .errors import HopscopeError, InputError, LoopHypothesisError
 from .graphs import add_self_loops, from_edge_list, read_edge_list, symmetrize, transpose
-from .hops import dag_profile, density, power_ladder, verify_loop_lemma
+from .hops import dag_profile, power_ladder, verify_loop_lemma
 from .models import (
     ARCHITECTURES,
     ModelSpec,
@@ -170,7 +170,7 @@ def cmd_analyze_loops(args) -> int:
         print(f"hypothesis not satisfied: {exc}")
         return 0
     rows = []
-    for check, (k, dens, nnz) in zip(report.checks, _density_curve(graph, args.kmax)):
+    for check, (k, dens, nnz) in zip(report.checks, _density_curve(graph, args.kmax, report.nnz)):
         rows.append((k, dens, nnz, check.holds))
         extra = "" if check.holds else f"  counterexample={check.counterexample}"
         print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} holds={check.holds}{extra}")
@@ -181,9 +181,14 @@ def cmd_analyze_loops(args) -> int:
     return 0 if report.all_hold else 1
 
 
-def _density_curve(graph, kmax: int) -> list[tuple[int, float, int]]:
-    """``(k, density, nnz)`` of ``support(A^k)`` for k = 1..kmax, read off one power ladder."""
-    return [(k, density(p), p.nnz) for k, p in enumerate(islice(power_ladder(graph), kmax), start=1)]
+def _density_curve(graph, kmax: int, nnz=None) -> list[tuple[int, float, int]]:
+    """``(k, density, nnz)`` of ``support(A^k)`` for k = 1..kmax.
+
+    The nnz are read off one power ladder unless a caller that walked one already passes them.
+    """
+    nnz = [p.nnz for p in islice(power_ladder(graph), kmax)] if nnz is None else nnz
+    n2 = graph.n_rows * graph.n_rows
+    return [(k, c / n2 if n2 else 0.0, c) for k, c in enumerate(nnz, start=1)]
 
 
 def _write_lines(out, lines):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, content_lines, from_edge_list, parse_edge_pairs
+from .graphs import SparseCountMatrix, _plain, content_lines, from_edge_list, parse_edge_pairs
 from .normalization import WeightedAdjacency
 
 __all__ = [
@@ -112,16 +112,45 @@ def _parse_edges(path: Path) -> tuple[np.ndarray, int | None]:
     return edges.reshape(-1, 2), declared
 
 
-def _node_index(token: str, remap: dict[int, int] | None, n: int, fname: str, lineno: int) -> int:
-    """Dense index of the node id ``token`` read at ``fname:lineno``."""
-    try:
-        node = int(token)
-    except ValueError as exc:
-        raise DatasetError(f"{fname}:{lineno}: non-integer node id {token!r}") from exc
-    known = (0 <= node < n) if remap is None else node in remap
-    if not known:
-        raise DatasetError(f"{fname}:{lineno}: unknown node {node}")
-    return node if remap is None else remap[node]
+def _plain_real(token: str) -> bool:
+    """ASCII without ``_``: there ``float()`` reads no digit separator and no non-ASCII digit."""
+    return token.isascii() and "_" not in token
+
+
+def _node_rows(path: Path, sep: str | None, remap: dict[int, int] | None, n: int, kind: type,
+               width: int | None) -> list[list]:
+    """The ``kind`` values of each node, in node order, from a file of ``node<sep>v1<sep>...`` lines.
+
+    Every node needs exactly one line, with ``width`` values, or as many as the first line
+    when None. Node ids (and ``int`` values) take the edge-list grammar ``-?[0-9]+``.
+    """
+    fname, text = path.name, _read_text(path)
+    strict = not _plain(text)  # only such texts pay for a check per line
+    ok = _plain if kind is int else _plain_real
+    what = "integer" if kind is int else "numeric"
+    rows: dict[int, list] = {}
+    for lineno, line in content_lines(text):
+        token, *fields = line.split(sep)
+        try:
+            if not fields or len(fields) != (width or len(fields)) or strict and not (
+                _plain(token) and all(map(ok, fields))
+            ):
+                raise ValueError(line)
+            node, values = int(token), list(map(kind, fields))
+        except ValueError:
+            raise DatasetError(
+                f"{fname}:{lineno}: expected an integer node id and {width or 'some'} {what} value(s), got {line!r}"
+            ) from None
+        width = len(values)
+        if not ((0 <= node < n) if remap is None else node in remap):
+            raise DatasetError(f"{fname}:{lineno}: unknown node {node}")
+        node = node if remap is None else remap[node]
+        if node in rows:
+            raise DatasetError(f"{fname}:{lineno}: duplicate line for node {node}")
+        rows[node] = values
+    if len(rows) < n:
+        raise DatasetError(f"{fname}: no line for node(s) {[i for i in range(n) if i not in rows][:5]}")
+    return [rows[i] for i in range(n)]
 
 
 def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBundle:
@@ -151,49 +180,13 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
         edges = edges.reshape(-1, 2)
     graph = from_edge_list(edges, n)
 
-    raw_labels: dict[int, int] = {}
-    for lineno, line in content_lines(_read_text(root / "labels.tsv")):
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetError(f"labels.tsv:{lineno}: expected 'node<TAB>class'")
-        node = _node_index(parts[0], remap, n, "labels.tsv", lineno)
-        try:
-            cls = int(parts[1])
-        except ValueError as exc:
-            raise DatasetError(f"labels.tsv:{lineno}: non-integer class {parts[1]!r}") from exc
-        if node in raw_labels:
-            raise DatasetError(f"labels.tsv:{lineno}: duplicate label for node {node}")
-        raw_labels[node] = cls
-    missing = [i for i in range(n) if i not in raw_labels]
-    if missing:
-        raise DatasetError(f"labels.tsv: no label for node(s) {missing[:5]}")
-    class_ids = sorted(set(raw_labels.values()))
+    raw_labels = [c for (c,) in _node_rows(root / "labels.tsv", None, remap, n, int, 1)]
+    class_ids = sorted(set(raw_labels))
     class_map = {c: i for i, c in enumerate(class_ids)}
-    labels = np.array([class_map[raw_labels[i]] for i in range(n)], dtype=np.int64)
+    labels = np.array([class_map[c] for c in raw_labels], dtype=np.int64)
 
-    features = None
     fpath = root / "features.csv"
-    if fpath.exists():
-        rows: dict[int, list[float]] = {}
-        width = None
-        for lineno, line in content_lines(_read_text(fpath)):
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise DatasetError(f"features.csv:{lineno}: expected 'node,v1,...'")
-            node = _node_index(parts[0], remap, n, "features.csv", lineno)
-            try:
-                vals = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DatasetError(f"features.csv:{lineno}: non-numeric value in {line!r}") from exc
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise DatasetError(f"features.csv:{lineno}: ragged row ({len(vals)} != {width})")
-            rows[node] = vals
-        missing = [i for i in range(n) if i not in rows]
-        if missing:
-            raise DatasetError(f"features.csv: no features for node(s) {missing[:5]}")
-        features = np.array([rows[i] for i in range(n)], dtype=np.float64)
+    features = np.array(_node_rows(fpath, ",", remap, n, float, None)) if fpath.exists() else None
 
     return DatasetBundle(
         graph=graph,

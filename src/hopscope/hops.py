@@ -4,8 +4,9 @@ Two semirings drive everything here. Counting powers multiply over the
 non-negative integers, so ``A^k[i, j]`` is the exact number of directed
 walks of length ``k`` from ``i`` to ``j``; results are kept within 64-bit
 range and overflow raises instead of wrapping. Support powers multiply
-over booleans (rows stored as Python-int bitsets), so they track only
-which entries are non-zero and can never overflow.
+over booleans (canonical ``bool`` scipy CSR, the format every other
+layer uses), so they track only which entries are non-zero and can never
+overflow.
 
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
@@ -55,81 +56,74 @@ INT64_MAX = np.iinfo(np.int64).max
 # support patterns
 
 
-def _bits(r: int) -> Iterator[int]:
-    """Indices of the set bits of ``r``, ascending."""
-    while r:
-        lsb = r & -r
-        yield lsb.bit_length() - 1
-        r ^= lsb
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPattern:
     """Boolean non-zero structure of a square matrix.
 
-    ``rows[i]`` is a Python integer whose bit ``j`` is set iff entry
-    ``(i, j)`` is non-zero.
+    Built from a copy of any square scipy sparse matrix, ``csr`` is kept canonical:
+    ``bool`` values, sorted column indices without repeats and no explicit
+    zeros, so every stored entry is a non-zero ``(i, j)``. Patterns compare
+    and hash by ``(n, indptr, indices)``.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    csr: sp.csr_matrix
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise InputError("pattern needs one bitset row per node")
+        m = sp.csr_matrix(self.csr, dtype=bool, copy=True)
+        if m.shape[0] != m.shape[1]:
+            raise InputError(f"support is defined for square matrices, got {m.shape}")
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        object.__setattr__(self, "csr", m)
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return int(self.csr.nnz)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row ``i`` as a Python-int bitset whose bit ``j`` is set iff ``(i, j)`` is stored."""
+        ptr, idx = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        return tuple(sum(1 << j for j in idx[ptr[i]:ptr[i + 1]]) for i in range(self.n))
 
     def has(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        return bool(self.csr[i, j])
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=bool)
-        for i, r in enumerate(self.rows):
-            out[i, list(_bits(r))] = True
-        return out
+        return self.csr.toarray()
 
     @property
     def diagonal_full(self) -> bool:
-        return all((r >> i) & 1 for i, r in enumerate(self.rows))
+        return bool(self.csr.diagonal().all())
 
     @property
     def is_symmetric(self) -> bool:
-        return all((self.rows[j] >> i) & 1 for i, r in enumerate(self.rows) for j in _bits(r))
+        return self == SupportPattern(self.csr.T)
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.csr.indptr.astype(np.int64).tobytes(), self.csr.indices.astype(np.int64).tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, SupportPattern) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"SupportPattern(n={self.n}, nnz={self.nnz})"
 
 
-def _identity_rows(n: int) -> list[int]:
-    return [1 << i for i in range(n)]
-
-
 def support_of(m) -> SupportPattern:
-    """Non-zero pattern of a count or weighted CSR matrix."""
-    if not m.is_square:
-        raise InputError("support is defined for square matrices")
-    rows = [0] * m.n_rows
-    nz = m.values != 0
-    row_ids = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
-    for i, c in zip(row_ids[nz].tolist(), m.col_indices[nz].tolist()):
-        rows[i] |= 1 << c
-    return SupportPattern(m.n_rows, tuple(rows))
+    """Non-zero pattern of a square count or weighted CSR matrix."""
+    return SupportPattern(m.to_scipy())
 
 
-def _bool_matmul(x: list[int], y: list[int]) -> list[int]:
-    out = []
-    for r in x:
-        acc = 0
-        m = r
-        while m:
-            lsb = m & -m
-            acc |= y[lsb.bit_length() - 1]
-            m ^= lsb
-        out.append(acc)
-    return out
+def _bool_matmul(x: SupportPattern, y: SupportPattern) -> SupportPattern:
+    return SupportPattern(x.csr @ y.csr)
 
 
 def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
@@ -141,7 +135,7 @@ def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
     cur = base
     while True:
         yield cur
-        cur = SupportPattern(base.n, tuple(_bool_matmul(cur.rows, base.rows)))
+        cur = _bool_matmul(cur, base)
 
 
 def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
@@ -151,20 +145,29 @@ def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
-        return SupportPattern(a.n_rows, tuple(_identity_rows(a.n_rows)))
+        return SupportPattern(sp.identity(a.n_rows, dtype=bool, format="csr"))
     return next(islice(power_ladder(a), k - 1, None))
+
+
+def _first_extra(p: SupportPattern, q: SupportPattern) -> tuple[int, int] | None:
+    """The row-major first entry of ``p`` that ``q`` lacks, None if there is none."""
+    extra = p.csr > q.csr  # canonical, as both operands are
+    if not extra.nnz:
+        return None
+    row = int(np.searchsorted(extra.indptr, 0, side="right")) - 1
+    return row, int(extra.indices[0])
 
 
 def support_subset(p: SupportPattern, q: SupportPattern) -> bool:
     if p.n != q.n:
         raise InputError(f"pattern shapes differ: {p.n} vs {q.n}")
-    return all((rp & ~rq) == 0 for rp, rq in zip(p.rows, q.rows))
+    return _first_extra(p, q) is None
 
 
 def support_equal(p: SupportPattern, q: SupportPattern) -> bool:
     if p.n != q.n:
         raise InputError(f"pattern shapes differ: {p.n} vs {q.n}")
-    return p.rows == q.rows
+    return p == q
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ def support_periodicity(a: SparseCountMatrix, k_cap: int) -> SupportPeriodicity 
         raise InputError("k_cap must be at least 2")
     seen: dict[SupportPattern, int] = {}
     for k, pat in enumerate(islice(power_ladder(a), k_cap), start=1):
-        if not any(pat.rows):
+        if not pat.nnz:
             raise InputError(
                 "adjacency is nilpotent (pattern vanished); use dag_profile for acyclic graphs"
             )
@@ -351,25 +354,17 @@ class LoopCheck:
 
 @dataclass(frozen=True)
 class LoopLemmaReport:
+    """Verdicts for k = 1..k_max; ``nnz[k - 1]`` is the nnz of ``support(A^k)``."""
+
     lemma: str
     shift: int
     checks: tuple[LoopCheck, ...]
+    nnz: tuple[int, ...]
     cycle: tuple[int, ...] | None = None
 
     @property
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
-
-    def first_failure(self) -> LoopCheck | None:
-        return next((c for c in self.checks if not c.holds), None)
-
-
-def _first_extra_bit(lhs: list[int], rhs: list[int]) -> tuple[int, int] | None:
-    for i, (a, b) in enumerate(zip(lhs, rhs)):
-        extra = a & ~b
-        if extra:
-            return i, next(_bits(extra))
-    return None
 
 
 # Path extensions one cycle search may make (about 0.3 s of search). The
@@ -410,15 +405,16 @@ def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def _touch_rows(supports: list, k: int, cyc_mask: int, n: int) -> list[int]:
-    """Pattern of pairs (i, j) joined by a length-k walk through the cycle."""
-    out = [0] * n
-    for t in range(k + 1):
-        left, right = supports[t], supports[k - t]
-        for i in range(n):
-            for j in _bits(left[i] & cyc_mask):
-                out[i] |= right[j]
-    return out
+def _cycle_lhs(supports: list[SupportPattern], k: int, cycle: tuple[int, ...]) -> SupportPattern:
+    """Pairs (i, j) joined by a length-k walk through the cycle.
+
+    That is the OR over t of ``S_t[:, cycle] @ S_{k-t}[cycle, :]`` with
+    ``S_t = supports[t]``, taken as one product of the stacked slices.
+    """
+    cyc = list(cycle)
+    left = sp.hstack([supports[t].csr[:, cyc] for t in range(k + 1)], format="csr")
+    right = sp.vstack([supports[k - t].csr[cyc, :] for t in range(k + 1)], format="csr")
+    return SupportPattern(left @ right)
 
 
 def verify_loop_lemma(
@@ -442,7 +438,6 @@ def verify_loop_lemma(
         raise InputError("verify_loop_lemma requires a square matrix")
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    n = a.n_rows
     ladder = power_ladder(a)
     s1 = next(ladder)
     cycle: tuple[int, ...] | None = None
@@ -463,19 +458,19 @@ def verify_loop_lemma(
         cycle = _find_cycle(a, m)
         if cycle is None:
             raise LoopHypothesisError(f"no directed simple cycle of length {m} exists")
-        cyc_mask = sum(1 << v for v in cycle)
         shift = m
     else:
         raise InputError(f"unknown lemma kind {lemma!r}")
 
     # supports[k] is support(A^k) for k = 0..k_max+shift
-    supports = [_identity_rows(n), s1.rows] + [p.rows for p in islice(ladder, k_max + shift - 1)]
+    supports = [mat_power_support(a, 0), s1, *islice(ladder, k_max + shift - 1)]
     checks = []
     for k in range(1, k_max + 1):
-        lhs = _touch_rows(supports, k, cyc_mask, n) if lemma == "m_node" else supports[k]
-        bad = _first_extra_bit(lhs, supports[k + shift])
+        lhs = _cycle_lhs(supports, k, cycle) if lemma == "m_node" else supports[k]
+        bad = _first_extra(lhs, supports[k + shift])
         checks.append(LoopCheck(k=k, holds=bad is None, counterexample=bad))
-    return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), cycle=cycle)
+    nnz = tuple(p.nnz for p in supports[1:k_max + 1])
+    return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), nnz=nnz, cycle=cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,23 @@ def test_ragged_features(tmp_path):
     ("edges.tsv", "%nodes 3\n0\t1\n1_0\t2\n", "edges.tsv:3: non-integer endpoint"),
     ("edges.tsv", "%nodes 3\n0\t+1\n", "edges.tsv:2: non-integer endpoint"),
     ("edges.tsv", "%nodes 3\n0\t\u0661\n", "edges.tsv:2: non-integer endpoint"),
+    ("labels.tsv", "0\t0\n+1\t1\n2\t0\n", "labels.tsv:2: expected an integer node id"),
+    ("labels.tsv", "0\t0\n\u0661\t1\n2\t0\n", "labels.tsv:2: expected an integer node id"),
+    ("labels.tsv", "0\t0\n1\t1\n2\t1_0\n", "labels.tsv:3: expected an integer node id and 1 integer value"),
+    ("labels.tsv", "0\t0\n1\t+1\n2\t0\n", "labels.tsv:2: expected an integer node id and 1 integer value"),
+    ("labels.tsv", "0\t0\n1\t\u0661\n2\t0\n", "labels.tsv:2: expected an integer node id and 1 integer value"),
+    ("features.csv", "0,1\n+1,1\n2,1\n", "features.csv:2: expected an integer node id"),
+    ("features.csv", "0,1\n1,1\n\u0662,1\n", "features.csv:3: expected an integer node id"),
+    ("features.csv", "0,1\n1,1_0\n2,1\n", "features.csv:2: expected an integer node id and 1 numeric value"),
+    ("features.csv", "0,1\n1,\u0661.5\n2,1\n", "features.csv:2: expected an integer node id and 1 numeric value"),
+    ("features.csv", "0,1\n1,1\n1,2\n2,1\n", "features.csv:3: duplicate line for node 1"),
+    ("labels.tsv", "0\t0\n1\t1\n1\t0\n2\t0\n", "labels.tsv:3: duplicate line for node 1"),
+    ("features.csv", "0,1\n1\n2,1\n", "features.csv:2: expected an integer node id and 1 numeric value"),
 ], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value", "edges-id-range",
-        "edges-non-ascii-count", "edges-underscore", "edges-plus", "edges-non-ascii-id"])
+        "edges-non-ascii-count", "edges-underscore", "edges-plus", "edges-non-ascii-id",
+        "labels-node-plus", "labels-node-non-ascii", "labels-class-underscore", "labels-class-plus",
+        "labels-class-non-ascii", "features-node-plus", "features-node-non-ascii", "features-value-underscore",
+        "features-value-non-ascii", "features-duplicate-node", "labels-duplicate-node", "features-no-value"])
 def test_malformed_dataset_file_is_dataset_error(tmp_path, capsys, name, text, where):
     write_toy(tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")

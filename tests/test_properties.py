@@ -4,12 +4,14 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopscope import (
     InputError,
     SparseCountMatrix,
+    SupportPattern,
     add_self_loops,
     degrees,
     from_edge_list,
@@ -22,6 +24,7 @@ from hopscope import (
     symmetrize,
     transpose,
 )
+from hopscope import hops
 
 
 @st.composite
@@ -73,6 +76,61 @@ def test_support_power_agrees_with_count_power(a, k):
 def test_power_ladder_rungs_are_count_power_supports(a, k_max):
     for k, rung in enumerate(islice(power_ladder(a), k_max), start=1):
         assert support_equal(rung, support_of(mat_power_count(a, k)))
+
+
+@st.composite
+def digraphs_with_cycle(draw, max_nodes=7, max_extra=12):
+    """A digraph with a planted directed simple cycle, returned with that cycle."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    order = draw(st.permutations(range(n)))
+    cycle = tuple(order[:draw(st.integers(min_value=1, max_value=n))])
+    ring = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_extra))
+    return from_edge_list(ring + extra, n), cycle
+
+
+def _dense_reach(a, k_max):
+    """Boolean ``A^t`` for t = 0..k_max by dense numpy products."""
+    adj = a.to_dense() > 0
+    out = [np.eye(a.n_rows, dtype=bool)]
+    for _ in range(k_max):
+        out.append((out[-1].astype(np.int64) @ adj.astype(np.int64)) > 0)
+    return out
+
+
+@given(digraphs_with_cycle(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_cycle_lhs_is_the_walks_through_the_cycle(case, k_max):
+    a, cycle = case
+    supports = [mat_power_support(a, t) for t in range(k_max + 1)]
+    reach = _dense_reach(a, k_max)
+    for k in range(1, k_max + 1):
+        # (i, j) such that some t and some c on the cycle give A^t[i, c] > 0 and A^{k-t}[c, j] > 0
+        want = np.zeros((a.n_rows, a.n_rows), dtype=bool)
+        for t in range(k + 1):
+            for c in cycle:
+                want |= np.outer(reach[t][:, c], reach[k - t][c, :])
+        assert np.array_equal(hops._cycle_lhs(supports, k, cycle).to_dense(), want)
+
+
+@st.composite
+def pattern_pairs(draw, max_nodes=7):
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    cells = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    return (np.array(draw(cells), dtype=bool).reshape(n, n), np.array(draw(cells), dtype=bool).reshape(n, n))
+
+
+@given(pattern_pairs())
+@settings(max_examples=200, deadline=None)
+def test_first_extra_is_the_row_major_first_missing_entry(pair):
+    p, q = pair
+    hits = np.argwhere(p & ~q)
+    want = tuple(hits[0].tolist()) if len(hits) else None
+    sp_p, sp_q = SupportPattern(sp.csr_matrix(p)), SupportPattern(sp.csr_matrix(q))
+    got = hops._first_extra(sp_p, sp_q)
+    assert got == want
+    assert got is None or all(type(x) is int for x in got)  # the CLI prints it
+    assert support_subset(sp_p, sp_q) == (want is None)
 
 
 @given(digraphs(max_nodes=6), st.integers(0, 3), st.integers(0, 3))
