@@ -25,7 +25,10 @@ a given (params, masks) pair always reproduces the same numbers.
 Who recomputes what: ``model_forward`` builds the CSR of Â per call;
 ``model_backward`` also reruns the forward and builds ``Âᵀ``. The
 trainer builds both once per run and calls ``_forward_pass`` and
-``_backward_pass`` (a reverse sweep over the forward's caches) directly.
+``_backward_pass`` (a reverse sweep over the forward's caches) directly,
+on records whose arrays are views into one flat float64 vector in
+``_FIELDS`` order (``_packed``); Adam, its snapshots and the finite
+differences work on that vector. Shapes are checked once per call.
 """
 
 from __future__ import annotations
@@ -183,10 +186,7 @@ def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str):
 
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
-    if ahat.n_cols != h.shape[0]:
-        raise InputError(f"shape mismatch: Â is {ahat.n_rows}x{ahat.n_cols}, H has {h.shape[0]} rows")
-    if any(h.shape[1] != getattr(p, n).shape[0] for n in p.fields[:-1]):
-        raise InputError(f"shape mismatch: H has {h.shape[1]} cols, W expects {p.W.shape[0]}")
+    h = _features(ahat, h, [p])
     out = _act(act, _layer(ahat.to_scipy(), h, p, kind)[1])
     _check_finite(out, f"{kind} layer output")
     return out
@@ -290,11 +290,18 @@ def _forward_pass(spec, ahat_sp, x, params, hidden_masks):
     return h, caches
 
 
-def _features(ahat: WeightedAdjacency, x) -> np.ndarray:
-    """``x`` as float64, checked to have one row per node of ``ahat``."""
+def _features(ahat: WeightedAdjacency, x, params=()) -> np.ndarray:
+    """``x`` as float64 with one row per node of ``ahat``; layer by layer,
+    ``W`` and ``W0`` must be ``(width in, width out)`` and ``b`` ``(width out,)``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != ahat.n_rows:
-        raise InputError(f"feature matrix must be ({ahat.n_rows}, d)")
+    if x.ndim != 2 or x.shape[0] != ahat.n_cols:
+        raise InputError(f"feature matrix must be ({ahat.n_cols}, d), got {x.shape}")
+    width = x.shape[1]
+    for i, p in enumerate(params):
+        shape = (width, p.W.shape[-1])
+        if p.W.shape != shape or p.b.shape != shape[1:] or p.W0 is not None and p.W0.shape != shape:
+            raise InputError(f"shape mismatch: layer {i} takes {width} cols, got W {p.W.shape} and b {p.b.shape}")
+        width = shape[1]
     return x
 
 
@@ -302,7 +309,7 @@ def model_forward(spec: ModelSpec, a, x: np.ndarray, params, hidden_masks=None) 
     """Logits of the whole model; ``a`` is a raw count matrix or a
     prebuilt aggregation from :func:`build_aggregation`."""
     ahat = _resolve_ahat(spec, a)
-    x = _features(ahat, x)
+    x = _features(ahat, x, params)
     logits, _ = _forward_pass(spec, ahat.to_scipy(), x, params, hidden_masks)
     return logits
 
@@ -316,7 +323,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     diagnostic). It reruns the forward for its caches and builds ``Âᵀ``.
     """
     ahat = _resolve_ahat(spec, a)
-    x = np.asarray(x, dtype=np.float64)
+    x = _features(ahat, x, params)
     ahat_sp = ahat.to_scipy()
     logits, caches = _forward_pass(spec, ahat_sp, x, params, hidden_masks)
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
@@ -326,7 +333,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
 
 
 def _backward_pass(spec, ahat_t, params, caches, upstream):
-    """Reverse sweep over the caches of ``_forward_pass``; returns ``(grads, norms)``."""
+    """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``."""
     grads: list = [None] * len(params)
     g = upstream
     for i in range(len(params) - 1, -1, -1):
@@ -338,6 +345,8 @@ def _backward_pass(spec, ahat_t, params, caches, upstream):
         src = c["h"] if c["m"] is None else c["m"]
         dW0 = None if p.W0 is None else c["h"].T @ gz
         grads[i] = LayerParams(W=src.T @ gz, b=gz.sum(axis=0), W0=dW0)
+        if i == 0:
+            break
         g = gz @ p.W.T
         if c["m"] is not None:
             g = ahat_t @ g
@@ -373,37 +382,34 @@ def collapse_linear(a: SparseCountMatrix, x: np.ndarray, params, k: int) -> np.n
 
 
 def finite_difference_gradients(spec: ModelSpec, a, x, params, upstream_grad, step: float = 1e-4):
-    """Central-difference gradients of ``sum(upstream * logits)``."""
+    """Central-difference gradients of ``sum(upstream * logits)``, bumping a flat copy of ``params``."""
     ahat = _resolve_ahat(spec, a)
-
-    def objective(ps):
-        logits = model_forward(spec, ahat, x, ps)
-        return float(np.sum(upstream_grad * logits))
-
-    grads = []
-    for li, p in enumerate(params):
-        pieces = {}
-        for name in p.fields:
-            arr = getattr(p, name)
-            g = np.zeros_like(arr)
-            flat = arr.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                for sign in (+1.0, -1.0):
-                    bumped = arr.copy()
-                    bumped.ravel()[idx] = orig + sign * step
-                    trial = list(params)
-                    trial[li] = replace(p, **{name: bumped})
-                    val = objective(trial)
-                    g.ravel()[idx] += sign * val
-            pieces[name] = g / (2.0 * step)
-        grads.append(replace(p, **pieces))
-    return grads
+    theta, trial = _packed(params)
+    g = np.zeros_like(theta)
+    for idx in range(theta.size):
+        orig = theta[idx]
+        for sign in (+1.0, -1.0):
+            theta[idx] = orig + sign * step
+            g[idx] += sign * float(np.sum(upstream_grad * model_forward(spec, ahat, x, trial)))
+        theta[idx] = orig
+    return _views(g / (2.0 * step), params)
 
 
 def flat_gradients(grads) -> np.ndarray:
-    """Every array of every layer, raveled and joined in ``_FIELDS`` order."""
-    return np.concatenate([getattr(g, n).ravel() for g in grads for n in g.fields])
+    """The flat layout: every array of every layer, raveled into a new float64 vector in ``_FIELDS`` order."""
+    return np.concatenate([getattr(g, n).ravel() for g in grads for n in g.fields], dtype=np.float64)
+
+
+def _packed(params):
+    """``(theta, views)``: a flat copy of ``params`` and records viewing it."""
+    theta = flat_gradients(params)
+    return theta, _views(theta, params)
+
+
+def _views(flat: np.ndarray, like):
+    """Records shaped like ``like`` whose arrays are reshaped views into ``flat``."""
+    parts = iter(np.split(flat, np.cumsum([getattr(p, n).size for p in like for n in p.fields])[:-1]))
+    return [replace(p, **{n: next(parts).reshape(getattr(p, n).shape) for n in p.fields}) for p in like]
 
 
 def max_relative_error(got, want) -> float:
@@ -419,7 +425,7 @@ def relu_kink_risk(spec: ModelSpec, a, x, params, tol: float = 1e-3) -> bool:
     if spec.activation != "relu":
         return False
     ahat = _resolve_ahat(spec, a)
-    _, caches = _forward_pass(spec, ahat.to_scipy(), np.asarray(x, dtype=np.float64), params, None)
+    _, caches = _forward_pass(spec, ahat.to_scipy(), _features(ahat, x, params), params, None)
     for c in caches:
         if not c["last"] and np.any(np.abs(c["z"]) < tol):
             return True

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import HopscopeError, InputError, NumericError
+from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
 from .hops import density, power_ladder
 from .models import (
@@ -26,8 +26,11 @@ from .models import (
     _backward_pass,
     _features,
     _forward_pass,
+    _packed,
     _reach_adjacency,
     _resolve_ahat,
+    _views,
+    flat_gradients,
     init_params,
     model_forward,
     uniform_features,
@@ -177,10 +180,6 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def _snapshot(params):
-    return [replace(p, **{n: getattr(p, n).copy() for n in p.fields}) for p in params]
-
-
 def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     pred = logits[idx].argmax(axis=1)
     return float(np.mean(pred == labels[idx]))
@@ -201,6 +200,11 @@ def train_model(
     epoch's forward, and an epoch that draws no dropout masks reuses the
     previous eval forward: one forward per epoch without dropout, two with.
 
+    The layer records view one flat vector ``theta`` (the layout of
+    ``flat_gradients``): Adam's ``m``/``v``, the weights-only l2 term and
+    the update are elementwise on whole vectors, the same bits as a
+    per-array loop, and a snapshot is ``theta.copy()``.
+
     Divergence (non-finite loss or activations) raises
     :class:`NumericError` carrying the epoch at which it happened.
     """
@@ -211,16 +215,14 @@ def train_model(
     x = _features(ahat, x)
     ahat_sp = ahat.to_scipy()
     ahat_t = ahat_sp.T.tocsr()
-    params = init_params(spec, x.shape[1], n_classes, rng)
-
-    m_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
-    v_state = [{n: np.zeros_like(getattr(p, n)) for n in p.fields} for p in params]
+    theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
+    weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    t = 0
     lr = cfg.lr
 
     hidden_shapes = [(x.shape[0], p.W.shape[1]) for p in params[:-1]]
-    best_val, best_epoch, best_params = -1.0, 0, _snapshot(params)
+    best_val, best_epoch, best_theta = -1.0, 0, theta.copy()
     no_improve = 0
     sched_no_improve = 0
     traces = []
@@ -244,12 +246,7 @@ def train_model(
         logits, caches = evaluated
         loss = _cross_entropy(logits[split.train], y_train)
         if cfg.l2 > 0:
-            loss += 0.5 * cfg.l2 * sum(
-                float(np.sum(getattr(p, n) ** 2))
-                for p in params
-                for n in p.fields
-                if n != "b"
-            )
+            loss += 0.5 * cfg.l2 * float(np.sum(theta[weights] ** 2))
         if not np.isfinite(loss):
             raise NumericError("training loss diverged", epoch=epoch)
 
@@ -261,27 +258,20 @@ def train_model(
         grads, norms = _backward_pass(spec, ahat_t, params, caches, upstream)
         traces.append(tuple(norms))
 
-        t += 1
-        new_params = []
-        for li, (p, g) in enumerate(zip(params, grads)):
-            updates = {}
-            for name in p.fields:
-                garr = getattr(g, name)
-                if cfg.l2 > 0 and name != "b":
-                    garr = garr + cfg.l2 * getattr(p, name)
-                m_state[li][name] = beta1 * m_state[li][name] + (1 - beta1) * garr
-                v_state[li][name] = beta2 * v_state[li][name] + (1 - beta2) * garr * garr
-                m_hat = m_state[li][name] / (1 - beta1**t)
-                v_hat = v_state[li][name] / (1 - beta2**t)
-                updates[name] = getattr(p, name) - lr * m_hat / (np.sqrt(v_hat) + eps)
-            new_params.append(replace(p, **updates))
-        params = new_params
+        g = flat_gradients(grads)
+        if cfg.l2 > 0:
+            g[weights] += cfg.l2 * theta[weights]
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**epoch)
+        v_hat = v / (1 - beta2**epoch)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
 
         evaluated = caches = None
         evaluated = _forward_pass(spec, ahat_sp, x, params, None)
         val_acc = _accuracy(evaluated[0], labels, split.val)
         if val_acc > best_val:
-            best_val, best_epoch, best_params = val_acc, epoch, _snapshot(params)
+            best_val, best_epoch, best_theta = val_acc, epoch, theta.copy()
             no_improve = 0
             sched_no_improve = 0
         else:
@@ -294,7 +284,7 @@ def train_model(
                 break
 
     evaluated = ahat_sp = ahat_t = None  # freed before model_forward builds its own CSR
-    final_logits = model_forward(spec, ahat, x, best_params)
+    final_logits = model_forward(spec, ahat, x, _views(best_theta, params))
     test_acc = _accuracy(final_logits, labels, split.test)
     return Metrics(
         accuracies=(test_acc,),
@@ -310,20 +300,20 @@ def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
 
     The aggregation is built once and shared by every split. Returns
     ``(runs, failed)``: the finished runs' Metrics, and a ``(split index,
-    error)`` pair for each run that raised :class:`HopscopeError`; when
-    the aggregation itself cannot be built, every split fails with that
-    error.
+    error)`` pair for each run that raised :class:`NumericError` or
+    :class:`CountOverflowError`; when the aggregation itself overflows,
+    every split fails with that error. :class:`InputError` propagates.
     """
     runs, failed = [], []
     try:
         ahat = _resolve_ahat(spec, graph)
-    except HopscopeError as exc:
+    except (NumericError, CountOverflowError) as exc:
         return runs, [(si, exc) for si in range(len(splits))]
     for si, split in enumerate(splits):
         run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
         try:
             runs.append(train_model(spec, ahat, x, labels, split, replace(cfg, seed=run_seed)))
-        except HopscopeError as exc:
+        except (NumericError, CountOverflowError) as exc:
             failed.append((si, exc))
     return runs, failed
 
@@ -356,8 +346,8 @@ def run_sweep(
     """Train every (architecture, k) cell over shared splits.
 
     Rows come out in deterministic (arch order, ascending k) order; a run
-    that diverges is counted in ``failures`` instead of aborting the
-    sweep.
+    that diverges or overflows is counted in ``failures`` instead of
+    aborting the sweep, while an :class:`InputError` aborts it.
     """
     graph, x, labels = dataset
     if x is None:

@@ -12,6 +12,7 @@ from hopscope import (
     build_aggregation,
     collapse_linear,
     degree_features,
+    finite_difference_gradients,
     from_edge_list,
     gcn_layer_forward,
     gradient_check,
@@ -23,6 +24,7 @@ from hopscope import (
     sage_layer_forward,
     uniform_features,
 )
+from hopscope import models
 from hopscope.errors import InputError, NumericError
 from hopscope.models import relu_kink_risk
 
@@ -145,6 +147,24 @@ def test_layer_shape_errors():
         gcn_layer_forward(ahat, rng.standard_normal((4, 2)), LayerParams(np.ones((2, 2)), np.zeros(2)))
     with pytest.raises(InputError):
         gcn_layer_forward(ahat, rng.standard_normal((3, 5)), LayerParams(np.ones((2, 2)), np.zeros(2)))
+    # whole-model entry points: feature rows, and W / W0 against each layer's input width
+    spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4, norm="sym")
+    params = init_params(spec, 2, 3, rng)
+    short_x = rng.standard_normal((2, 2))
+    with pytest.raises(InputError):
+        model_backward(spec, p3(), short_x, params, np.ones((3, 3)))
+    with pytest.raises(InputError):
+        relu_kink_risk(spec, p3(), short_x, params)
+    with pytest.raises(InputError):
+        model_forward(spec, p3(), rng.standard_normal((3, 5)), params)
+    with pytest.raises(InputError):  # layer 1 expects width 4, gets 3
+        model_forward(spec, p3(), rng.standard_normal((3, 2)),
+                      [params[0], LayerParams(W=np.ones((3, 3)), b=np.zeros(3))])
+    sage = ModelSpec(arch="graphsage", k=1, norm="sym")
+    for w0, b in [((5, 3), 3), ((2, 4), 3), ((2, 3), 1)]:  # W0 rows, W0 cols, a broadcastable b
+        with pytest.raises(InputError):
+            model_forward(sage, p3(), rng.standard_normal((3, 2)),
+                          [SageLayerParams(W0=np.ones(w0), W1=np.ones((2, 3)), b=np.zeros(b))])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -329,3 +349,37 @@ def test_dropout_masks_affect_forward_deterministically():
     c = model_forward(spec, g, x, params)
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
+
+
+def test_backward_stops_at_layer_zero_parameters():
+    # no input gradient is formed, so a one-layer model never reads Âᵀ
+    rng = np.random.default_rng(8)
+    for arch in ("one_layer_power_k", "graphsage"):
+        spec = ModelSpec(arch=arch, k=1 if arch == "graphsage" else 2, norm="sym")
+        g = random_digraph(rng, 5)
+        x = rng.standard_normal((5, 2))
+        params = init_params(spec, 2, 3, rng)
+        ahat_sp = build_aggregation(spec, g).to_scipy()
+        logits, caches = models._forward_pass(spec, ahat_sp, x, params, None)
+        upstream = rng.standard_normal(logits.shape)
+        grads, norms = models._backward_pass(spec, None, params, caches, upstream)
+        want, want_norms = model_backward(spec, g, x, params, upstream)
+        assert norms == want_norms
+        assert all(np.array_equal(getattr(a, n), getattr(b, n)) for a, b in zip(grads, want) for n in a.fields)
+
+
+def test_finite_differences_leave_caller_arrays_alone():
+    rng = np.random.default_rng(9)
+    spec = ModelSpec(arch="graphsage", k=2, hidden_width=3, activation="identity", norm="sym")
+    g = random_digraph(rng, 5)
+    x = rng.standard_normal((5, 2))
+    params = init_params(spec, 2, 3, rng)
+    before = [getattr(p, n).copy() for p in params for n in p.fields]
+    numeric = finite_difference_gradients(spec, g, x, params, rng.standard_normal((5, 3)))
+    after = [getattr(p, n) for p in params for n in p.fields]
+    assert all(np.array_equal(a, b) and a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    for q, p in zip(numeric, params):
+        assert q.fields == p.fields
+        for n in p.fields:
+            assert getattr(q, n).shape == getattr(p, n).shape
+            assert not any(np.shares_memory(getattr(q, n), arr) for arr in after)

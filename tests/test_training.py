@@ -181,6 +181,17 @@ def test_train_splits_seed_rule_and_failures(tiny_structure_ds):
     assert [(si, type(exc)) for si, exc in failed] == [(0, NumericError), (1, NumericError)]
 
 
+def test_contract_errors_are_not_split_failures(tiny_structure_ds):
+    graph, x, labels = tiny_structure_ds
+    splits = make_splits(labels, n_splits=2, seed=3)
+    spec = ModelSpec(arch="k_layer_gcn", k=1, norm="row")
+    cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=3)
+    with pytest.raises(InputError):
+        train_splits(spec, graph, x[:-1], labels, splits, cfg)
+    with pytest.raises(InputError):
+        run_sweep([spec], [1], (graph, x[:-1], labels), cfg, n_splits=2)
+
+
 def reference_train(spec, graph, x, labels, split, cfg):
     """The straightforward epoch loop on the public kernels: per epoch a
     training forward, a backward that recomputes it, and an eval forward."""
@@ -237,6 +248,8 @@ def reference_train(spec, graph, x, labels, split, cfg):
     ("k_layer_gcn", 0.0, 0.0),
     ("graphsage", 5e-4, 0.3),
     ("hybrid_power_plus_linear", 0.0, 0.0),
+    ("hybrid_power_plus_linear", 5e-4, 0.3),
+    ("one_layer_power_k", 1e-3, 0.0),
 ])
 def test_train_model_matches_reference_loop(tiny_structure_ds, arch, l2, dropout):
     graph, x, labels = tiny_structure_ds
