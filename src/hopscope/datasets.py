@@ -8,8 +8,13 @@ A dataset directory holds plain text files:
 * ``features.csv`` — optional; one ``node,v1,v2,...`` row per node.
   When absent the bundle is tagged as uniform-feature.
 
-Node and class ids may be arbitrary non-negative integers; the loader
-remaps both to dense ranges. All CSV output uses UTF-8, ``.`` decimals,
+Node and class ids may be arbitrary integers; the loader remaps both
+to dense ranges. ``edges.tsv`` (under at most an exact ``%nodes N``
+first line) and ``labels.tsv`` are read a block of lines at a time in
+numpy when they hold nothing but ASCII digits, ``-``, tabs, spaces and
+newlines, two tokens on each non-blank line, and, for the labels, each
+node exactly once. Any other text goes through the line grammar, so an
+error still names ``file:line``. All CSV output uses UTF-8, ``.`` decimals,
 a header row, deterministic row order, and 12 significant digits for
 reals, so identical inputs always produce byte-identical files.
 """
@@ -18,13 +23,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, _plain, content_lines, from_edge_list, parse_edge_pairs
+from .graphs import SparseCountMatrix, _int_table, _plain, content_lines, edge_array, from_edge_list
 from .normalization import WeightedAdjacency
 
 __all__ = [
@@ -102,14 +106,9 @@ def _read_text(path: Path) -> str:
 def _parse_edges(path: Path) -> tuple[np.ndarray, int | None]:
     """The ``(m, 2)`` int64 endpoint array of an edge-list file and its ``%nodes`` count."""
     try:
-        pairs, declared = parse_edge_pairs(_read_text(path), where=f"{path}:")
+        return edge_array(_read_text(path), where=f"{path}:")
     except InputError as exc:
         raise DatasetError(str(exc)) from exc
-    try:
-        edges = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    except OverflowError as exc:
-        raise DatasetError(f"{path}: node id outside the 64-bit integer range") from exc
-    return edges.reshape(-1, 2), declared
 
 
 def _plain_real(token: str) -> bool:
@@ -117,17 +116,18 @@ def _plain_real(token: str) -> bool:
     return token.isascii() and "_" not in token
 
 
-def _node_rows(path: Path, sep: str | None, remap: dict[int, int] | None, n: int, kind: type,
+def _node_rows(fname: str, text: str, sep: str | None, ids: np.ndarray | None, n: int, kind: type,
                width: int | None) -> list[list]:
-    """The ``kind`` values of each node, in node order, from a file of ``node<sep>v1<sep>...`` lines.
+    """The ``kind`` values of each node, in node order, from a text of ``node<sep>v1<sep>...`` lines.
 
     Every node needs exactly one line, with ``width`` values, or as many as the first line
-    when None. Node ids (and ``int`` values) take the edge-list grammar ``-?[0-9]+``.
+    when None. Node ids (and ``int`` values) take the edge-list grammar ``-?[0-9]+``; with
+    ``ids`` they are external ids, read through their position in that sorted array.
     """
-    fname, text = path.name, _read_text(path)
     strict = not _plain(text)  # only such texts pay for a check per line
     ok = _plain if kind is int else _plain_real
     what = "integer" if kind is int else "numeric"
+    remap = None if ids is None else dict(zip(ids.tolist(), range(n)))
     rows: dict[int, list] = {}
     for lineno, line in content_lines(text):
         token, *fields = line.split(sep)
@@ -153,6 +153,26 @@ def _node_rows(path: Path, sep: str | None, remap: dict[int, int] | None, n: int
     return [rows[i] for i in range(n)]
 
 
+def _label_column(text: str, ids: np.ndarray | None, n: int) -> np.ndarray | None:
+    """The class of each node, in node order, when ``text`` is plain ``node<TAB>class`` lines, one per node.
+
+    None whenever :func:`_node_rows` has to look: an unusual text, or node ids
+    that are not a permutation of the ``n`` nodes (through ``ids`` when given).
+    """
+    table = _int_table(text, 2)
+    if table is None or len(table) != n:
+        return None
+    nodes = table[:, 0]
+    if ids is not None:
+        pos = np.minimum(np.searchsorted(ids, nodes), n - 1)
+        nodes = np.where(ids[pos] == nodes, pos, -1)
+    if n and (nodes.min() < 0 or nodes.max() >= n or np.bincount(nodes, minlength=n).max() > 1):
+        return None
+    classes = np.empty(n, dtype=np.int64)
+    classes[nodes] = table[:, 1]
+    return classes
+
+
 def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBundle:
     """Load a dataset directory into a validated bundle.
 
@@ -164,29 +184,32 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
     root = Path(dir_path)
     if not root.is_dir():
         raise DatasetError(f"dataset directory not found: {root}")
-    edges, declared = _parse_edges(root / "edges.tsv")
+    path = root / "edges.tsv"
+    edges, declared = _parse_edges(path)
     if dedup:
         edges = np.unique(edges, axis=0)
 
     if declared is not None:
-        n = declared
-        if len(edges) and edges.max() >= n:
-            raise DatasetError(f"edge endpoint exceeds declared %nodes {n}")
-        remap = None
+        n, ids = declared, None
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            pair = tuple(edges[((edges < 0) | (edges >= n)).any(axis=1)][0].tolist())
+            raise DatasetError(f"{path}: edge endpoint outside declared %nodes {n}: {pair}")
     else:
         ids, edges = np.unique(edges, return_inverse=True)
         n = len(ids)
-        remap = dict(zip(ids.tolist(), range(n)))
         edges = edges.reshape(-1, 2)
     graph = from_edge_list(edges, n)
 
-    raw_labels = [c for (c,) in _node_rows(root / "labels.tsv", None, remap, n, int, 1)]
-    class_ids = sorted(set(raw_labels))
-    class_map = {c: i for i, c in enumerate(class_ids)}
-    labels = np.array([class_map[c] for c in raw_labels], dtype=np.int64)
+    text = _read_text(root / "labels.tsv")
+    raw_labels = _label_column(text, ids, n)
+    if raw_labels is None:
+        raw_labels = np.array([c for (c,) in _node_rows("labels.tsv", text, None, ids, n, int, 1)])
+    class_ids, labels = np.unique(raw_labels, return_inverse=True)
 
     fpath = root / "features.csv"
-    features = np.array(_node_rows(fpath, ",", remap, n, float, None)) if fpath.exists() else None
+    features = None
+    if fpath.exists():
+        features = np.array(_node_rows(fpath.name, _read_text(fpath), ",", ids, n, float, None))
 
     return DatasetBundle(
         graph=graph,

@@ -36,8 +36,14 @@ __all__ = [
     "read_edge_list",
     "parse_edge_list",
     "parse_edge_pairs",
+    "edge_array",
     "content_lines",
 ]
+
+_TABLE_BLOCK = 1 << 20  # characters of whole lines per block in _int_table
+_TABLE_BYTES = np.zeros(256, dtype=bool)  # what _int_table reads: digits, '-', tab, space, newline
+_TABLE_BYTES[np.frombuffer(b"0123456789-\t \n", dtype=np.uint8)] = True
+_INT64_END = 1 << 63
 
 
 def _int64_field(values, name: str) -> np.ndarray:
@@ -184,7 +190,7 @@ def _from_scipy(m: sp.spmatrix) -> SparseCountMatrix:
     )
 
 
-def _edge_array(edges) -> np.ndarray:
+def _as_edge_pairs(edges) -> np.ndarray:
     """``edges`` as an ``(m, 2)`` array of integral values; an ndarray is taken as it is."""
     try:
         arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
@@ -217,7 +223,7 @@ def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:
         raise InputError(f"n_nodes must be an integer, got {n_nodes!r}") from None
     if n_nodes < 0:
         raise InputError("n_nodes must be non-negative")
-    arr = _edge_array(edges)
+    arr = _as_edge_pairs(edges)
     if not len(arr):
         return SparseCountMatrix(n_nodes, n_nodes, np.zeros(n_nodes + 1, dtype=np.int64), [], [])
     if arr.min() < 0 or arr.max() >= n_nodes:
@@ -305,7 +311,10 @@ def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, i
             parts = line[1:].split()
             if len(parts) != 2 or parts[0] != "nodes" or not (parts[1].isascii() and parts[1].isdecimal()):
                 raise InputError(f"{where}{lineno}: bad header {line!r}, expected '%nodes N'")
-            declared = int(parts[1])
+            count = parts[1].lstrip("0") or "0"  # at most 19 digits is cheap for int()
+            if len(count) > 19 or int(count) >= _INT64_END:
+                raise InputError(f"{where}{lineno}: node count outside the 64-bit integer range in {line!r}")
+            declared = int(count)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -319,21 +328,81 @@ def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, i
     return edges, declared
 
 
+def _int_table(text: str, width: int) -> np.ndarray | None:
+    """The ``(rows, width)`` int64 table of a text of plain integer lines, or None.
+
+    The text is read a block of about ``_TABLE_BLOCK`` characters of whole
+    lines at a time. A block holds only ASCII digits, ``-``, tabs, spaces
+    and newlines, and each of its lines is blank or has exactly ``width``
+    tokens; there numpy's conversion is ``int()`` on ``-?[0-9]+``, so a
+    token such as ``1-2`` or one outside int64 fails it. Anything else (a
+    comment, ``\\r``, ``_``, ``+``, non-ASCII text, a ragged line) gives
+    None and leaves the text to the line grammar, which names the line.
+    """
+    rows, lo = [], 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _TABLE_BLOCK - 1) + 1 or len(text)
+        block, lo = text[lo:hi], hi
+        if not block.isascii():
+            return None
+        b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+        if not _TABLE_BYTES[b].all():
+            return None
+        start = b > 32  # a digit or '-' after a tab, space, newline or the block's start
+        start[1:] &= b[:-1] <= 32
+        per_line = np.bincount(np.cumsum(b == 10, dtype=np.int32)[start])
+        if not ((per_line == 0) | (per_line == width)).all():
+            return None
+        try:
+            rows.append(np.array(block.split(), dtype=np.int64))
+        except (ValueError, OverflowError):
+            return None
+    return np.concatenate(rows or [np.zeros(0, dtype=np.int64)]).reshape(-1, width)
+
+
+def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]:
+    """The ``(m, 2)`` int64 endpoints of an edge-list text and its ``%nodes`` count, None if absent.
+
+    A text of plain ``src<TAB>dst`` lines, after at most an exact ``%nodes N``
+    first line, is read in one numpy pass (:func:`_int_table`); any other
+    text goes through :func:`parse_edge_pairs`, so a malformed line raises
+    :class:`InputError` naming it ``{where}{lineno}``. An endpoint outside
+    int64 is an :class:`InputError` too.
+    """
+    head, _, rest = text.partition("\n")
+    count = head[7:] if head.startswith("%nodes ") else ""
+    declared = int(count) if count.isascii() and count.isdecimal() and len(count) < 20 else None
+    if declared is None or declared >= _INT64_END:
+        declared, rest = None, text
+    edges = _int_table(rest, 2)
+    if edges is not None:
+        return edges, declared
+    pairs, declared = parse_edge_pairs(text, where)
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
+    except OverflowError:
+        # no line to name: a file prefix stands for the whole text
+        prefix = f"{where[:-1]}: " if where.endswith(":") else ""
+        raise InputError(f"{prefix}node id outside the 64-bit integer range") from None
+
+
 def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) -> SparseCountMatrix:
     """Parse the tab-separated edge-list format.
 
     One ``src<TAB>dst`` pair per line; ``#`` starts a comment; an optional
     ``%nodes N`` header fixes the node count, which is otherwise inferred
     as ``max endpoint + 1``. With ``dedup``, repeated pairs collapse to a
-    single unit edge.
+    single unit edge. A text of plain integer lines under at most an exact
+    ``%nodes N`` first line is read in one numpy pass; any other text goes
+    through the line grammar, and its errors still name ``line N``.
     """
-    edges, declared = parse_edge_pairs(text)
+    edges, declared = edge_array(text)
     if n_nodes is None:
         n_nodes = declared
     if n_nodes is None:
-        n_nodes = 1 + max((max(s, d) for s, d in edges), default=-1)
+        n_nodes = int(edges.max()) + 1 if len(edges) else 0
     if dedup:
-        edges = sorted(set(edges))
+        edges = np.unique(edges, axis=0)
     return from_edge_list(edges, n_nodes)
 
 

@@ -219,3 +219,23 @@ def test_density_csv_round_trip_keeps_monotone_column(looped_graph_file, tmp_pat
     densities = [float(r[1]) for r in rows]
     assert ks == list(range(1, 6))
     assert densities == sorted(densities)  # self-looped input: non-decreasing
+
+
+@pytest.mark.parametrize("text, where", [
+    ("%nodes 99999999999999999999\n0\t1\n", "line 1: node count outside the 64-bit integer range"),
+    ("# header after a comment\n%nodes 99999999999999999999\n0\t1\n",
+     "line 2: node count outside the 64-bit integer range"),
+    ("%nodes 9223372036854775808\n", "line 1: node count outside the 64-bit integer range"),
+    ("%nodes 000000000000000000000000000000000009223372036854775808\n", "line 1: node count outside"),
+    ("%nodes " + "9" * 5000 + "\n", "line 1: node count outside"),  # past int()'s digit limit
+    ("1\t99999999999999999999\n", "node id outside the 64-bit integer range"),
+    ("# comment\n-99999999999999999999\t0\n", "node id outside the 64-bit integer range"),
+], ids=["count-first-line", "count-after-comment", "count-2-pow-63", "count-leading-zeros",
+        "count-5000-digits", "id-plain", "id-after-comment"])
+def test_int64_overflow_in_edge_list_exit_2(tmp_path, capsys, text, where):
+    path = tmp_path / "big.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=where):
+        read_edge_list(path)
+    assert run_cli("density-curve", "--graph", path, "--kmax", "2", "--out", tmp_path / "d.csv") == 2
+    assert "Traceback" not in capsys.readouterr().err

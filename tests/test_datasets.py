@@ -14,7 +14,7 @@ from hopscope import (
     save_sweep_csv,
     synthesize_dataset,
 )
-from hopscope import datasets
+from hopscope import datasets, graphs
 from hopscope.cli import main
 from hopscope.datasets import resolve_dataset_dir
 from hopscope.training import SweepRow
@@ -218,3 +218,42 @@ def test_sweep_csv_rows(tmp_path):
     save_sweep_csv(rows, path)
     lines = path.read_text().splitlines()
     assert lines[1] == "k_layer_gcn,2,sym,forward,0.5,0.1,0.25,0"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("%nodes 99999999999999999999\n0\t1\n", r"edges.tsv:1: node count outside the 64-bit integer range"),
+    ("# comment\n%nodes 99999999999999999999\n0\t1\n", r"edges.tsv:2: node count outside the 64-bit integer range"),
+    ("%nodes 3\n-1\t0\n", r"edges.tsv: edge endpoint outside declared %nodes 3: \(-1, 0\)"),
+    ("%nodes 3\n0\t1\n2\t3\n", r"edges.tsv: edge endpoint outside declared %nodes 3: \(2, 3\)"),
+    ("# comment\n%nodes 3\n0\t-2\n", r"edges.tsv: edge endpoint outside declared %nodes 3: \(0, -2\)"),
+], ids=["count-first-line", "count-after-comment", "negative-id", "id-over-count", "negative-id-after-comment"])
+def test_edges_outside_their_range_name_the_file(tmp_path, capsys, text, where):
+    write_toy(tmp_path)
+    (tmp_path / "edges.tsv").write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError, match=where):
+        load_dataset(tmp_path)
+    assert main(["train", "--dataset", str(tmp_path), "--arch", "k_layer_gcn", "--splits", "1"]) == 2
+
+
+def test_written_dataset_loads_without_the_line_grammar(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    n = 3_000
+    ring = np.stack([np.arange(n), np.roll(np.arange(n), -1)], axis=1)  # every node has an edge
+    graph = from_edge_list(np.concatenate([ring, rng.integers(0, n, size=(9_000, 2)), ring[:50]]), n)
+    labels = rng.integers(0, 4, size=n) * 7  # sparse class ids, made dense on load
+    save_dataset(graph, None, labels, tmp_path)
+    headerless = tmp_path / "headerless"  # no %nodes line, labels out of node order
+    headerless.mkdir()
+    (headerless / "edges.tsv").write_text((tmp_path / "edges.tsv").read_text().partition("\n")[2])
+    (headerless / "labels.tsv").write_text("".join(f"{i}\t{labels[i]}\n" for i in rng.permutation(n)))
+
+    def refuse(text):
+        raise AssertionError("the line grammar read a file the whole-text route takes")
+    monkeypatch.setattr(graphs, "content_lines", refuse)
+    monkeypatch.setattr(datasets, "content_lines", refuse)
+    for root in (tmp_path, headerless):
+        bundle = load_dataset(root)
+        assert bundle.graph == graph
+        assert np.array_equal(bundle.labels, labels // 7) and bundle.n_classes == 4
+    units = from_edge_list(np.stack(graph.to_scipy().nonzero(), axis=1), n)
+    assert load_dataset(tmp_path, dedup=True).graph == units

@@ -13,6 +13,7 @@ from hopscope import (
     symmetrize,
     transpose,
 )
+from hopscope import graphs
 from hopscope.graphs import parse_edge_pairs
 
 
@@ -174,6 +175,14 @@ def test_parse_edge_list_keeps_negative_ids_and_loose_comments():
     assert parse_edge_pairs("-3\t0\n") == ([(-3, 0)], None)
     # a comment holding '_', '+' or non-ASCII text leaves valid lines valid
     assert parse_edge_pairs("%nodes 12  # n_nodes + \u0663\n10\t-1\n") == ([(10, -1)], 12)
+
+
+@pytest.mark.parametrize("block", range(1, 12))
+def test_int_table_blocks_end_at_line_ends(monkeypatch, block):
+    monkeypatch.setattr(graphs, "_TABLE_BLOCK", block)
+    assert graphs._int_table("1 2 3 4\n", 2) is None  # one ragged line, whatever the cut
+    assert graphs._int_table("1 2\n 3\t4\n\n-5  6", 2).tolist() == [[1, 2], [3, 4], [-5, 6]]
+    assert graphs._int_table("", 2).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Hypothesis-driven structural properties over arbitrary small digraphs."""
 
+import tempfile
 from itertools import islice
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopscope import (
+    DatasetError,
     InputError,
     SparseCountMatrix,
     SupportPattern,
     add_self_loops,
     degrees,
     from_edge_list,
+    load_dataset,
     mat_power_count,
     mat_power_support,
     power_ladder,
@@ -24,7 +29,7 @@ from hopscope import (
     symmetrize,
     transpose,
 )
-from hopscope import hops
+from hopscope import datasets, graphs, hops
 
 
 @st.composite
@@ -183,3 +188,112 @@ def test_strict_increase_check_matches_row_loop(triple):
     else:
         with pytest.raises(InputError, match=f"not strictly increasing in row {bad}$"):
             SparseCountMatrix(n_rows, n_cols, offsets, cols, values)
+
+
+# ---------------------------------------------------------------------------
+# whole-text table route against the line grammar
+
+# every byte class the table route refuses, next to the ones it reads
+_TABLE_ALPHABET = "019-\t \n\r#%_+x٣"
+_BIG_IDS = st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**20])
+
+
+def _edit(draw, text: str) -> str:
+    """``text`` with, at even odds, one span replaced by a few characters of ``_TABLE_ALPHABET``."""
+    if not draw(st.booleans()):
+        return text
+    lo = draw(st.integers(0, len(text)))
+    hi = draw(st.integers(lo, min(len(text), lo + 3)))
+    return text[:lo] + draw(st.text(_TABLE_ALPHABET, max_size=3)) + text[hi:]
+
+
+@st.composite
+def edge_texts(draw):
+    if draw(st.booleans()):
+        return draw(st.text(_TABLE_ALPHABET, max_size=40))
+    ids = st.integers(-3, 12) | _BIG_IDS
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    gaps = st.sampled_from(["\t", " ", " \t ", "\t\t"]) | st.text(" \t\r", min_size=1, max_size=2)
+    lines = [f"{draw(gaps)[1:]}{s}{draw(gaps)}{d}" for s, d in pairs]
+    if draw(st.booleans()):
+        lines.insert(0, f"%nodes {draw(st.integers(0, 20) | st.integers(2**63 - 2, 2**63 + 1))}")
+    ends = st.sampled_from(["\n", "\n", "\n\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    return _edit(draw, text[:-1] if draw(st.booleans()) else text)
+
+
+@given(edge_texts(), st.sampled_from([1, 5, 1 << 20]))
+@settings(max_examples=400, deadline=None)
+def test_edge_array_agrees_with_the_line_grammar(text, block):
+    try:
+        pairs, declared = graphs.parse_edge_pairs(text)
+        want = np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
+    except InputError as exc:
+        want = exc
+    except OverflowError:
+        want = InputError("node id outside the 64-bit integer range")
+    with patch.object(graphs, "_TABLE_BLOCK", block):
+        if isinstance(want, InputError):
+            with pytest.raises(InputError) as got:
+                graphs.edge_array(text, "line ")
+            assert str(got.value) == str(want)
+        else:
+            edges, declared = graphs.edge_array(text, "line ")
+            assert edges.dtype == np.int64 and np.array_equal(edges, want[0]) and declared == want[1]
+
+
+@st.composite
+def labelled_datasets(draw):
+    """``(edges.tsv, labels.tsv)`` texts: a graph whose every node has an edge, and its labels.
+
+    The labels come in node order or shuffled, and may be broken by a dropped
+    or repeated line, a node named twice, an unknown node, or an edit from
+    ``_TABLE_ALPHABET``.
+    """
+    n = draw(st.integers(1, 6))
+    header = draw(st.booleans())
+    ids = list(range(n)) if header else sorted(draw(st.sets(st.integers(-5, 40), min_size=n, max_size=n)))
+    ring = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=6))
+    edges = ([f"%nodes {n}"] if header else []) + [f"{s}\t{d}" for s, d in ring + extra]
+    classes = draw(st.lists(st.integers(-3, 9) | _BIG_IDS, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
+    lines = [f"{ids[i]}\t{classes[i]}" for i in order]
+    fault = draw(st.sampled_from(["none", "drop", "repeat", "clash", "unknown", "edit"]))
+    j = draw(st.integers(0, n - 1))
+    if fault == "drop":
+        del lines[j]
+    elif fault == "repeat":
+        lines.insert(j, lines[j])
+    elif fault == "clash":  # n lines, one node twice
+        lines[j] = lines[(j + 1) % n].split("\t")[0] + "\t0"
+    elif fault == "unknown":
+        lines[j] = f"{draw(st.integers(-5, 45).filter(lambda i: i not in ids))}\t0"
+    text = "\n".join(lines) + "\n"
+    return "\n".join(edges) + "\n", _edit(draw, text) if fault == "edit" else text
+
+
+def _load_or_error(root):
+    try:
+        return load_dataset(root)
+    except DatasetError as exc:
+        return str(exc)
+
+
+@given(labelled_datasets())
+@settings(max_examples=200, deadline=None)
+def test_label_table_agrees_with_node_rows(case):
+    edges_text, labels_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "edges.tsv").write_text(edges_text, encoding="utf-8")
+        (root / "labels.tsv").write_text(labels_text, encoding="utf-8")
+        got = _load_or_error(root)
+        with patch.object(datasets, "_label_column", lambda *args: None):
+            want = _load_or_error(root)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.graph == want.graph and got.n_classes == want.n_classes and got.stats == want.stats
+        assert np.array_equal(got.labels, want.labels)
