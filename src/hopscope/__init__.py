@@ -38,6 +38,7 @@ from .hops import (
     SupportPattern,
     SupportPeriodicity,
     binomial_expansion_check,
+    count_ladder,
     dag_profile,
     density,
     mat_power_count,

@@ -6,7 +6,9 @@ walks of length ``k`` from ``i`` to ``j``; results are kept within 64-bit
 range and overflow raises instead of wrapping. Support powers multiply
 over booleans (canonical ``bool`` scipy CSR, the format every other
 layer uses), so they track only which entries are non-zero and can never
-overflow.
+overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
+product per step: :func:`count_ladder` for counts and
+:func:`power_ladder` for patterns; every sweep over k reads one.
 
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
@@ -37,6 +39,7 @@ __all__ = [
     "LoopLemmaReport",
     "support_of",
     "mat_power_count",
+    "count_ladder",
     "mat_power_support",
     "power_ladder",
     "support_subset",
@@ -174,59 +177,61 @@ def support_equal(p: SupportPattern, q: SupportPattern) -> bool:
 # counting powers
 
 
-def _exact_max_rowsum(m: sp.csr_matrix) -> int:
-    data = m.data.tolist()
-    indptr = m.indptr.tolist()
-    best = 0
-    for i in range(m.shape[0]):
-        s = sum(data[indptr[i]:indptr[i + 1]])
-        if s > best:
-            best = s
-    return best
-
-
-def _py_rows(m: sp.csr_matrix) -> list[dict[int, int]]:
-    rows = []
-    indptr = m.indptr.tolist()
-    indices = m.indices.tolist()
-    data = m.data.tolist()
-    for i in range(m.shape[0]):
-        rows.append(dict(zip(indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]])))
-    return rows
+def _exact_row(x: sp.csr_matrix, y: sp.csr_matrix, i: int) -> dict[int, int]:
+    """Row ``i`` of ``x @ y`` in Python ints, ``{column: value}``."""
+    acc: dict[int, int] = {}
+    lo, hi = x.indptr[i], x.indptr[i + 1]
+    for kk, xv in zip(x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()):
+        a, b = y.indptr[kk], y.indptr[kk + 1]
+        for j, yv in zip(y.indices[a:b].tolist(), y.data[a:b].tolist()):
+            acc[j] = acc.get(j, 0) + xv * yv
+    return acc
 
 
 def _count_matmul(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
-    """Exact integer CSR product; raises if any entry would leave int64."""
-    max_y = int(y.data.max()) if y.nnz else 0
-    # any product entry is bounded by max_rowsum(x) * max(y)
-    if x.nnz and _exact_max_rowsum(x) * max_y <= INT64_MAX:
-        out = x @ y
-        out.sum_duplicates()
-        out.sort_indices()
-        out.eliminate_zeros()
-        return out
-    # near the 64-bit edge: redo exactly with arbitrary precision and check
-    xr, yr = _py_rows(x), _py_rows(y)
-    n = x.shape[0]
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        acc: dict[int, int] = {}
-        for kk, xv in xr[i].items():
-            yrow = yr[kk]
-            for j, yv in yrow.items():
-                acc[j] = acc.get(j, 0) + xv * yv
-        for j in sorted(acc):
-            v = acc[j]
-            if v > INT64_MAX:
-                raise CountOverflowError(
-                    f"walk count at ({i}, {j}) exceeds 64-bit range ({v})"
-                )
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-    return sp.csr_matrix(
-        (np.array(vals, dtype=np.int64), (rows, cols)), shape=(n, x.shape[1])
-    )
+    """Exact integer CSR product; raises if any entry would leave int64.
+
+    Every term is non-negative, so a row of the int64 product is exact iff
+    its true values fit. A float64 bound (max row sum of ``x`` times max of
+    ``y``) clears most products at once; otherwise the float64 product
+    screens rows, and only the rows it cannot clear are summed in Python
+    ints, in row order, to name the first entry that leaves int64.
+    """
+    # a float64 sum of t non-negative terms is off by at most t * 2**-53 relative
+    slack = max(2.0**-30, x.shape[1] * 2.0**-51)
+    limit = float(INT64_MAX) * (1.0 - slack)
+    xf = x.astype(np.float64)
+    # every entry of x @ y is at most max_row_sum(x) * max(y)
+    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y.data.max(initial=0) * (1.0 + slack) > limit:
+        high = (xf @ y.astype(np.float64)).tocoo()
+        for i in np.unique(high.row[high.data > limit]).tolist():
+            acc = _exact_row(x, y, i)
+            for j in sorted(acc):
+                if acc[j] > INT64_MAX:
+                    raise CountOverflowError(
+                        f"walk count at ({i}, {j}) exceeds 64-bit range ({acc[j]})"
+                    )
+    out = x @ y
+    out.sum_duplicates()
+    out.sort_indices()
+    out.eliminate_zeros()
+    return out
+
+
+def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
+    """Yield the exact ``A^1, A^2, ...`` without end, one counting product per step.
+
+    The counting twin of :func:`power_ladder`: a sweep over k reads one
+    ladder, and ``A^K`` costs ``K - 1`` products. Advancing to the first
+    rung with an entry outside int64 raises :class:`CountOverflowError`.
+    """
+    if not a.is_square:
+        raise InputError("matrix power requires a square matrix")
+    base = a.to_scipy()
+    cur = base
+    while True:
+        yield _from_scipy(cur)
+        cur = _count_matmul(cur, base)
 
 
 def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
@@ -235,14 +240,9 @@ def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
         raise InputError("matrix power requires a square matrix")
     if k < 0:
         raise InputError("power must be non-negative")
-    n = a.n_rows
     if k == 0:
-        return _from_scipy(sp.eye(n, dtype=np.int64, format="csr"))
-    base = a.to_scipy()
-    acc = base
-    for _ in range(k - 1):
-        acc = _count_matmul(acc, base)
-    return _from_scipy(acc)
+        return _from_scipy(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
+    return next(islice(count_ladder(a), k - 1, None))
 
 
 def density(x) -> float:

@@ -24,11 +24,13 @@ a given (params, masks) pair always reproduces the same numbers.
 
 Who recomputes what: ``model_forward`` builds the CSR of Â per call;
 ``model_backward`` also reruns the forward and builds ``Âᵀ``. The
-trainer builds both once per run and calls ``_forward_pass`` and
-``_backward_pass`` (a reverse sweep over the forward's caches) directly,
-on records whose arrays are views into one flat float64 vector in
-``_FIELDS`` order (``_packed``); Adam, its snapshots and the finite
-differences work on that vector. Shapes are checked once per call.
+trainer builds both once per run, computes layer 0's ``Â X`` once per
+run (it depends on no parameter, and dropout masks only layer outputs),
+and calls ``_forward_pass`` and ``_backward_pass`` (a reverse sweep over
+the forward's caches) directly, on records whose arrays are views into
+one flat float64 vector in ``_FIELDS`` order (``_packed``); Adam, its
+snapshots and the finite differences work on that vector. Shapes are
+checked once per call.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ ARCHITECTURES = (
     "hybrid_power_plus_linear",
     "graphsage",
 )
+# Architectures whose one aggregation is the normalized k-th power.
+_POWER_ARCHES = ("one_layer_power_k", "hybrid_power_plus_linear")
 PROPAGATIONS = ("forward", "reverse", "bidirectional")
 ACTIVATIONS = ("relu", "identity")
 
@@ -170,15 +174,17 @@ def _check_finite(h: np.ndarray, where: str):
         raise NumericError(f"non-finite values in {where}")
 
 
-def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str):
+def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str, m=None):
     """The one layer kernel: ``(Â H, Â H W + H W0 + b)`` before the activation.
 
     A ``linear`` layer skips the aggregation (``Â H`` is None and ``W``
-    acts on ``H``); ``H W0`` enters only for SAGE layers.
+    acts on ``H``); ``H W0`` enters only for SAGE layers. ``m`` is a
+    precomputed ``Â H``, if the caller has one.
     """
     if (kind == "sage") != (p.W0 is not None):
         raise InputError(f"{kind} layer {'without' if p.W0 is None else 'with'} a self weight W0")
-    m = None if kind == "linear" else ahat_sp @ h
+    if m is None and kind != "linear":
+        m = ahat_sp @ h
     z = (h if m is None else m) @ p.W
     if p.W0 is not None:
         z = z + h @ p.W0
@@ -230,7 +236,7 @@ def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacenc
     degrees of whatever matrix came out of the structural steps.
     """
     p = _reach_adjacency(spec, a)
-    if spec.arch in ("one_layer_power_k", "hybrid_power_plus_linear"):
+    if spec.arch in _POWER_ARCHES:
         p = mat_power_count(p, spec.k)
     return normalize(p, spec.norm)
 
@@ -268,8 +274,12 @@ def _resolve_ahat(spec: ModelSpec, a) -> WeightedAdjacency:
     return build_aggregation(spec, a)
 
 
-def _forward_pass(spec, ahat_sp, x, params, hidden_masks):
-    """Shared forward; returns logits plus per-layer caches for backward."""
+def _forward_pass(spec, ahat_sp, x, params, hidden_masks, *, ax=None):
+    """Shared forward; returns logits plus per-layer caches for backward.
+
+    ``ax`` is layer 0's ``Â X``, which no parameter touches: a caller
+    that runs many forwards on the same ``X`` computes it once.
+    """
     kinds = spec.layer_kinds()
     if len(params) != len(kinds):
         raise InputError(f"{spec.arch} with k={spec.k} needs {len(kinds)} layers, got {len(params)}")
@@ -278,7 +288,7 @@ def _forward_pass(spec, ahat_sp, x, params, hidden_masks):
     n_layers = len(kinds)
     for i, (kind, p) in enumerate(zip(kinds, params)):
         last = i == n_layers - 1
-        m, z = _layer(ahat_sp, h, p, kind)
+        m, z = _layer(ahat_sp, h, p, kind, ax if i == 0 else None)
         out = z if last else _act(spec.activation, z)
         mask = None
         if not last and hidden_masks is not None and hidden_masks[i] is not None:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
-from .hops import density, power_ladder
+from .hops import count_ladder, density, power_ladder
 from .models import (
+    _POWER_ARCHES,
     ModelSpec,
     _backward_pass,
     _features,
@@ -35,7 +36,7 @@ from .models import (
     model_forward,
     uniform_features,
 )
-from .normalization import WeightedAdjacency
+from .normalization import WeightedAdjacency, normalize
 
 __all__ = [
     "SplitSpec",
@@ -137,6 +138,10 @@ def make_splits(
     seed: int = 0,
 ) -> list[SplitSpec]:
     """Random class-balanced splits; the rest of the nodes become test."""
+    for name, value in (("per_class_train", per_class_train), ("per_class_val", per_class_val),
+                        ("n_splits", n_splits)):
+        if value < 1:
+            raise InputError(f"{name} must be at least 1, got {value}")
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     need = per_class_train + per_class_val + 1
@@ -195,10 +200,11 @@ def train_model(
 ) -> Metrics:
     """One deterministic training run; returns single-run Metrics.
 
-    ``graph`` is a raw count matrix or a prebuilt aggregation. Â and Âᵀ
-    are built once per run; the backward reuses the caches of the
-    epoch's forward, and an epoch that draws no dropout masks reuses the
-    previous eval forward: one forward per epoch without dropout, two with.
+    ``graph`` is a raw count matrix or a prebuilt aggregation. Â, Âᵀ and
+    layer 0's ``Â X`` are built once per run; the backward reuses the
+    caches of the epoch's forward, and an epoch that draws no dropout
+    masks reuses the previous eval forward: one forward per epoch without
+    dropout, two with.
 
     The layer records view one flat vector ``theta`` (the layout of
     ``flat_gradients``): Adam's ``m``/``v``, the weights-only l2 term and
@@ -215,6 +221,7 @@ def train_model(
     x = _features(ahat, x)
     ahat_sp = ahat.to_scipy()
     ahat_t = ahat_sp.T.tocsr()
+    ax = ahat_sp @ x  # layer 0 always aggregates, and Â X is the same in every forward
     theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
     weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
@@ -240,7 +247,7 @@ def train_model(
         if masks is not None or evaluated is None:
             evaluated = None  # one set of caches alive at a time, as in a lone forward
             try:
-                evaluated = _forward_pass(spec, ahat_sp, x, params, masks)
+                evaluated = _forward_pass(spec, ahat_sp, x, params, masks, ax=ax)
             except NumericError as exc:
                 raise NumericError(str(exc), epoch=epoch) from exc
         logits, caches = evaluated
@@ -268,7 +275,7 @@ def train_model(
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
 
         evaluated = caches = None
-        evaluated = _forward_pass(spec, ahat_sp, x, params, None)
+        evaluated = _forward_pass(spec, ahat_sp, x, params, None, ax=ax)
         val_acc = _accuracy(evaluated[0], labels, split.val)
         if val_acc > best_val:
             best_val, best_epoch, best_theta = val_acc, epoch, theta.copy()
@@ -283,7 +290,7 @@ def train_model(
             if no_improve >= cfg.early_stop_patience:
                 break
 
-    evaluated = ahat_sp = ahat_t = None  # freed before model_forward builds its own CSR
+    evaluated = ahat_sp = ahat_t = ax = None  # freed before model_forward builds its own CSR
     final_logits = model_forward(spec, ahat, x, _views(best_theta, params))
     test_acc = _accuracy(final_logits, labels, split.test)
     return Metrics(
@@ -334,6 +341,37 @@ class SweepRow:
     failures: int
 
 
+def _sweep_aggregations(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]):
+    """Yield ``(k, density, Â)`` for each k of the ascending ``ks``.
+
+    A power template walks one exact count ladder: rung k is ``A^k``, and
+    as its counts are positive its nnz is that of ``support(A^k)``. From
+    the first rung that leaves int64 on, Â is that
+    :class:`CountOverflowError`. A depth template's Â does not depend on
+    k. Those two read their densities off the boolean ladder.
+    """
+    reach = _reach_adjacency(template, graph)
+    if template.arch in _POWER_ARCHES:
+        rungs = enumerate(count_ladder(reach), start=1)
+        for i, k in enumerate(ks):
+            try:
+                rung = next(r for j, r in rungs if j == k)
+            except CountOverflowError as exc:
+                ks, ahat = ks[i:], exc
+                break
+            if k == ks[-1]:
+                rungs = None  # no ladder stays alive while the last cell trains
+            ahat, dens, rung = normalize(rung, template.norm), density(rung), None
+            yield k, dens, ahat
+        else:
+            return
+    else:
+        ahat = normalize(reach, template.norm)
+    densities = [density(p) for p in islice(power_ladder(reach), ks[-1])]
+    for k in ks:
+        yield k, densities[k - 1], ahat
+
+
 def run_sweep(
     arches: list[ModelSpec],
     k_range,
@@ -347,7 +385,11 @@ def run_sweep(
 
     Rows come out in deterministic (arch order, ascending k) order; a run
     that diverges or overflows is counted in ``failures`` instead of
-    aborting the sweep, while an :class:`InputError` aborts it.
+    aborting the sweep, while an :class:`InputError` aborts it. A power
+    template walks one exact count ladder up to the largest k and each
+    cell trains on its normalized rung; when ``A^j`` leaves int64, every
+    cell from k = j on fails on all splits with that error. A depth
+    template builds its Â once.
     """
     graph, x, labels = dataset
     if x is None:
@@ -361,11 +403,12 @@ def run_sweep(
     )
     rows = []
     for template in arches:
-        reach = islice(power_ladder(_reach_adjacency(template, graph)), ks[-1])
-        densities = [density(p) for p in reach]
-        for k in ks:
+        for k, dens, ahat in _sweep_aggregations(template, graph, ks):
             spec = replace(template, k=k)
-            runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+            if isinstance(ahat, CountOverflowError):
+                runs, failed = [], [(si, ahat) for si in range(len(splits))]
+            else:
+                runs, failed = train_splits(spec, ahat, x, labels, splits, cfg)
             merged = Metrics.merge(runs)
             rows.append(
                 SweepRow(
@@ -375,7 +418,7 @@ def run_sweep(
                     propagation=spec.propagation,
                     acc_mean=merged.mean,
                     acc_std=merged.std,
-                    density=densities[k - 1],
+                    density=dens,
                     failures=len(failed),
                 )
             )

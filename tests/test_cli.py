@@ -167,6 +167,19 @@ def test_bad_config_value_exit_2(tmp_path, capsys, line, key):
     assert f"{cfg}:2: {key}" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--per-class-train", "-1", "per_class_train"),
+    ("--per-class-train", "0", "per_class_train"),
+    ("--per-class-val", "0", "per_class_val"),
+    ("--splits", "0", "n_splits"),
+])
+def test_bad_split_sizes_exit_2(capsys, flag, value, name):
+    args = ["train", "--synth", "hybrid", "--n", "400", "--arch", "k_layer_gcn", "--splits", "1",
+            "--max-epochs", "5", "--early-stop-patience", "3", "--lr-sched-patience", "2"]
+    assert run_cli(*args, flag, value) == 2
+    assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kmax", ["0", "-3"])
 def test_density_curve_nonpositive_kmax_exit_2(looped_graph_file, tmp_path, kmax):
     out = tmp_path / "d.csv"

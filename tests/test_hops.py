@@ -3,6 +3,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hopscope import (
     CountOverflowError,
@@ -10,11 +11,13 @@ from hopscope import (
     LoopHypothesisError,
     ModelSpec,
     TrainConfig,
+    WeightedAdjacency,
     add_self_loops,
     binomial_expansion_check,
     dag_profile,
     density,
     from_edge_list,
+    make_splits,
     mat_power_count,
     mat_power_support,
     path_count_oracle,
@@ -26,6 +29,7 @@ from hopscope import (
     support_subset,
     symmetrize,
     synthesize_dataset,
+    train_model,
     verify_loop_lemma,
 )
 from hopscope import hops
@@ -304,6 +308,41 @@ def test_sweep_densities_walk_one_ladder_per_template(products):
     for r in rows:
         a = data[0] if r.arch == "k_layer_gcn" else add_self_loops(data[0])
         assert r.density == density(support_of(mat_power_count(a, r.k)))
+
+
+def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
+    counted = []
+    real = hops._count_matmul
+    monkeypatch.setattr(hops, "_count_matmul", lambda x, y: counted.append(1) or real(x, y))
+    data = synthesize_dataset("structure_only", n=60, seed=1)
+    cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
+    rows = run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
+                     n_splits=1, per_class_train=2, per_class_val=2)
+    # rungs 1..5 of one ladder feed both cells' aggregations and densities
+    assert (len(counted), len(products)) == (4, 0)
+    assert [r.density for r in rows] == [density(support_of(mat_power_count(data[0], k))) for k in (2, 5)]
+
+
+@pytest.mark.parametrize("epochs", [3, 20])
+def test_train_model_aggregates_the_features_once_per_run(monkeypatch, epochs):
+    graph, x, labels = synthesize_dataset("hybrid", n=200, seed=1)  # 12 features, hidden width 4
+    feature_products = []
+    to_scipy = WeightedAdjacency.to_scipy
+
+    class Counting(sp.csr_matrix):
+        def __matmul__(self, other):
+            if isinstance(other, np.ndarray) and other.shape[1] == x.shape[1]:
+                feature_products.append(1)
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(WeightedAdjacency, "to_scipy", lambda self: Counting(to_scipy(self)))
+    spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4)
+    cfg = TrainConfig(dropout=0.5, max_epochs=epochs, early_stop_patience=epochs - 1)
+    (split,) = make_splits(labels, per_class_train=5, per_class_val=5, n_splits=1)
+    m = train_model(spec, graph, x, labels, split, cfg)
+    assert m.epochs_run == (epochs,)
+    # one Â X serves every epoch's two forwards; the final model_forward test pass makes its own
+    assert len(feature_products) == 2
 
 
 def test_periodicity_stops_at_the_first_repeat(products):

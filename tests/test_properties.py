@@ -1,6 +1,7 @@
 """Hypothesis-driven structural properties over arbitrary small digraphs."""
 
 import tempfile
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 from unittest.mock import patch
@@ -12,24 +13,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopscope import (
+    ARCHITECTURES,
+    CountOverflowError,
     DatasetError,
     InputError,
+    Metrics,
+    ModelSpec,
     SparseCountMatrix,
     SupportPattern,
+    SweepRow,
+    TrainConfig,
     add_self_loops,
+    count_ladder,
     degrees,
+    density,
+    from_dense,
     from_edge_list,
     load_dataset,
+    make_splits,
     mat_power_count,
     mat_power_support,
     power_ladder,
+    run_sweep,
     support_equal,
     support_of,
     support_subset,
     symmetrize,
+    synthesize_dataset,
     transpose,
 )
 from hopscope import datasets, graphs, hops
+from hopscope.models import _reach_adjacency
+from hopscope.training import train_splits
 
 
 @st.composite
@@ -144,6 +159,140 @@ def test_count_powers_multiply(a, k1, k2):
     lhs = mat_power_count(a, k1 + k2).to_dense()
     rhs = mat_power_count(a, k1).to_dense() @ mat_power_count(a, k2).to_dense()
     assert np.array_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# exact count ladder and the int64 screen against Python-int products
+
+_INT64_MAX = 2**63 - 1
+
+
+def _exact_power(a, k):
+    """``A^k`` in Python ints: numpy's matrix power on an object array."""
+    return np.linalg.matrix_power(a.to_dense().astype(object), k)
+
+
+def _overflow_message(exact):
+    """The message of the row-major first entry above int64, None if every entry fits."""
+    for (i, j), v in np.ndenumerate(exact):
+        if v > _INT64_MAX:
+            return f"walk count at ({i}, {j}) exceeds 64-bit range ({v})"
+    return None
+
+
+@st.composite
+def multigraphs(draw, max_nodes=6):
+    """Small digraphs whose multiplicities are small or huge, so some powers leave int64."""
+    n = draw(st.integers(1, max_nodes))
+    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(2**20, 2**40))
+    dense = np.array(draw(st.lists(mult, min_size=n * n, max_size=n * n)), dtype=np.int64)
+    return from_dense(dense.reshape(n, n))
+
+
+@given(multigraphs(), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_count_ladder_rungs_are_exact_powers(a, k_max):
+    ladder = count_ladder(a)
+    for k in range(1, k_max + 1):
+        exact = _exact_power(a, k)
+        msg = _overflow_message(exact)
+        if msg is not None:
+            with pytest.raises(CountOverflowError) as info:
+                next(ladder)
+            assert str(info.value) == msg
+            return
+        rung = next(ladder)
+        assert np.array_equal(rung.to_dense().astype(object), exact)
+        assert rung == mat_power_count(a, k)
+
+
+@st.composite
+def edge_products(draw, max_dim=5):
+    """CSR operands whose product entries land on both sides of ``2**63 - 1``."""
+    n, m, p = (draw(st.integers(1, max_dim)) for _ in range(3))
+    near = st.one_of(st.just(0), st.integers(1, 3), st.integers(2**61, 2**62),
+                     st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, _INT64_MAX // 2, _INT64_MAX]))
+    x = draw(st.lists(near, min_size=n * m, max_size=n * m))
+    y = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=m * p, max_size=m * p))
+    as_csr = lambda vals, shape: sp.csr_matrix(np.array(vals, dtype=np.int64).reshape(shape))
+    return as_csr(x, (n, m)), as_csr(y, (m, p))
+
+
+@given(edge_products())
+@settings(max_examples=300, deadline=None)
+def test_count_matmul_matches_python_ints(pair):
+    x, y = pair
+    exact = x.toarray().astype(object) @ y.toarray().astype(object)
+    msg = _overflow_message(exact)
+    if msg is not None:
+        with pytest.raises(CountOverflowError) as info:
+            hops._count_matmul(x, y)
+        assert str(info.value) == msg
+    else:
+        got = hops._count_matmul(x, y)
+        assert got.has_canonical_format and not np.any(got.data == 0)
+        assert np.array_equal(got.toarray().astype(object), exact)
+
+
+def test_count_matmul_at_the_int64_edge():
+    x = sp.csr_matrix(np.array([[2**62, 2**62 - 1], [2**62, 2**62]], dtype=np.int64))
+    y = sp.csr_matrix(np.array([[1], [1]], dtype=np.int64))
+    with pytest.raises(CountOverflowError, match=r"^walk count at \(1, 0\) exceeds 64-bit range \(9223372036854775808\)$"):
+        hops._count_matmul(x, y)
+    assert hops._count_matmul(x[:1], y).toarray().tolist() == [[_INT64_MAX]]
+
+
+# ---------------------------------------------------------------------------
+# one ladder per sweep template against the per-cell route
+
+
+def _per_cell_rows(templates, ks, dataset, cfg, **split_kw):
+    """Sweep rows the per-cell way: each cell builds its own aggregation and ``A^k``."""
+    graph, x, labels = dataset
+    splits = make_splits(labels, seed=cfg.seed, **split_kw)
+    rows = []
+    for template in templates:
+        reach = _reach_adjacency(template, graph)
+        for k in ks:
+            spec = replace(template, k=k)
+            runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+            try:
+                dens = density(support_of(mat_power_count(reach, k)))
+            except CountOverflowError:
+                dens = density(mat_power_support(reach, k))
+            merged = Metrics.merge(runs)
+            rows.append(SweepRow(arch=spec.arch, k=k, norm=spec.norm, propagation=spec.propagation,
+                                 acc_mean=merged.mean, acc_std=merged.std, density=dens,
+                                 failures=len(failed)))
+    return rows
+
+
+def _heavy_multigraph():
+    # every edge of the hybrid digraph repeated 2**20 times: A^3 leaves int64
+    graph, x, labels = synthesize_dataset("hybrid", n=200, seed=2)
+    heavy = SparseCountMatrix(graph.n_rows, graph.n_cols, graph.row_offsets, graph.col_indices,
+                              graph.values * 2**20)
+    return heavy, x, labels
+
+
+@pytest.mark.parametrize("dataset, propagation, norm", [
+    (lambda: synthesize_dataset("structure_only", n=60, seed=1), "bidirectional", "sym"),
+    (lambda: synthesize_dataset("hybrid", n=200, seed=3), "forward", "row"),
+    (_heavy_multigraph, "reverse", "dir"),
+])
+def test_sweep_rows_equal_the_per_cell_route(dataset, propagation, norm):
+    data = dataset()
+    templates = [ModelSpec(arch=a, k=1, hidden_width=4, norm=norm, propagation=propagation)
+                 for a in ARCHITECTURES]
+    cfg = TrainConfig(lr=0.05, dropout=0.2, max_epochs=4, early_stop_patience=2, lr_sched_patience=1, seed=3)
+    ks = [4, 1, 2, 3]
+    split_kw = dict(n_splits=2, per_class_train=2, per_class_val=2)
+    rows = run_sweep(templates, ks, data, cfg, **split_kw)
+    want = _per_cell_rows(templates, sorted(ks), data, cfg, **split_kw)
+    assert repr(rows) == repr(want)  # repr: a failed cell's mean is nan
+    if dataset is _heavy_multigraph:
+        assert [r.failures for r in rows if r.arch in ("one_layer_power_k", "hybrid_power_plus_linear")] \
+            == [0, 0, 2, 2] * 2
 
 
 @st.composite
