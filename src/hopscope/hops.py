@@ -10,6 +10,13 @@ overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
 product per step: :func:`count_ladder` for counts and
 :func:`power_ladder` for patterns; every sweep over k reads one.
 
+The count ladder carries each rung in the smaller of two forms. A rung
+with ``3 * nnz >= 2 * n^2`` is a dense int64 array (8 bytes a cell is
+then no more than CSR's 12 an entry), and the sparse base advances it
+with one sparse-times-dense product: no nnz pass, no index sort. Any
+other rung stays canonical CSR. The form is chosen anew at every rung,
+and a rung becomes a :class:`SparseCountMatrix` only where it is read.
+
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
 or a planted cycle; nilpotency with the longest-path index for acyclic
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import comb
 
 import numpy as np
@@ -188,34 +195,86 @@ def _exact_row(x: sp.csr_matrix, y: sp.csr_matrix, i: int) -> dict[int, int]:
     return acc
 
 
-def _count_matmul(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
-    """Exact integer CSR product; raises if any entry would leave int64.
+def _count_matmul(x: sp.csr_matrix, y):
+    """Exact integer product of CSR ``x`` and CSR or dense ``y``; raises if an entry would leave int64.
 
-    Every term is non-negative, so a row of the int64 product is exact iff
-    its true values fit. A float64 bound (max row sum of ``x`` times max of
-    ``y``) clears most products at once; otherwise the float64 product
-    screens rows, and only the rows it cannot clear are summed in Python
-    ints, in row order, to name the first entry that leaves int64.
+    A CSR ``y`` gives a canonical CSR product, a dense ``y`` a dense int64
+    one (one sparse-times-dense pass, nothing to sort). Every term is
+    non-negative, so a row of the int64 product is exact iff its true
+    values fit. A float64 bound (max row sum of ``x`` times max of ``y``)
+    clears most products at once; otherwise the float64 product screens
+    rows, and only the rows it cannot clear are summed in Python ints, in
+    row order, to name the first entry that leaves int64.
     """
     # a float64 sum of t non-negative terms is off by at most t * 2**-53 relative
     slack = max(2.0**-30, x.shape[1] * 2.0**-51)
     limit = float(INT64_MAX) * (1.0 - slack)
     xf = x.astype(np.float64)
+    y_max = (y.data if sp.issparse(y) else y).max(initial=0)
     # every entry of x @ y is at most max_row_sum(x) * max(y)
-    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y.data.max(initial=0) * (1.0 + slack) > limit:
-        high = (xf @ y.astype(np.float64)).tocoo()
-        for i in np.unique(high.row[high.data > limit]).tolist():
-            acc = _exact_row(x, y, i)
+    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y_max * (1.0 + slack) > limit:
+        hot = (xf @ y.astype(np.float64)) > limit
+        rows = np.flatnonzero(np.asarray(hot.sum(axis=1)).ravel()).tolist()
+        y_rows = sp.csr_matrix(y) if rows else y
+        for i in rows:
+            acc = _exact_row(x, y_rows, i)
             for j in sorted(acc):
                 if acc[j] > INT64_MAX:
                     raise CountOverflowError(
                         f"walk count at ({i}, {j}) exceeds 64-bit range ({acc[j]})"
                     )
     out = x @ y
-    out.sum_duplicates()
-    out.sort_indices()
-    out.eliminate_zeros()
+    if sp.issparse(out):
+        out.sum_duplicates()
+        out.sort_indices()
+        out.eliminate_zeros()
     return out
+
+
+def _rung_form(m):
+    """``m`` as a dense int64 array if ``3 * nnz >= 2 * n^2``, else as canonical CSR.
+
+    Past that line 8 bytes per cell of dense storage are no more than
+    CSR's 12 per entry (int64 value, int32 index).
+    """
+    cells = m.shape[0] * m.shape[1]
+    if sp.issparse(m):
+        return m.toarray() if cells and 3 * m.nnz >= 2 * cells else m
+    return m if 3 * np.count_nonzero(m) >= 2 * cells else sp.csr_matrix(m)
+
+
+def _count_rungs(a: SparseCountMatrix) -> Iterator:
+    """Yield the exact ``A^1, A^2, ...`` unconverted, each in its :func:`_rung_form`.
+
+    The sparse base multiplies from the left, so a dense rung advances
+    with one sparse-times-dense product.
+    """
+    if not a.is_square:
+        raise InputError("matrix power requires a square matrix")
+    base = a.to_scipy()
+    cur = _rung_form(base)
+    while True:
+        yield cur
+        cur = _rung_form(_count_matmul(base, cur))
+
+
+def _rung_matrix(r) -> SparseCountMatrix:
+    """A rung of :func:`_count_rungs` as a :class:`SparseCountMatrix`."""
+    if sp.issparse(r):
+        return _from_scipy(r)
+    nz = r != 0
+    offsets = np.zeros(r.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nz, axis=1), out=offsets[1:])
+    cols = np.broadcast_to(np.arange(r.shape[1]), r.shape)[nz]
+    return SparseCountMatrix(r.shape[0], r.shape[1], offsets, cols, r[nz])
+
+
+def _count_powers(a: SparseCountMatrix, ks) -> Iterator[SparseCountMatrix]:
+    """Yield ``A^k`` for each k of the ascending ``ks`` (all >= 1) off one
+    walk of :func:`_count_rungs`; only those rungs become matrices."""
+    rungs = enumerate(_count_rungs(a), start=1)
+    for k in ks:
+        yield next(_rung_matrix(r) for j, r in rungs if j == k)
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -225,13 +284,7 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     ladder, and ``A^K`` costs ``K - 1`` products. Advancing to the first
     rung with an entry outside int64 raises :class:`CountOverflowError`.
     """
-    if not a.is_square:
-        raise InputError("matrix power requires a square matrix")
-    base = a.to_scipy()
-    cur = base
-    while True:
-        yield _from_scipy(cur)
-        cur = _count_matmul(cur, base)
+    return _count_powers(a, count(1))
 
 
 def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
@@ -242,7 +295,7 @@ def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
         raise InputError("power must be non-negative")
     if k == 0:
         return _from_scipy(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
-    return next(islice(count_ladder(a), k - 1, None))
+    return next(_count_powers(a, [k]))
 
 
 def density(x) -> float:
@@ -510,10 +563,10 @@ def binomial_expansion_check(a: SparseCountMatrix, k: int) -> bool:
     if k < 0:
         raise InputError("power must be non-negative")
     lhs = mat_power_count(add_self_loops(a), k)
+    powers = [mat_power_count(a, 0), *islice(count_ladder(a), k)]
     accum: dict[tuple[int, int], int] = {}
-    for i in range(k + 1):
+    for i, p in enumerate(powers):
         c = comb(k, i)
-        p = mat_power_count(a, i)
         for r in range(p.n_rows):
             cols, vals = p.row(r)
             for cc, vv in zip(cols.tolist(), vals.tolist()):

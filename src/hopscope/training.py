@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
-from .hops import count_ladder, density, power_ladder
+from .hops import _count_powers, density, power_ladder
 from .models import (
     _POWER_ARCHES,
     ModelSpec,
@@ -344,23 +344,23 @@ class SweepRow:
 def _sweep_aggregations(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]):
     """Yield ``(k, density, Â)`` for each k of the ascending ``ks``.
 
-    A power template walks one exact count ladder: rung k is ``A^k``, and
-    as its counts are positive its nnz is that of ``support(A^k)``. From
-    the first rung that leaves int64 on, Â is that
-    :class:`CountOverflowError`. A depth template's Â does not depend on
-    k. Those two read their densities off the boolean ladder.
+    A power template walks one exact count ladder and converts only the
+    rungs in ``ks``: rung k is ``A^k``, and as its counts are positive its
+    nnz is that of ``support(A^k)``. From the first rung that leaves int64
+    on, Â is that :class:`CountOverflowError`. A depth template's Â does
+    not depend on k. Those two read their densities off the boolean ladder.
     """
     reach = _reach_adjacency(template, graph)
     if template.arch in _POWER_ARCHES:
-        rungs = enumerate(count_ladder(reach), start=1)
+        powers = _count_powers(reach, ks)
         for i, k in enumerate(ks):
             try:
-                rung = next(r for j, r in rungs if j == k)
+                rung = next(powers)
             except CountOverflowError as exc:
                 ks, ahat = ks[i:], exc
                 break
             if k == ks[-1]:
-                rungs = None  # no ladder stays alive while the last cell trains
+                powers = None  # no ladder stays alive while the last cell trains
             ahat, dens, rung = normalize(rung, template.norm), density(rung), None
             yield k, dens, ahat
         else:

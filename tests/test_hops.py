@@ -34,6 +34,7 @@ from hopscope import (
 )
 from hopscope import hops
 from hopscope.cli import main
+from hopscope.models import _reach_adjacency
 
 
 def p3():
@@ -321,6 +322,35 @@ def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
     # rungs 1..5 of one ladder feed both cells' aggregations and densities
     assert (len(counted), len(products)) == (4, 0)
     assert [r.density for r in rows] == [density(support_of(mat_power_count(data[0], k))) for k in (2, 5)]
+
+
+def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
+    converted = []
+    real = hops._rung_matrix
+    monkeypatch.setattr(hops, "_rung_matrix", lambda r: converted.append(real(r)) or converted[-1])
+    data = synthesize_dataset("structure_only", n=60, seed=1)
+    cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
+    run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
+              n_splits=1, per_class_train=2, per_class_val=2)
+    got = list(converted)  # mat_power_count below converts through the patch too
+    assert got == [mat_power_count(data[0], 2), mat_power_count(data[0], 5)]
+
+
+def test_structure_only_ladder_is_dense_from_rung_two():
+    graph, _, _ = synthesize_dataset("structure_only", n=400, seed=5)
+    spec = ModelSpec(arch="one_layer_power_k", k=1, propagation="bidirectional")
+    rungs = list(islice(hops._count_rungs(_reach_adjacency(spec, graph)), 4))
+    assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
+    assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in rungs[1:])
+
+
+def test_binomial_check_reads_one_count_ladder(monkeypatch):
+    counted = []
+    real = hops._count_matmul
+    monkeypatch.setattr(hops, "_count_matmul", lambda x, y: counted.append(1) or real(x, y))
+    assert binomial_expansion_check(from_edge_list([(0, 1), (1, 2), (2, 0), (0, 2)], 3), 6)
+    # (A + I)^6 and A^1..A^6 off one ladder each: 5 + 5 products (20 when each A^i was its own)
+    assert len(counted) == 10
 
 
 @pytest.mark.parametrize("epochs", [3, 20])

@@ -9,7 +9,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hopscope import (
@@ -192,7 +192,7 @@ def multigraphs(draw, max_nodes=6):
 @given(multigraphs(), st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
 def test_count_ladder_rungs_are_exact_powers(a, k_max):
-    ladder = count_ladder(a)
+    ladder, raw = count_ladder(a), hops._count_rungs(a)
     for k in range(1, k_max + 1):
         exact = _exact_power(a, k)
         msg = _overflow_message(exact)
@@ -204,6 +204,43 @@ def test_count_ladder_rungs_are_exact_powers(a, k_max):
         rung = next(ladder)
         assert np.array_equal(rung.to_dense().astype(object), exact)
         assert rung == mat_power_count(a, k)
+        # the ladder carries a rung dense iff 3 * nnz >= 2 * n^2
+        form = next(raw)
+        assert isinstance(form, np.ndarray) == (3 * rung.nnz >= 2 * a.n_rows**2)
+        event(f"rung form: {type(form).__name__}")
+
+
+def _block_and_pair(mult):
+    """A 20-node complete block with loops (every entry ``mult``) beside a 4<->1 bipartite pair.
+
+    The rung nnz alternate 408 (odd k) and 417 (even k) of 625, around the
+    2/3 line at 416.7, so the ladder switches form at every step.
+    """
+    dense = np.zeros((25, 25), dtype=np.int64)
+    dense[:20, :20] = mult
+    dense[20:24, 24] = dense[24, 20:24] = 1
+    return from_dense(dense)
+
+
+@pytest.mark.parametrize("mult, first_overflow", [(1, 16), (2, 13)])
+def test_count_ladder_switches_form_both_ways(mult, first_overflow):
+    # 20^15 leaves int64 at k = 16 from a CSR rung; 2^13 * 20^12 at k = 13 from a dense one
+    a = _block_and_pair(mult)
+    ladder, raw = count_ladder(a), hops._count_rungs(a)
+    for k in range(1, first_overflow):
+        exact = _exact_power(a, k)
+        rung, form = next(ladder), next(raw)
+        assert rung.nnz == (417 if k % 2 == 0 else 408)
+        assert isinstance(form, np.ndarray) == (k % 2 == 0)
+        assert np.array_equal(rung.to_dense().astype(object), exact)
+        assert rung == from_dense(exact.astype(np.int64)) and rung.to_scipy().has_canonical_format
+        assert rung == mat_power_count(a, k)
+    msg = _overflow_message(_exact_power(a, first_overflow))
+    assert msg is not None
+    for advance in (lambda: next(ladder), lambda: mat_power_count(a, first_overflow)):
+        with pytest.raises(CountOverflowError) as info:
+            advance()
+        assert str(info.value) == msg
 
 
 @st.composite
@@ -240,6 +277,30 @@ def test_count_matmul_at_the_int64_edge():
     with pytest.raises(CountOverflowError, match=r"^walk count at \(1, 0\) exceeds 64-bit range \(9223372036854775808\)$"):
         hops._count_matmul(x, y)
     assert hops._count_matmul(x[:1], y).toarray().tolist() == [[_INT64_MAX]]
+
+
+@given(edge_products())
+@settings(max_examples=300, deadline=None)
+def test_count_matmul_matches_python_ints_on_a_dense_operand(pair):
+    x, y = pair[0], pair[1].toarray()
+    exact = x.toarray().astype(object) @ y.astype(object)
+    msg = _overflow_message(exact)
+    if msg is not None:
+        with pytest.raises(CountOverflowError) as info:
+            hops._count_matmul(x, y)
+        assert str(info.value) == msg
+    else:
+        got = hops._count_matmul(x, y)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert np.array_equal(got.astype(object), exact)
+
+
+def test_count_matmul_at_the_int64_edge_on_a_dense_operand():
+    x = sp.csr_matrix(np.array([[2**62, 2**62 - 1], [2**62, 2**62]], dtype=np.int64))
+    y = np.array([[1], [1]], dtype=np.int64)
+    with pytest.raises(CountOverflowError, match=r"^walk count at \(1, 0\) exceeds 64-bit range \(9223372036854775808\)$"):
+        hops._count_matmul(x, y)
+    assert hops._count_matmul(x[:1], y).tolist() == [[_INT64_MAX]]
 
 
 # ---------------------------------------------------------------------------
