@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -75,7 +75,11 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
     path = Path(args.config)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -129,15 +133,7 @@ def _resolve_data(args):
 def _train_config(args) -> TrainConfig:
     if getattr(args, "paper_protocol", False):
         return TrainConfig.paper_protocol(lr=args.lr, l2=args.l2, dropout=args.dropout, seed=args.seed)
-    return TrainConfig(
-        lr=args.lr,
-        l2=args.l2,
-        dropout=args.dropout,
-        max_epochs=args.max_epochs,
-        early_stop_patience=args.early_stop_patience,
-        lr_sched_patience=args.lr_sched_patience,
-        seed=args.seed,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action="store_true", help="symmetrize before checking")
     p.add_argument("--reverse", action="store_true", help="transpose the adjacency first")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze_loops)
 
     p = sub.add_parser("density-curve", help="density of the k-step pattern for k=1..kmax")
@@ -407,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_density_curve)
 
     p = sub.add_parser("normalize", help="write a normalized adjacency as CSV")
@@ -418,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("synth", help="write a synthetic dataset directory")
@@ -428,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model over random splits")
@@ -437,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_train_args(p)
     p.add_argument("--out", default=None, help="per-split results CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="accuracy/density sweep over architectures and k")
@@ -449,17 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--density-out", dest="density_out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     _add_model_args(p)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", default=None)
     return parser
 
 
@@ -469,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, argv)
+        if args.seed < 0:
+            raise InputError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (HopscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ reals, so identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +82,7 @@ class DatasetBundle:
 
 def dataset_stats(graph: SparseCountMatrix, labels: np.ndarray) -> DatasetStats:
     """Recompute the summary statistics from in-memory data."""
-    m = graph.to_scipy()
+    m = graph.csr
     out_deg = np.asarray(m.sum(axis=1)).ravel()
     in_deg = np.asarray(m.sum(axis=0)).ravel()
     n = graph.n_rows
@@ -101,6 +102,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"missing or unreadable file: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_edges(path: Path) -> tuple[np.ndarray, int | None]:
@@ -141,6 +144,8 @@ def _node_rows(fname: str, text: str, sep: str | None, ids: np.ndarray | None, n
             raise DatasetError(
                 f"{fname}:{lineno}: expected an integer node id and {width or 'some'} {what} value(s), got {line!r}"
             ) from None
+        if kind is float and not all(map(math.isfinite, values)):
+            raise DatasetError(f"{fname}:{lineno}: non-finite value in {line!r}")
         width = len(values)
         if not ((0 <= node < n) if remap is None else node in remap):
             raise DatasetError(f"{fname}:{lineno}: unknown node {node}")
@@ -244,15 +249,8 @@ def save_matrix_csv(m, path: str | os.PathLike):
     Integer matrices round-trip exactly; real values carry 12
     significant digits.
     """
-    if isinstance(m, SparseCountMatrix):
-        dense = m.to_dense()
-        integral = True
-    elif isinstance(m, WeightedAdjacency):
-        dense = m.to_dense()
-        integral = False
-    else:
-        dense = np.asarray(m)
-        integral = np.issubdtype(dense.dtype, np.integer)
+    dense = m.to_dense() if isinstance(m, (SparseCountMatrix, WeightedAdjacency)) else np.asarray(m)
+    integral = np.issubdtype(dense.dtype, np.integer)
     lines = ["," .join(f"c{j}" for j in range(dense.shape[1]))]
     for row in dense:
         if integral:
@@ -287,8 +285,9 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     out.mkdir(parents=True, exist_ok=True)
     # One line per unit of multiplicity, in row-major order of the entries,
     # formatted a block at a time so the text never sits in memory whole.
-    src = np.repeat(graph.row_ids(), graph.values)
-    dst = np.repeat(graph.col_indices, graph.values)
+    m = graph.csr
+    src = np.repeat(np.repeat(np.arange(graph.n_rows), np.diff(m.indptr)), m.data)
+    dst = np.repeat(m.indices, m.data)
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.write(f"%nodes {graph.n_rows}\n")
         for lo in range(0, len(src), _WRITE_BLOCK):

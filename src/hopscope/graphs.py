@@ -5,7 +5,14 @@ non-negative integer values: entry ``(i, j)`` counts the parallel edges
 from node ``i`` to node ``j``. Matrix powers of this representation count
 directed walks, so edge multiplicities are preserved rather than
 deduplicated, and adding self-loops is additive (the matrix gains +1 on
-every diagonal entry).
+every diagonal entry). A sum that would leave int64 raises
+:class:`~hopscope.errors.CountOverflowError` instead of wrapping.
+
+Count, weighted and pattern matrices are one idiom, :class:`_CSRWrapper`:
+a frozen dataclass around one scipy CSR matrix with read-only arrays, which
+scipy reads with no copy. A scipy result becomes canonical (sorted indices,
+no repeats, no explicit zeros) once, in :func:`_canonical`. Only arrays
+given to the public :class:`SparseCountMatrix` constructor are checked.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -15,12 +22,12 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import CountOverflowError, InputError
 
 __all__ = [
     "SparseCountMatrix",
@@ -60,94 +67,155 @@ def _int64_field(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SparseCountMatrix:
+def _canonical(m, dtype) -> sp.csr_matrix:
+    """A scipy matrix or dense array as canonical CSR of ``dtype`` with read-only arrays.
+
+    Canonical: sorted column indices without repeats and no explicit zeros.
+    A matrix that already is canonical keeps its arrays; one that is not and
+    whose arrays are read-only is copied before it is fixed.
+    """
+    if isinstance(m, np.ndarray):  # straight to CSR: scipy's route through COO is 5x slower
+        nz = m != 0
+        offsets = np.zeros(m.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(nz, axis=1), out=offsets[1:])
+        m = sp.csr_matrix((m[nz], np.broadcast_to(np.arange(m.shape[1]), m.shape)[nz], offsets), shape=m.shape)
+    m = sp.csr_matrix(m, dtype=dtype)
+    if not (m.has_canonical_format and m.data.all()):
+        if not all(arr.flags.writeable for arr in (m.indptr, m.indices, m.data)):
+            m = m.copy()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    for arr in (m.indptr, m.indices, m.data):
+        arr.flags.writeable = False
+    return m
+
+
+def _as_int64(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only int64 array: itself, or a widened copy."""
+    arr = arr.astype(np.int64, copy=False)
+    arr.flags.writeable = False
+    return arr
+
+
+class _CSRWrapper:
+    """Base of the count, weighted and pattern matrices: one scipy CSR ``csr`` with read-only arrays.
+
+    scipy's in-place calls raise on ``csr``; its products, transposes, sums
+    and slices read it as it is. The index dtype is the one scipy chose;
+    ``row_offsets`` and ``col_indices`` widen it to int64, and so does the
+    hash. Wrappers compare by type, shape, arrays and their other fields.
+    """
+
+    csr: sp.csr_matrix
+    _dtype = np.int64
+
+    @classmethod
+    def _of(cls, m):
+        """A fresh scipy result (or dense array) made canonical once and wrapped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "csr", _canonical(m, cls._dtype))
+        return self
+
+    @property
+    def n_rows(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.csr.shape[1]
+
+    @property
+    def is_square(self) -> bool:
+        return self.n_rows == self.n_cols
+
+    @property
+    def nnz(self) -> int:
+        return int(self.csr.nnz)
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return _as_int64(self.csr.indptr)
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return _as_int64(self.csr.indices)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.csr.data
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column indices and values of row ``i``."""
+        m = self.csr
+        lo, hi = m.indptr[i], m.indptr[i + 1]
+        return m.indices[lo:hi], m.data[lo:hi]
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """A new scipy matrix over the same read-only arrays."""
+        return sp.csr_matrix(self.csr)
+
+    def to_dense(self) -> np.ndarray:
+        return self.csr.toarray()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "csr")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self.csr, other.csr
+        return a.shape == b.shape and self._fields() == other._fields() and all(
+            np.array_equal(getattr(a, name), getattr(b, name)) for name in ("indptr", "indices", "data"))
+
+    def __hash__(self):
+        structure = self.row_offsets.tobytes(), self.col_indices.tobytes()
+        return hash((type(self), self.csr.shape, self._fields(), *structure))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class SparseCountMatrix(_CSRWrapper):
     """CSR matrix over the non-negative integers.
 
-    Invariants (checked on construction):
+    The public constructor checks its arrays:
       * ``row_offsets`` has length ``n_rows + 1``, is non-decreasing and
         ends at ``len(col_indices)``;
       * column indices are strictly increasing within each row;
       * every stored value is positive (no explicit zeros).
     """
 
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: sp.csr_matrix
 
-    def __post_init__(self):
-        for name in ("row_offsets", "col_indices", "values"):
-            object.__setattr__(self, name, _int64_field(getattr(self, name), name))
-        self._validate()
+    def __init__(self, n_rows: int, n_cols: int, row_offsets, col_indices, values):
+        ro, ci, v = (_int64_field(arr, name) for arr, name in (
+            (row_offsets, "row_offsets"), (col_indices, "col_indices"), (values, "values")))
+        _validate(n_rows, n_cols, ro, ci, v)
+        m = sp.csr_matrix((v, ci, ro), shape=(n_rows, n_cols))
+        object.__setattr__(self, "csr", _canonical(m, np.int64))
 
-    def _validate(self):
-        ro, ci, v = self.row_offsets, self.col_indices, self.values
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise InputError("matrix dimensions must be non-negative")
-        if ro.shape != (self.n_rows + 1,):
-            raise InputError("row_offsets must have length n_rows + 1")
-        if ro[0] != 0 or ro[-1] != len(ci) or np.any(np.diff(ro) < 0):
-            raise InputError("row_offsets must be non-decreasing from 0 to nnz")
-        if len(ci) != len(v):
-            raise InputError("col_indices and values must have equal length")
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
-            raise InputError("column index out of range")
-        if np.any(v <= 0):
-            raise InputError("stored values must be positive")
-        # A non-increasing step is a violation unless it crosses into the next row.
-        bad = np.diff(ci) <= 0
-        starts = ro[1:-1]
-        bad[starts[(starts > 0) & (starts < len(ci))] - 1] = False
-        if bad.any():
-            i = int(np.searchsorted(ro, np.argmax(bad), side="right")) - 1
-            raise InputError(f"column indices not strictly increasing in row {i}")
 
-    @property
-    def nnz(self) -> int:
-        return int(len(self.col_indices))
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row ``i``."""
-        lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values.copy(), self.col_indices.copy(), self.row_offsets.copy()),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def row_ids(self) -> np.ndarray:
-        """Row index of every stored entry, aligned with ``col_indices``."""
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
-        out[self.row_ids(), self.col_indices] = self.values
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseCountMatrix):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.n_rows, self.n_cols, self.col_indices.tobytes(), self.values.tobytes()))
-
-    def __repr__(self):
-        return f"SparseCountMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+def _validate(n_rows, n_cols, ro, ci, v):
+    if n_rows < 0 or n_cols < 0:
+        raise InputError("matrix dimensions must be non-negative")
+    if ro.shape != (n_rows + 1,):
+        raise InputError("row_offsets must have length n_rows + 1")
+    if ro[0] != 0 or ro[-1] != len(ci) or np.any(np.diff(ro) < 0):
+        raise InputError("row_offsets must be non-decreasing from 0 to nnz")
+    if len(ci) != len(v):
+        raise InputError("col_indices and values must have equal length")
+    if len(ci) and (ci.min() < 0 or ci.max() >= n_cols):
+        raise InputError("column index out of range")
+    if np.any(v <= 0):
+        raise InputError("stored values must be positive")
+    # A non-increasing step is a violation unless it crosses into the next row.
+    bad = np.diff(ci) <= 0
+    starts = ro[1:-1]
+    bad[starts[(starts > 0) & (starts < len(ci))] - 1] = False
+    if bad.any():
+        i = int(np.searchsorted(ro, np.argmax(bad), side="right")) - 1
+        raise InputError(f"column indices not strictly increasing in row {i}")
 
 
 @dataclass(frozen=True)
@@ -174,20 +242,6 @@ class GraphMeta:
     n_nodes: int
     has_self_loops: bool
     is_symmetric: bool
-
-
-def _from_scipy(m: sp.spmatrix) -> SparseCountMatrix:
-    m = sp.csr_matrix(m)
-    m.sum_duplicates()
-    m.sort_indices()
-    m.eliminate_zeros()
-    return SparseCountMatrix(
-        n_rows=m.shape[0],
-        n_cols=m.shape[1],
-        row_offsets=m.indptr.astype(np.int64),
-        col_indices=m.indices.astype(np.int64),
-        values=m.data.astype(np.int64),
-    )
 
 
 def _as_edge_pairs(edges) -> np.ndarray:
@@ -224,25 +278,23 @@ def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:
     if n_nodes < 0:
         raise InputError("n_nodes must be non-negative")
     arr = _as_edge_pairs(edges)
-    if not len(arr):
-        return SparseCountMatrix(n_nodes, n_nodes, np.zeros(n_nodes + 1, dtype=np.int64), [], [])
-    if arr.min() < 0 or arr.max() >= n_nodes:
+    if len(arr) and (arr.min() < 0 or arr.max() >= n_nodes):
         bad = arr[(arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1)][0]
         raise InputError(f"edge endpoint out of range for n_nodes={n_nodes}: {tuple(bad.tolist())}")
     arr = arr.astype(np.int64, copy=False)
     data = np.ones(len(arr), dtype=np.int64)
-    coo = sp.coo_matrix((data, (arr[:, 0], arr[:, 1])), shape=(n_nodes, n_nodes))
-    return _from_scipy(coo)
+    return SparseCountMatrix._of(sp.coo_matrix((data, (arr[:, 0], arr[:, 1])), shape=(n_nodes, n_nodes)))
 
 
 def from_dense(dense) -> SparseCountMatrix:
     """Adjacency matrix from a dense integer array (test convenience)."""
-    dense = np.asarray(dense)
+    dense = np.array(dense)  # a copy: _int64_field freezes the array it is given
     if dense.ndim != 2:
         raise InputError("dense input must be 2-D")
+    dense = _int64_field(dense, "entries")
     if np.any(dense < 0):
         raise InputError("entries must be non-negative")
-    return _from_scipy(sp.csr_matrix(dense.astype(np.int64)))
+    return SparseCountMatrix._of(dense)
 
 
 def _require_square(a: SparseCountMatrix, op: str):
@@ -250,36 +302,44 @@ def _require_square(a: SparseCountMatrix, op: str):
         raise InputError(f"{op} requires a square matrix, got {a.n_rows}x{a.n_cols}")
 
 
+def _count_sum(x: sp.csr_matrix, y) -> SparseCountMatrix:
+    """``x + y`` over non-negative int64 counts; an entry outside int64 raises instead of wrapping."""
+    m = x + y
+    wrapped = np.flatnonzero(m.data < 0)  # two counts below 2**63 sum below 2**64: a wrapped sum is negative
+    if len(wrapped):
+        k = int(wrapped[0])
+        i = int(np.searchsorted(m.indptr, k, side="right")) - 1
+        raise CountOverflowError(f"count at ({i}, {m.indices[k]}) exceeds 64-bit range ({int(m.data[k]) + 2**64})")
+    return SparseCountMatrix._of(m)
+
+
 def add_self_loops(a: SparseCountMatrix) -> SparseCountMatrix:
     """Return the matrix with every diagonal entry incremented by 1."""
     _require_square(a, "add_self_loops")
-    return _from_scipy(a.to_scipy() + sp.eye(a.n_rows, dtype=np.int64, format="csr"))
+    return _count_sum(a.csr, sp.eye(a.n_rows, dtype=np.int64, format="csr"))
 
 
 def transpose(a: SparseCountMatrix) -> SparseCountMatrix:
     _require_square(a, "transpose")
-    return _from_scipy(a.to_scipy().T)
+    return SparseCountMatrix._of(a.csr.T)
 
 
 def symmetrize(a: SparseCountMatrix) -> SparseCountMatrix:
     """Return ``A + A^T`` (values add; a bidirected pair becomes 2)."""
     _require_square(a, "symmetrize")
-    m = a.to_scipy()
-    return _from_scipy(m + m.T)
+    return _count_sum(a.csr, a.csr.T)
 
 
 def degrees(a: SparseCountMatrix, kind: str) -> DegreeVector:
     """Row value sums (out) or column value sums (in)."""
     _require_square(a, "degrees")
-    m = a.to_scipy()
     axis = 1 if kind == "out" else 0
-    vals = np.asarray(m.sum(axis=axis)).ravel()
-    return DegreeVector(kind=kind, values=vals)
+    return DegreeVector(kind=kind, values=np.asarray(a.csr.sum(axis=axis)).ravel())
 
 
 def graph_meta(a: SparseCountMatrix) -> GraphMeta:
     _require_square(a, "graph_meta")
-    m = a.to_scipy()
+    m = a.csr
     has_loops = bool(np.any(m.diagonal() > 0))
     sym = (m != m.T).nnz == 0
     return GraphMeta(n_nodes=a.n_rows, has_self_loops=has_loops, is_symmetric=sym)
@@ -411,6 +471,6 @@ def read_edge_list(path: str | os.PathLike, n_nodes: int | None = None, dedup: b
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read edge list {path}: {exc}") from exc
     return parse_edge_list(text, n_nodes=n_nodes, dedup=dedup)

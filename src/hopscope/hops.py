@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CountOverflowError, InputError, LoopHypothesisError
-from .graphs import SparseCountMatrix, _from_scipy, add_self_loops
+from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, add_self_loops
 
 __all__ = [
     "INT64_MAX",
@@ -66,45 +66,22 @@ INT64_MAX = np.iinfo(np.int64).max
 # support patterns
 
 
-@dataclass(frozen=True, eq=False)
-class SupportPattern:
+@dataclass(frozen=True, eq=False, repr=False)
+class SupportPattern(_CSRWrapper):
     """Boolean non-zero structure of a square matrix.
 
-    Built from a copy of any square scipy sparse matrix, ``csr`` is kept canonical:
+    Built from a copy of any square scipy sparse matrix, ``csr`` is canonical:
     ``bool`` values, sorted column indices without repeats and no explicit
-    zeros, so every stored entry is a non-zero ``(i, j)``. Patterns compare
-    and hash by ``(n, indptr, indices)``.
+    zeros, so every stored entry is a non-zero ``(i, j)``.
     """
 
     csr: sp.csr_matrix
+    _dtype = bool
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.csr, dtype=bool, copy=True)
-        if m.shape[0] != m.shape[1]:
-            raise InputError(f"support is defined for square matrices, got {m.shape}")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        object.__setattr__(self, "csr", m)
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return int(self.csr.nnz)
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Row ``i`` as a Python-int bitset whose bit ``j`` is set iff ``(i, j)`` is stored."""
-        ptr, idx = self.csr.indptr.tolist(), self.csr.indices.tolist()
-        return tuple(sum(1 << j for j in idx[ptr[i]:ptr[i + 1]]) for i in range(self.n))
-
-    def has(self, i: int, j: int) -> bool:
-        return bool(self.csr[i, j])
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        if self.csr.shape[0] != self.csr.shape[1]:
+            raise InputError(f"support is defined for square matrices, got {self.csr.shape}")
+        object.__setattr__(self, "csr", _canonical(sp.csr_matrix(self.csr, dtype=bool, copy=True), bool))
 
     @property
     def diagonal_full(self) -> bool:
@@ -112,28 +89,16 @@ class SupportPattern:
 
     @property
     def is_symmetric(self) -> bool:
-        return self == SupportPattern(self.csr.T)
-
-    def _key(self) -> tuple[int, bytes, bytes]:
-        return self.n, self.csr.indptr.astype(np.int64).tobytes(), self.csr.indices.astype(np.int64).tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, SupportPattern) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"SupportPattern(n={self.n}, nnz={self.nnz})"
+        return (self.csr != self.csr.T).nnz == 0
 
 
 def support_of(m) -> SupportPattern:
     """Non-zero pattern of a square count or weighted CSR matrix."""
-    return SupportPattern(m.to_scipy())
+    return SupportPattern._of(m.csr)
 
 
 def _bool_matmul(x: SupportPattern, y: SupportPattern) -> SupportPattern:
-    return SupportPattern(x.csr @ y.csr)
+    return SupportPattern._of(x.csr @ y.csr)
 
 
 def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
@@ -155,7 +120,7 @@ def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
-        return SupportPattern(sp.identity(a.n_rows, dtype=bool, format="csr"))
+        return SupportPattern._of(sp.identity(a.n_rows, dtype=bool, format="csr"))
     return next(islice(power_ladder(a), k - 1, None))
 
 
@@ -169,14 +134,14 @@ def _first_extra(p: SupportPattern, q: SupportPattern) -> tuple[int, int] | None
 
 
 def support_subset(p: SupportPattern, q: SupportPattern) -> bool:
-    if p.n != q.n:
-        raise InputError(f"pattern shapes differ: {p.n} vs {q.n}")
+    if p.n_rows != q.n_rows:
+        raise InputError(f"pattern shapes differ: {p.n_rows} vs {q.n_rows}")
     return _first_extra(p, q) is None
 
 
 def support_equal(p: SupportPattern, q: SupportPattern) -> bool:
-    if p.n != q.n:
-        raise InputError(f"pattern shapes differ: {p.n} vs {q.n}")
+    if p.n_rows != q.n_rows:
+        raise InputError(f"pattern shapes differ: {p.n_rows} vs {q.n_rows}")
     return p == q
 
 
@@ -224,11 +189,7 @@ def _count_matmul(x: sp.csr_matrix, y):
                         f"walk count at ({i}, {j}) exceeds 64-bit range ({acc[j]})"
                     )
     out = x @ y
-    if sp.issparse(out):
-        out.sum_duplicates()
-        out.sort_indices()
-        out.eliminate_zeros()
-    return out
+    return _canonical(out, np.int64) if sp.issparse(out) else out
 
 
 def _rung_form(m):
@@ -251,22 +212,11 @@ def _count_rungs(a: SparseCountMatrix) -> Iterator:
     """
     if not a.is_square:
         raise InputError("matrix power requires a square matrix")
-    base = a.to_scipy()
+    base = a.csr
     cur = _rung_form(base)
     while True:
         yield cur
         cur = _rung_form(_count_matmul(base, cur))
-
-
-def _rung_matrix(r) -> SparseCountMatrix:
-    """A rung of :func:`_count_rungs` as a :class:`SparseCountMatrix`."""
-    if sp.issparse(r):
-        return _from_scipy(r)
-    nz = r != 0
-    offsets = np.zeros(r.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(nz, axis=1), out=offsets[1:])
-    cols = np.broadcast_to(np.arange(r.shape[1]), r.shape)[nz]
-    return SparseCountMatrix(r.shape[0], r.shape[1], offsets, cols, r[nz])
 
 
 def _count_powers(a: SparseCountMatrix, ks) -> Iterator[SparseCountMatrix]:
@@ -274,7 +224,7 @@ def _count_powers(a: SparseCountMatrix, ks) -> Iterator[SparseCountMatrix]:
     walk of :func:`_count_rungs`; only those rungs become matrices."""
     rungs = enumerate(_count_rungs(a), start=1)
     for k in ks:
-        yield next(_rung_matrix(r) for j, r in rungs if j == k)
+        yield next(SparseCountMatrix._of(r) for j, r in rungs if j == k)
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -294,19 +244,14 @@ def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
-        return _from_scipy(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
+        return SparseCountMatrix._of(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
     return next(_count_powers(a, [k]))
 
 
-def density(x) -> float:
+def density(x: _CSRWrapper) -> float:
     """Fraction of non-zero entries over n^2 (diagonal included)."""
-    if isinstance(x, SupportPattern):
-        n2 = x.n * x.n
-        nnz = x.nnz
-    else:
-        n2 = x.n_rows * x.n_cols
-        nnz = int(np.count_nonzero(x.values))
-    return nnz / n2 if n2 else 0.0
+    n2 = x.n_rows * x.n_cols
+    return int(np.count_nonzero(x.csr.data)) / n2 if n2 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +412,7 @@ def _cycle_lhs(supports: list[SupportPattern], k: int, cycle: tuple[int, ...]) -
     cyc = list(cycle)
     left = sp.hstack([supports[t].csr[:, cyc] for t in range(k + 1)], format="csr")
     right = sp.vstack([supports[k - t].csr[cyc, :] for t in range(k + 1)], format="csr")
-    return SupportPattern(left @ right)
+    return SupportPattern._of(left @ right)
 
 
 def verify_loop_lemma(
@@ -567,14 +512,12 @@ def binomial_expansion_check(a: SparseCountMatrix, k: int) -> bool:
     accum: dict[tuple[int, int], int] = {}
     for i, p in enumerate(powers):
         c = comb(k, i)
-        for r in range(p.n_rows):
-            cols, vals = p.row(r)
-            for cc, vv in zip(cols.tolist(), vals.tolist()):
-                key = (r, cc)
-                accum[key] = accum.get(key, 0) + c * vv
-    lhs_map: dict[tuple[int, int], int] = {}
-    for r in range(lhs.n_rows):
-        cols, vals = lhs.row(r)
-        for cc, vv in zip(cols.tolist(), vals.tolist()):
-            lhs_map[(r, cc)] = vv
-    return lhs_map == accum
+        for key, vv in _entries(p).items():
+            accum[key] = accum.get(key, 0) + c * vv
+    return _entries(lhs) == accum
+
+
+def _entries(p: SparseCountMatrix) -> dict[tuple[int, int], int]:
+    """``{(row, column): count}`` of the stored entries, in Python ints."""
+    coo = p.csr.tocoo()
+    return dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))

@@ -22,9 +22,9 @@ logits. Feature and hidden matrices are plain float64 ndarrays. All
 kernels are pure: dropout enters only through explicit mask arguments so
 a given (params, masks) pair always reproduces the same numbers.
 
-Who recomputes what: ``model_forward`` builds the CSR of Â per call;
-``model_backward`` also reruns the forward and builds ``Âᵀ``. The
-trainer builds both once per run, computes layer 0's ``Â X`` once per
+Who recomputes what: every kernel multiplies by the CSR that Â holds,
+with no copy; ``model_backward`` reruns the forward and builds ``Âᵀ``.
+The trainer builds ``Âᵀ`` once per run, computes layer 0's ``Â X`` once per
 run (it depends on no parameter, and dropout masks only layer outputs),
 and calls ``_forward_pass`` and ``_backward_pass`` (a reverse sweep over
 the forward's caches) directly, on records whose arrays are views into
@@ -193,7 +193,7 @@ def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str, m=None):
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     h = _features(ahat, h, [p])
-    out = _act(act, _layer(ahat.to_scipy(), h, p, kind)[1])
+    out = _act(act, _layer(ahat.csr, h, p, kind)[1])
     _check_finite(out, f"{kind} layer output")
     return out
 
@@ -320,7 +320,7 @@ def model_forward(spec: ModelSpec, a, x: np.ndarray, params, hidden_masks=None) 
     prebuilt aggregation from :func:`build_aggregation`."""
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
-    logits, _ = _forward_pass(spec, ahat.to_scipy(), x, params, hidden_masks)
+    logits, _ = _forward_pass(spec, ahat.csr, x, params, hidden_masks)
     return logits
 
 
@@ -334,12 +334,11 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     """
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
-    ahat_sp = ahat.to_scipy()
-    logits, caches = _forward_pass(spec, ahat_sp, x, params, hidden_masks)
+    logits, caches = _forward_pass(spec, ahat.csr, x, params, hidden_masks)
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if upstream_grad.shape != logits.shape:
         raise InputError(f"upstream gradient must have shape {logits.shape}")
-    return _backward_pass(spec, ahat_sp.T.tocsr(), params, caches, upstream_grad)
+    return _backward_pass(spec, ahat.csr.T.tocsr(), params, caches, upstream_grad)
 
 
 def _backward_pass(spec, ahat_t, params, caches, upstream):
@@ -435,7 +434,7 @@ def relu_kink_risk(spec: ModelSpec, a, x, params, tol: float = 1e-3) -> bool:
     if spec.activation != "relu":
         return False
     ahat = _resolve_ahat(spec, a)
-    _, caches = _forward_pass(spec, ahat.to_scipy(), _features(ahat, x, params), params, None)
+    _, caches = _forward_pass(spec, ahat.csr, _features(ahat, x, params), params, None)
     for c in caches:
         if not c["last"] and np.any(np.abs(c["z"]) < tol):
             return True

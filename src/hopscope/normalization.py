@@ -7,6 +7,11 @@ own sum (mean aggregation), ``sym`` scales entry (i, j) by
 normalized, so a powered matrix is normalized by its own row/column
 sums. A zero degree inverts to 0 rather than infinity: nodes with
 nothing to aggregate get a zero row, and the result reports how many.
+
+The result is a :class:`WeightedAdjacency`, the float64 member of the
+one CSR idiom of :mod:`hopscope.graphs`: its ``csr`` reuses the read-only
+index arrays of the count matrix with new values, so an entry that a zero
+degree wiped stays as an explicit zero.
 """
 
 from __future__ import annotations
@@ -17,67 +22,27 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-from .graphs import SparseCountMatrix, add_self_loops
+from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
 
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "normalize", "gcn_canonical"]
 
 NORM_SCHEMES = ("none", "row", "sym", "dir")
 
 
-@dataclass(frozen=True)
-class WeightedAdjacency:
-    """Real-valued CSR matrix sharing the structure of its integer source.
+@dataclass(frozen=True, eq=False, repr=False)
+class WeightedAdjacency(_CSRWrapper):
+    """Real-valued CSR matrix on the index arrays of its integer source, explicit zeros kept;
+    ``zero_row_count`` says how many rows ended up with no mass."""
 
-    Values may be zero where a degenerate degree wiped an entry;
-    ``zero_row_count`` says how many rows ended up with no mass.
-    """
-
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: sp.csr_matrix
     scheme: str
     zero_row_count: int
 
     def __post_init__(self):
-        for name in ("row_offsets", "col_indices"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(self.csr.data)):
             raise InputError("weighted adjacency must be finite")
-
-    @property
-    def nnz(self) -> int:
-        return int(len(self.col_indices))
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values.copy(), self.col_indices.copy(), self.row_offsets.copy()),
-            shape=(self.n_rows, self.n_cols),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-
-def _degree_sums(a: SparseCountMatrix) -> tuple[np.ndarray, np.ndarray]:
-    m = a.to_scipy().astype(np.float64)
-    out = np.asarray(m.sum(axis=1)).ravel()
-    inn = np.asarray(m.sum(axis=0)).ravel()
-    return out, inn
+        for arr in (self.csr.indptr, self.csr.indices, self.csr.data):
+            arr.flags.writeable = False
 
 
 def _inv_sqrt(x: np.ndarray) -> np.ndarray:
@@ -98,10 +63,12 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
         raise InputError(f"unknown normalization scheme {scheme!r}")
     if not a.is_square:
         raise InputError("normalize requires a square matrix")
-    out_deg, in_deg = _degree_sums(a)
-    counts = a.values.astype(np.float64)
-    rows = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
-    cols = a.col_indices
+    m = a.csr
+    counts = m.data.astype(np.float64)
+    weights = sp.csr_matrix((counts, m.indices, m.indptr), shape=m.shape)
+    out_deg, in_deg = (np.asarray(weights.sum(axis=axis)).ravel() for axis in (1, 0))
+    rows = np.repeat(np.arange(a.n_rows), np.diff(m.indptr))
+    cols = m.indices
 
     if scheme == "none":
         vals = counts
@@ -121,15 +88,7 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
     row_mass = np.zeros(a.n_rows)
     np.add.at(row_mass, rows, np.abs(vals))
     zero_rows = int(np.count_nonzero(row_mass == 0))
-    return WeightedAdjacency(
-        n_rows=a.n_rows,
-        n_cols=a.n_cols,
-        row_offsets=a.row_offsets.copy(),
-        col_indices=a.col_indices.copy(),
-        values=vals,
-        scheme=scheme,
-        zero_row_count=zero_rows,
-    )
+    return WeightedAdjacency(sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape), scheme, zero_rows)
 
 
 def gcn_canonical(a: SparseCountMatrix) -> WeightedAdjacency:

@@ -80,10 +80,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InputError("learning rate must be positive")
-        if self.l2 < 0:
-            raise InputError("l2 must be non-negative")
+        if not 0 < self.lr < np.inf:
+            raise InputError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.l2 < np.inf:
+            raise InputError(f"l2 must be non-negative and finite, got {self.l2}")
         if not (0.0 <= self.dropout < 1.0):
             raise InputError("dropout must be in [0, 1)")
         if self.lr_sched_patience < 1:
@@ -219,9 +219,8 @@ def train_model(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     ahat = _resolve_ahat(spec, graph)
     x = _features(ahat, x)
-    ahat_sp = ahat.to_scipy()
-    ahat_t = ahat_sp.T.tocsr()
-    ax = ahat_sp @ x  # layer 0 always aggregates, and Â X is the same in every forward
+    ahat_t = ahat.csr.T.tocsr()
+    ax = ahat.csr @ x  # layer 0 always aggregates, and Â X is the same in every forward
     theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
     weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
@@ -247,7 +246,7 @@ def train_model(
         if masks is not None or evaluated is None:
             evaluated = None  # one set of caches alive at a time, as in a lone forward
             try:
-                evaluated = _forward_pass(spec, ahat_sp, x, params, masks, ax=ax)
+                evaluated = _forward_pass(spec, ahat.csr, x, params, masks, ax=ax)
             except NumericError as exc:
                 raise NumericError(str(exc), epoch=epoch) from exc
         logits, caches = evaluated
@@ -275,7 +274,7 @@ def train_model(
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
 
         evaluated = caches = None
-        evaluated = _forward_pass(spec, ahat_sp, x, params, None, ax=ax)
+        evaluated = _forward_pass(spec, ahat.csr, x, params, None, ax=ax)
         val_acc = _accuracy(evaluated[0], labels, split.val)
         if val_acc > best_val:
             best_val, best_epoch, best_theta = val_acc, epoch, theta.copy()
@@ -290,7 +289,7 @@ def train_model(
             if no_improve >= cfg.early_stop_patience:
                 break
 
-    evaluated = ahat_sp = ahat_t = ax = None  # freed before model_forward builds its own CSR
+    evaluated = ahat_t = ax = None  # freed before the final forward
     final_logits = model_forward(spec, ahat, x, _views(best_theta, params))
     test_acc = _accuracy(final_logits, labels, split.test)
     return Metrics(
@@ -502,7 +501,7 @@ def _synth_structure_only(n: int, rng: np.random.Generator, noise: float):
             if src != i:
                 edges.append((src, int(i)))
     graph = from_edge_list(edges, n)
-    msp = graph.to_scipy().astype(np.float64)
+    msp = graph.csr.astype(np.float64)
     indeg = np.asarray(msp.sum(axis=0)).ravel()
     score = msp.T @ indeg  # total in-degree of each node's in-neighbors
     labels = _quantile_labels(score)

@@ -252,3 +252,79 @@ def test_int64_overflow_in_edge_list_exit_2(tmp_path, capsys, text, where):
         read_edge_list(path)
     assert run_cli("density-curve", "--graph", path, "--kmax", "2", "--out", tmp_path / "d.csv") == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed input always ends in exit 2
+
+
+_NOT_UTF8 = b"0\t1\n1\t2\xff\n"
+
+
+def test_edge_list_that_is_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(_NOT_UTF8)
+    with pytest.raises(InputError, match=f"cannot read edge list {path}"):
+        read_edge_list(path)
+    assert run_cli("analyze-loops", "--graph", path, "--lemma", "dag", "--kmax", "2") == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["edges.tsv", "labels.tsv", "features.csv"])
+def test_dataset_file_that_is_not_utf8_exit_2(tmp_path, capsys, name):
+    from hopscope import DatasetError, load_dataset
+
+    (tmp_path / "edges.tsv").write_text("%nodes 3\n0\t1\n1\t2\n", encoding="utf-8")
+    (tmp_path / "labels.tsv").write_text("0\t0\n1\t1\n2\t0\n", encoding="utf-8")
+    (tmp_path / "features.csv").write_text("0,1\n1,0\n2,3\n", encoding="utf-8")
+    (tmp_path / name).write_bytes((tmp_path / name).read_bytes() + b"\xff\n")
+    with pytest.raises(DatasetError, match=f"{tmp_path / name} is not UTF-8 text"):
+        load_dataset(tmp_path)
+    assert run_cli("train", "--dataset", tmp_path, "--arch", "k_layer_gcn", "--splits", "1") == 2
+    assert name in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exit_2(looped_graph_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+    assert run_cli("analyze-loops", "--graph", looped_graph_file, "--lemma", "dag",
+                   "--kmax", "2", "--config", cfg) == 2
+    assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+
+_CHEAP_RUNS = {
+    "train": ["train", "--synth", "structure_only", "--n", "60", "--arch", "k_layer_gcn", "--splits", "1",
+              "--max-epochs", "3", "--early-stop-patience", "2", "--lr-sched-patience", "1"],
+    "synth": ["synth", "--kind", "hybrid", "--n", "60"],
+    "gradcheck": ["gradcheck", "--arch", "k_layer_gcn", "--k", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHEAP_RUNS))
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_negative_seed_exit_2(tmp_path, capsys, command, via_config):
+    argv = list(_CHEAP_RUNS[command])
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "ds")]
+    if via_config:
+        (tmp_path / "run.cfg").write_text("seed=-3\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        argv += ["--seed", "-3"]
+    assert run_cli(*argv) == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("key, value", [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("l2", "nan"),
+                                        ("l2", "inf")])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_non_finite_rate_exit_2(tmp_path, capsys, key, value, via_config):
+    if via_config:
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+        extra = ["--config", tmp_path / "run.cfg"]
+    else:
+        extra = [f"--{key}={value}"]
+    assert run_cli(*_CHEAP_RUNS["train"], *extra) == 2
+    err = capsys.readouterr().err
+    assert ("learning rate" if key == "lr" else "l2") in err and "finite" in err

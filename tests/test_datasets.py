@@ -92,11 +92,14 @@ def test_ragged_features(tmp_path):
     ("features.csv", "0,1\n1,1\n1,2\n2,1\n", "features.csv:3: duplicate line for node 1"),
     ("labels.tsv", "0\t0\n1\t1\n1\t0\n2\t0\n", "labels.tsv:3: duplicate line for node 1"),
     ("features.csv", "0,1\n1\n2,1\n", "features.csv:2: expected an integer node id and 1 numeric value"),
+    ("features.csv", "0,1\n1,nan\n2,1\n", "features.csv:2: non-finite value in '1,nan'"),
+    ("features.csv", "0,1\n1,1\n2,-inf\n", "features.csv:3: non-finite value in '2,-inf'"),
 ], ids=["edges-node-count", "labels-node", "labels-class", "features-node", "features-value", "edges-id-range",
         "edges-non-ascii-count", "edges-underscore", "edges-plus", "edges-non-ascii-id",
         "labels-node-plus", "labels-node-non-ascii", "labels-class-underscore", "labels-class-plus",
         "labels-class-non-ascii", "features-node-plus", "features-node-non-ascii", "features-value-underscore",
-        "features-value-non-ascii", "features-duplicate-node", "labels-duplicate-node", "features-no-value"])
+        "features-value-non-ascii", "features-duplicate-node", "labels-duplicate-node", "features-no-value",
+        "features-nan", "features-inf"])
 def test_malformed_dataset_file_is_dataset_error(tmp_path, capsys, name, text, where):
     write_toy(tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hopscope import (
+    CountOverflowError,
     InputError,
     SparseCountMatrix,
+    SupportPattern,
+    WeightedAdjacency,
     add_self_loops,
     degrees,
     from_dense,
     from_edge_list,
     graph_meta,
+    normalize,
     parse_edge_list,
+    support_of,
     symmetrize,
     transpose,
 )
@@ -129,6 +135,111 @@ def test_from_dense_rejects_negative():
         from_dense([[0, -1], [0, 0]])
 
 
+@pytest.mark.parametrize("dense, message", [
+    ([[0.5, 1.7]], "entries must hold integers, got 0.5$"),
+    ([[np.nan]], "entries must hold integers, got nan$"),
+    ([[1, np.inf]], "entries must hold integers, got inf$"),
+    ([["1"]], "entries must hold integers, got <U1 values$"),
+])
+def test_from_dense_rejects_non_integers(dense, message):
+    with pytest.raises(InputError, match=message):
+        from_dense(dense)
+
+
+def test_from_dense_accepts_integral_floats_and_leaves_its_input_writable():
+    dense = np.array([[0, 2], [1, 0]])
+    assert from_dense(dense.astype(float)) == from_dense(dense) == from_edge_list([(0, 1), (0, 1), (1, 0)], 2)
+    dense[0, 0] = 3
+
+
+def test_symmetrize_raises_instead_of_wrapping():
+    a = SparseCountMatrix(2, 2, [0, 1, 2], [1, 0], [2**62 + 5] * 2)
+    with pytest.raises(CountOverflowError, match=rf"count at \(0, 1\) exceeds 64-bit range \({2**63 + 10}\)$"):
+        symmetrize(a)
+    edge = symmetrize(SparseCountMatrix(2, 2, [0, 1, 2], [1, 0], [2**62, 2**62 - 1]))
+    assert edge.values.tolist() == [2**63 - 1] * 2
+
+
+def test_add_self_loops_raises_instead_of_wrapping():
+    with pytest.raises(CountOverflowError, match=rf"count at \(0, 0\) exceeds 64-bit range \({2**63}\)$"):
+        add_self_loops(SparseCountMatrix(1, 1, [0, 1], [0], [2**63 - 1]))
+    # the first wrapped entry in row-major order is named
+    a = SparseCountMatrix(3, 3, [0, 1, 2, 3], [0, 1, 2], [1, 2**63 - 1, 2**63 - 1])
+    with pytest.raises(CountOverflowError, match=r"count at \(1, 1\)"):
+        add_self_loops(a)
+    assert add_self_loops(SparseCountMatrix(1, 1, [0, 1], [0], [2**63 - 2])).values.tolist() == [2**63 - 1]
+
+
+# ---------------------------------------------------------------------------
+# one CSR idiom for count, weighted and pattern matrices
+
+
+def _wrappers():
+    a = from_edge_list([(0, 1), (0, 1), (1, 2), (2, 0), (2, 2)], 3)
+    return [a, normalize(a, "sym"), support_of(a)]
+
+
+@pytest.mark.parametrize("i", range(3), ids=["count", "weighted", "pattern"])
+def test_wrapper_arrays_are_read_only_and_handed_out_without_copy(i):
+    m = _wrappers()[i]
+    for arr in (m.csr.indptr, m.csr.indices, m.csr.data, m.row_offsets, m.col_indices, m.values, *m.row(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+    with pytest.raises(ValueError):
+        m.csr.data *= 2  # scipy's in-place calls raise too
+    out = m.to_scipy()
+    assert out is not m.csr and (out != m.csr).nnz == 0
+    for got, held in ((out.indptr, m.csr.indptr), (out.indices, m.csr.indices), (out.data, m.csr.data)):
+        assert np.shares_memory(got, held)
+    assert m.row_offsets.dtype == m.col_indices.dtype == np.int64
+
+
+@pytest.mark.parametrize("i", range(3), ids=["count", "weighted", "pattern"])
+def test_equal_wrappers_hash_alike_whatever_the_index_dtype(i):
+    m = _wrappers()[i]
+    wide = sp.csr_matrix(m.csr, copy=True)
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    twin = type(m)._of(wide) if not isinstance(m, WeightedAdjacency) else WeightedAdjacency(
+        wide, m.scheme, m.zero_row_count)
+    assert twin.csr.indices.dtype == np.int64 != m.csr.indices.dtype
+    assert twin == m and hash(twin) == hash(m) and len({m, twin}) == 1
+    assert m != _wrappers()[(i + 1) % 3]
+
+
+def test_weighted_adjacency_compares_and_hashes_by_value_and_scheme():
+    a = symmetrize(from_edge_list([(0, 1), (1, 2)], 3))
+    assert normalize(a, "sym") == normalize(a, "sym")
+    assert hash(normalize(a, "sym")) == hash(normalize(a, "sym"))
+    assert normalize(a, "sym") != normalize(a, "row")
+    assert normalize(a, "sym") != normalize(add_self_loops(a), "sym")
+
+
+def test_weighted_adjacency_keeps_explicit_zeros():
+    a = from_edge_list([(0, 1), (2, 1)], 3)  # nodes 0 and 2 have no in-edges, so "dir" zeroes their rows
+    w = normalize(a, "dir")
+    assert w.nnz == a.nnz == 2 and w.values.tolist() == [0.0, 0.0]
+    assert np.array_equal(w.col_indices, a.col_indices) and np.array_equal(w.row_offsets, a.row_offsets)
+    assert w.zero_row_count == 3
+    assert w.values.tobytes() == np.zeros(2).tobytes()
+
+
+def test_support_of_a_weighted_adjacency_drops_its_explicit_zeros():
+    a = from_edge_list([(0, 1), (2, 1), (1, 0)], 3)  # node 2 has no in-edge: "dir" zeroes (2, 1)
+    w = normalize(a, "dir")
+    before = w.values.tobytes()
+    assert support_of(w) == support_of(from_edge_list([(0, 1), (1, 0)], 3))
+    assert w.nnz == 3 and w.values.tobytes() == before
+
+
+def test_support_pattern_copies_what_it_is_given():
+    given = sp.csr_matrix(np.array([[0, 2], [1, 0]]))
+    p = SupportPattern(given)
+    given.data[:] = 0
+    assert p.nnz == 2 and given.data.flags.writeable
+    with pytest.raises(InputError, match="square"):
+        SupportPattern(sp.csr_matrix((2, 3)))
+
+
 def test_parse_edge_list_with_header_and_comments():
     text = "# toy graph\n%nodes 4\n0\t1\n1\t2  # trailing comment\n"
     a = parse_edge_list(text)
@@ -246,7 +357,7 @@ def test_first_offending_row_is_named_after_empty_rows():
 def test_constructor_accepts_valid_layouts(rows):
     a = csr(4, rows)
     assert a.nnz == sum(len(r) for r in rows)
-    assert np.array_equal(a.row_ids(), [i for i, r in enumerate(rows) for _ in r])
+    assert np.array_equal(a.csr.tocoo().row, [i for i, r in enumerate(rows) for _ in r])
 
 
 def test_constructor_accepts_integral_floats():

@@ -10,6 +10,7 @@ from hopscope import (
     InputError,
     LoopHypothesisError,
     ModelSpec,
+    SparseCountMatrix,
     TrainConfig,
     WeightedAdjacency,
     add_self_loops,
@@ -32,7 +33,7 @@ from hopscope import (
     train_model,
     verify_loop_lemma,
 )
-from hopscope import hops
+from hopscope import hops, training
 from hopscope.cli import main
 from hopscope.models import _reach_adjacency
 
@@ -136,7 +137,7 @@ def test_power_matches_oracle_randomized():
 
 def test_support_power_identity_and_empty():
     a = p3()
-    assert mat_power_support(a, 0).rows == (1, 2, 4)
+    assert np.array_equal(mat_power_support(a, 0).to_dense(), np.eye(3, dtype=bool))
     assert mat_power_support(a, 3).nnz == 0
 
 
@@ -326,9 +327,9 @@ def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
 
 def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
     converted = []
-    real = hops._rung_matrix
-    monkeypatch.setattr(hops, "_rung_matrix", lambda r: converted.append(real(r)) or converted[-1])
     data = synthesize_dataset("structure_only", n=60, seed=1)
+    real = SparseCountMatrix._of
+    monkeypatch.setattr(SparseCountMatrix, "_of", lambda r: converted.append(real(r)) or converted[-1])
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
     run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
               n_splits=1, per_class_train=2, per_class_val=2)
@@ -357,7 +358,7 @@ def test_binomial_check_reads_one_count_ladder(monkeypatch):
 def test_train_model_aggregates_the_features_once_per_run(monkeypatch, epochs):
     graph, x, labels = synthesize_dataset("hybrid", n=200, seed=1)  # 12 features, hidden width 4
     feature_products = []
-    to_scipy = WeightedAdjacency.to_scipy
+    resolve = training._resolve_ahat
 
     class Counting(sp.csr_matrix):
         def __matmul__(self, other):
@@ -365,7 +366,11 @@ def test_train_model_aggregates_the_features_once_per_run(monkeypatch, epochs):
                 feature_products.append(1)
             return super().__matmul__(other)
 
-    monkeypatch.setattr(WeightedAdjacency, "to_scipy", lambda self: Counting(to_scipy(self)))
+    def counting_ahat(spec, g):
+        ahat = resolve(spec, g)
+        return WeightedAdjacency(Counting(ahat.csr), ahat.scheme, ahat.zero_row_count)
+
+    monkeypatch.setattr(training, "_resolve_ahat", counting_ahat)
     spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4)
     cfg = TrainConfig(dropout=0.5, max_epochs=epochs, early_stop_patience=epochs - 1)
     (split,) = make_splits(labels, per_class_train=5, per_class_val=5, n_splits=1)

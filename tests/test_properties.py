@@ -1,5 +1,7 @@
 """Hypothesis-driven structural properties over arbitrary small digraphs."""
 
+import contextlib
+import io
 import tempfile
 from dataclasses import replace
 from itertools import islice
@@ -42,7 +44,7 @@ from hopscope import (
     synthesize_dataset,
     transpose,
 )
-from hopscope import datasets, graphs, hops
+from hopscope import cli, datasets, graphs, hops
 from hopscope.models import _reach_adjacency
 from hopscope.training import train_splits
 
@@ -507,3 +509,78 @@ def test_label_table_agrees_with_node_rows(case):
         assert not isinstance(got, str), got
         assert got.graph == want.graph and got.n_classes == want.n_classes and got.stats == want.stats
         assert np.array_equal(got.labels, want.labels)
+
+
+# pieces of the config and features fuzz: a byte that is not UTF-8, non-finite
+# words, Python's digit separator and signs and non-ASCII digits, beside
+# pieces of well-formed text
+_READER_TOKENS = [b"\xff", b"nan", b"inf", b"_", b"+", b"-", "\u0663".encode(), "\uff11".encode(),
+                  b"0", b"1", b"7", b".", b",", b"=", b" ", b"\n", b"#"]
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _spliced(draw, text: bytes) -> bytes:
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_READER_TOKENS)) + text[at:]
+    return text
+
+
+@st.composite
+def config_texts(draw):
+    keys = st.sampled_from([*cli._CONFIG_KEYS, "epochs", ""])
+    values = st.sampled_from(["0.05", "0", "3", "-2", "1e-3"]).map(str.encode)
+    lines = [draw(keys).encode() + draw(st.sampled_from([b"=", b" = ", b""])) + draw(values)
+             for _ in range(draw(st.integers(0, 4)))]
+    return _spliced(draw, b"\n".join(lines))
+
+
+@given(config_texts())
+@settings(max_examples=300, deadline=None)
+def test_config_reader_raises_only_input_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(text)
+        argv = ["train", "--synth", "structure_only", "--n", "40", "--arch", "k_layer_gcn", "--splits", "1",
+                "--config", str(path)]
+        args = cli.build_parser().parse_args(argv)
+        try:
+            cli._apply_config_file(args, argv)
+            cfg = cli._train_config(args)
+        except InputError:
+            bad = True
+        else:
+            assert np.isfinite([cfg.lr, cfg.l2]).all()
+            bad = args.seed < 0
+        event("rejected" if bad else "accepted")
+        if bad:  # a valid config would train; a bad one stops before
+            assert _quiet_main(argv) == 2
+
+
+@st.composite
+def feature_texts(draw):
+    cells = st.sampled_from(["0", "1", "-2", "0.5", "+3", "1e2"])
+    rows = [f"{node},{draw(cells)},{draw(cells)}".encode() for node in range(3)]
+    return _spliced(draw, b"\n".join(rows) + b"\n")
+
+
+@given(feature_texts())
+@settings(max_examples=300, deadline=None)
+def test_features_reader_raises_only_dataset_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "edges.tsv").write_text("%nodes 3\n0\t1\n1\t2\n2\t0\n", encoding="utf-8")
+        (root / "labels.tsv").write_text("0\t0\n1\t1\n2\t0\n", encoding="utf-8")
+        (root / "features.csv").write_bytes(text)
+        try:
+            bundle = load_dataset(root)
+        except DatasetError:
+            event("rejected")
+            assert _quiet_main(["train", "--dataset", tmp, "--arch", "k_layer_gcn", "--splits", "1"]) == 2
+        else:
+            event("accepted")
+            assert bundle.features.shape[0] == 3 and np.isfinite(bundle.features).all()

@@ -77,6 +77,12 @@ def test_config_validation():
     assert (full.max_epochs, full.early_stop_patience, full.lr_sched_patience) == (1500, 410, 80)
 
 
+@pytest.mark.parametrize("field, value", [("lr", np.nan), ("lr", np.inf), ("l2", np.nan), ("l2", np.inf)])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(InputError, match="finite"):
+        TrainConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # single runs
 
@@ -366,7 +372,7 @@ def test_deep_dataset_every_node_keeps_walks():
 
     g, _, labels = synthesize_dataset("sparse_digraph_deep", n=200, seed=1)
     pat = mat_power_support(g, 50)
-    assert all(r != 0 for r in pat.rows)
+    assert np.diff(pat.csr.indptr).min() > 0
     assert np.array_equal(np.bincount(labels), [50, 50, 50, 50])
 
 
