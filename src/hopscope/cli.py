@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import (
+    _plain_real,
     fmt_real,
     load_dataset,
     resolve_dataset_dir,
@@ -31,7 +32,7 @@ from .datasets import (
     save_sweep_csv,
 )
 from .errors import HopscopeError, InputError, LoopHypothesisError
-from .graphs import add_self_loops, from_edge_list, read_edge_list, symmetrize, transpose
+from .graphs import _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
 from .hops import dag_profile, power_ladder, verify_loop_lemma
 from .models import (
     ARCHITECTURES,
@@ -79,10 +80,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"config file {path} is not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value")
         key, val = (s.strip() for s in line.split("=", 1))
@@ -90,6 +88,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         kind = _CONFIG_KEYS[key]
         try:
+            if not (_plain if kind is int else _plain_real)(val):
+                raise ValueError(val)
             value = kind(val)
         except ValueError:
             raise InputError(f"{path}:{lineno}: {key} needs a {kind.__name__}, got {val!r}") from None

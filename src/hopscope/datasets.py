@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, _int_table, _plain, content_lines, edge_array, from_edge_list
+from .graphs import SparseCountMatrix, _exact_total, _int_table, _plain, content_lines, edge_array, from_edge_list
 from .normalization import WeightedAdjacency
 
 __all__ = [
@@ -82,17 +82,16 @@ class DatasetBundle:
 
 def dataset_stats(graph: SparseCountMatrix, labels: np.ndarray) -> DatasetStats:
     """Recompute the summary statistics from in-memory data."""
-    m = graph.csr
-    out_deg = np.asarray(m.sum(axis=1)).ravel()
-    in_deg = np.asarray(m.sum(axis=0)).ravel()
     n = graph.n_rows
+    has_in = np.bincount(graph.csr.indices, minlength=n) > 0  # counts are positive: an entry is an edge
+    has_out = np.diff(graph.csr.indptr) > 0
     counts = np.bincount(labels)
     return DatasetStats(
         n_nodes=n,
-        n_edges=int(graph.values.sum()),
+        n_edges=_exact_total(graph.values),
         n_classes=int(labels.max()) + 1 if len(labels) else 0,
-        pct_no_in=100.0 * float(np.count_nonzero(in_deg == 0)) / n if n else 0.0,
-        pct_no_out=100.0 * float(np.count_nonzero(out_deg == 0)) / n if n else 0.0,
+        pct_no_in=100.0 * float(n - np.count_nonzero(has_in)) / n if n else 0.0,
+        pct_no_out=100.0 * float(n - np.count_nonzero(has_out)) / n if n else 0.0,
         class_sizes=tuple(int(c) for c in counts),
     )
 
@@ -261,11 +260,29 @@ def save_matrix_csv(m, path: str | os.PathLike):
 
 
 def load_matrix_csv(path: str | os.PathLike) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    """Read a :func:`save_matrix_csv` file: a header row, then rows of as many finite reals.
+
+    Values take the ``features.csv`` grammar; a bad row raises :class:`InputError` naming ``path:line``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
     if not lines:
         raise InputError(f"empty matrix file {path}")
-    data = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    return np.array(data, dtype=np.float64)
+    width = len(lines[0].split(","))
+    data = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != width or not all(map(_plain_real, fields)):
+                raise ValueError(line)
+            data.append(list(map(float, fields)))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: expected {width} real values, got {line!r}") from None
+        if not all(map(math.isfinite, data[-1])):
+            raise InputError(f"{path}:{lineno}: non-finite value in {line!r}")
+    return np.array(data, dtype=np.float64).reshape(-1, width)
 
 
 def save_sweep_csv(rows, path: str | os.PathLike):

@@ -54,7 +54,7 @@ _INT64_END = 1 << 63
 
 
 def _int64_field(values, name: str) -> np.ndarray:
-    """``values`` as a read-only contiguous int64 array; floats must be whole numbers within int64."""
+    """A read-only contiguous int64 copy of ``values``; floats must be whole numbers within int64."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
         ok = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)
@@ -62,9 +62,16 @@ def _int64_field(values, name: str) -> np.ndarray:
             raise InputError(f"{name} must hold integers, got {arr[~ok][0].item()!r}")
     elif arr.dtype.kind not in "iu":
         raise InputError(f"{name} must hold integers, got {arr.dtype} values")
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    arr = np.array(arr, dtype=np.int64, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _exact_total(values: np.ndarray) -> int:
+    """The sum of non-negative int64 ``values`` as a Python int, exact past int64."""
+    if values.sum(dtype=np.float64) < 2.0**62:  # off by far less than 2**62, so the int64 sum cannot wrap
+        return int(values.sum())
+    return sum(values.tolist())
 
 
 def _canonical(m, dtype) -> sp.csr_matrix:
@@ -232,7 +239,7 @@ class DegreeVector:
 
     @property
     def total(self) -> int:
-        return int(self.values.sum())
+        return _exact_total(self.values)
 
 
 @dataclass(frozen=True)
@@ -288,10 +295,9 @@ def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:
 
 def from_dense(dense) -> SparseCountMatrix:
     """Adjacency matrix from a dense integer array (test convenience)."""
-    dense = np.array(dense)  # a copy: _int64_field freezes the array it is given
+    dense = _int64_field(dense, "entries")
     if dense.ndim != 2:
         raise InputError("dense input must be 2-D")
-    dense = _int64_field(dense, "entries")
     if np.any(dense < 0):
         raise InputError("entries must be non-negative")
     return SparseCountMatrix._of(dense)
@@ -331,10 +337,15 @@ def symmetrize(a: SparseCountMatrix) -> SparseCountMatrix:
 
 
 def degrees(a: SparseCountMatrix, kind: str) -> DegreeVector:
-    """Row value sums (out) or column value sums (in)."""
+    """Row value sums (out) or column value sums (in); a sum outside int64 raises instead of wrapping."""
     _require_square(a, "degrees")
-    axis = 1 if kind == "out" else 0
-    return DegreeVector(kind=kind, values=np.asarray(a.csr.sum(axis=axis)).ravel())
+    m = a.csr
+    ids = np.repeat(np.arange(a.n_rows), np.diff(m.indptr)) if kind == "out" else m.indices
+    for i in np.flatnonzero(np.bincount(ids, weights=m.data, minlength=a.n_rows) >= 2.0**62).tolist():
+        total = sum(m.data[ids == i].tolist())
+        if total >= _INT64_END:
+            raise CountOverflowError(f"{kind}-degree of node {i} exceeds 64-bit range ({total})")
+    return DegreeVector(kind=kind, values=np.asarray(m.sum(axis=1 if kind == "out" else 0)).ravel())
 
 
 def graph_meta(a: SparseCountMatrix) -> GraphMeta:

@@ -180,7 +180,7 @@ def _count_matmul(x: sp.csr_matrix, y):
     if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y_max * (1.0 + slack) > limit:
         hot = (xf @ y.astype(np.float64)) > limit
         rows = np.flatnonzero(np.asarray(hot.sum(axis=1)).ravel()).tolist()
-        y_rows = sp.csr_matrix(y) if rows else y
+        y_rows = _canonical(y, np.int64) if rows else y
         for i in rows:
             acc = _exact_row(x, y_rows, i)
             for j in sorted(acc):
@@ -201,7 +201,7 @@ def _rung_form(m):
     cells = m.shape[0] * m.shape[1]
     if sp.issparse(m):
         return m.toarray() if cells and 3 * m.nnz >= 2 * cells else m
-    return m if 3 * np.count_nonzero(m) >= 2 * cells else sp.csr_matrix(m)
+    return m if 3 * np.count_nonzero(m) >= 2 * cells else _canonical(m, np.int64)
 
 
 def _count_rungs(a: SparseCountMatrix) -> Iterator:

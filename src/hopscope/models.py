@@ -23,14 +23,14 @@ kernels are pure: dropout enters only through explicit mask arguments so
 a given (params, masks) pair always reproduces the same numbers.
 
 Who recomputes what: every kernel multiplies by the CSR that Â holds,
-with no copy; ``model_backward`` reruns the forward and builds ``Âᵀ``.
-The trainer builds ``Âᵀ`` once per run, computes layer 0's ``Â X`` once per
-run (it depends on no parameter, and dropout masks only layer outputs),
-and calls ``_forward_pass`` and ``_backward_pass`` (a reverse sweep over
-the forward's caches) directly, on records whose arrays are views into
-one flat float64 vector in ``_FIELDS`` order (``_packed``); Adam, its
-snapshots and the finite differences work on that vector. Shapes are
-checked once per call.
+with no copy, and the backward by ``Âᵀ`` as a CSC view over the same
+arrays; ``model_backward`` reruns the forward. The trainer computes
+layer 0's ``Â X`` once per run (it depends on no parameter, and dropout
+masks only layer outputs), and calls ``_forward_pass`` and
+``_backward_pass`` (a reverse sweep over the forward's caches) directly,
+on records whose arrays are views into one flat float64 vector in
+``_FIELDS`` order (``_packed``); Adam, its snapshots and the finite
+differences work on that vector. Shapes are checked once per call.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     Returns ``(grads, layer_grad_norms)`` where ``grads`` mirrors the
     structure of ``params`` and each norm is the Frobenius norm of that
     layer's stacked weight/bias gradients (the vanishing-gradient
-    diagnostic). It reruns the forward for its caches and builds ``Âᵀ``.
+    diagnostic). It reruns the forward for its caches; ``Âᵀ`` is a CSC view of Â.
     """
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
@@ -338,7 +338,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if upstream_grad.shape != logits.shape:
         raise InputError(f"upstream gradient must have shape {logits.shape}")
-    return _backward_pass(spec, ahat.csr.T.tocsr(), params, caches, upstream_grad)
+    return _backward_pass(spec, ahat.csr.T, params, caches, upstream_grad)
 
 
 def _backward_pass(spec, ahat_t, params, caches, upstream):

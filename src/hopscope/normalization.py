@@ -1,19 +1,17 @@
 """Edge reweighting schemes for the aggregation matrix.
 
-Four schemes: ``none`` keeps raw counts, ``row`` divides each row by its
-own sum (mean aggregation), ``sym`` scales entry (i, j) by
-``1/sqrt(d_i d_j)`` with d the row sums, and ``dir`` scales by
-``1/sqrt(in_i out_j)``. Degrees are always taken from the matrix being
-normalized, so a powered matrix is normalized by its own row/column
-sums. A zero degree inverts to 0 rather than infinity: nodes with
-nothing to aggregate get a zero row, and the result reports how many.
+Every scheme is one rescaling ``D_l · A · D_r`` by diagonals taken from
+the degrees of the matrix being normalized (a powered matrix by its own
+row and column sums): ``none`` is ``A``, ``row`` is ``D_out^-1 A`` (mean
+aggregation), ``sym`` is ``D_out^-½ A D_out^-½`` and ``dir`` is
+``D_in^-½ A D_out^-½``. A zero degree inverts to 0, not infinity: nodes
+with nothing to aggregate get a zero row, and the result says how many.
 
 The result is a :class:`WeightedAdjacency`, the float64 member of the
 one CSR idiom of :mod:`hopscope.graphs`: its ``csr`` reuses the read-only
 index arrays of the count matrix with new values, so an entry that a zero
 degree wiped stays as an explicit zero.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -45,15 +43,13 @@ class WeightedAdjacency(_CSRWrapper):
             arr.flags.writeable = False
 
 
-def _inv_sqrt(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = 1.0 / np.sqrt(x[pos])
-    return out
+def _inverse(x: np.ndarray, root: bool) -> np.ndarray:
+    """``1 / x``, or ``1 / sqrt(x)`` with ``root``, where ``x > 0``; 0 elsewhere."""
+    return np.divide(1.0, np.sqrt(x) if root else x, out=np.zeros(len(x)), where=x > 0)
 
 
 def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
-    """Apply one of the four schemes to a count matrix.
+    """Apply one of the four schemes to a count matrix: ``D_l · A · D_r``.
 
     Rows of the ``row`` result sum to 1 wherever the source row is
     non-empty. Zero-degree factors are defined as 0, so isolated or
@@ -63,31 +59,22 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
         raise InputError(f"unknown normalization scheme {scheme!r}")
     if not a.is_square:
         raise InputError("normalize requires a square matrix")
-    m = a.csr
+    m, n = a.csr, a.n_rows
     counts = m.data.astype(np.float64)
-    weights = sp.csr_matrix((counts, m.indices, m.indptr), shape=m.shape)
-    out_deg, in_deg = (np.asarray(weights.sum(axis=axis)).ravel() for axis in (1, 0))
-    rows = np.repeat(np.arange(a.n_rows), np.diff(m.indptr))
-    cols = m.indices
-
-    if scheme == "none":
-        vals = counts
-    elif scheme == "row":
-        inv = np.zeros_like(out_deg)
-        nz = out_deg > 0
-        inv[nz] = 1.0 / out_deg[nz]
-        vals = counts * inv[rows]
+    sizes = np.diff(m.indptr)
+    rows = np.repeat(np.arange(n), sizes)
+    # rows sum pairwise, as scipy's sum(axis=1) does: past 2**53 a sequential bincount rounds differently
+    out_deg, in_deg = np.zeros(n), np.bincount(m.indices, weights=counts, minlength=n)
+    out_deg[sizes > 0] = np.add.reduceat(counts, m.indptr[:-1][sizes > 0])
+    d_l = d_r = np.ones(n)
+    if scheme == "row":
+        d_l = _inverse(out_deg, root=False)
     elif scheme == "sym":
-        f = _inv_sqrt(out_deg)
-        vals = counts * f[rows] * f[cols]
-    else:  # dir
-        fi = _inv_sqrt(in_deg)
-        fo = _inv_sqrt(out_deg)
-        vals = counts * fi[rows] * fo[cols]
-
-    row_mass = np.zeros(a.n_rows)
-    np.add.at(row_mass, rows, np.abs(vals))
-    zero_rows = int(np.count_nonzero(row_mass == 0))
+        d_l = d_r = _inverse(out_deg, root=True)
+    elif scheme == "dir":
+        d_l, d_r = _inverse(in_deg, root=True), _inverse(out_deg, root=True)
+    vals = counts * d_l[rows] * d_r[m.indices]
+    zero_rows = int(np.count_nonzero(np.bincount(rows, weights=np.abs(vals), minlength=n) == 0))
     return WeightedAdjacency(sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape), scheme, zero_rows)
 
 

@@ -90,6 +90,8 @@ class TrainConfig:
             raise InputError("lr_sched_patience must be at least 1")
         if self.early_stop_patience >= self.max_epochs:
             raise InputError("early-stop patience must be below max_epochs")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @staticmethod
     def paper_protocol(**overrides) -> "TrainConfig":
@@ -108,7 +110,6 @@ class Metrics:
     epochs_run: tuple[int, ...]
     best_epochs: tuple[int, ...]
     grad_norm_traces: tuple = field(repr=False, default=())
-    failures: int = 0
 
     @property
     def mean(self) -> float:
@@ -126,7 +127,6 @@ class Metrics:
             epochs_run=tuple(e for r in runs for e in r.epochs_run),
             best_epochs=tuple(e for r in runs for e in r.best_epochs),
             grad_norm_traces=tuple(t for r in runs for t in r.grad_norm_traces),
-            failures=sum(r.failures for r in runs),
         )
 
 
@@ -142,6 +142,8 @@ def make_splits(
                         ("n_splits", n_splits)):
         if value < 1:
             raise InputError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
     need = per_class_train + per_class_val + 1
@@ -200,8 +202,8 @@ def train_model(
 ) -> Metrics:
     """One deterministic training run; returns single-run Metrics.
 
-    ``graph`` is a raw count matrix or a prebuilt aggregation. Â, Âᵀ and
-    layer 0's ``Â X`` are built once per run; the backward reuses the
+    ``graph`` is a raw count matrix or a prebuilt aggregation. Â and layer
+    0's ``Â X`` are built once per run (Âᵀ is a view); the backward reuses the
     caches of the epoch's forward, and an epoch that draws no dropout
     masks reuses the previous eval forward: one forward per epoch without
     dropout, two with.
@@ -219,7 +221,7 @@ def train_model(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     ahat = _resolve_ahat(spec, graph)
     x = _features(ahat, x)
-    ahat_t = ahat.csr.T.tocsr()
+    ahat_t = ahat.csr.T  # a CSC view over Â's arrays: Âᵀ with no copy
     ax = ahat.csr @ x  # layer 0 always aggregates, and Â X is the same in every forward
     theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
     weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
@@ -289,7 +291,7 @@ def train_model(
             if no_improve >= cfg.early_stop_patience:
                 break
 
-    evaluated = ahat_t = ax = None  # freed before the final forward
+    evaluated = ax = None  # freed before the final forward
     final_logits = model_forward(spec, ahat, x, _views(best_theta, params))
     test_acc = _accuracy(final_logits, labels, split.test)
     return Metrics(
@@ -448,14 +450,14 @@ def synthesize_dataset(kind: str, n: int, seed: int, noise: float = 0.0, feature
     kind_keys = {"structure_only": 1, "hybrid": 2, "sparse_digraph_deep": 3}
     if kind not in kind_keys:
         raise InputError(f"unknown synthetic kind {kind!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind_keys[kind],)))
     if kind == "structure_only":
         return _synth_structure_only(n, rng, noise)
     if kind == "hybrid":
         return _synth_hybrid(n, rng, feature_signal)
-    if kind == "sparse_digraph_deep":
-        return _synth_deep(n, rng, feature_signal)
-    raise InputError(f"unknown synthetic kind {kind!r}")
+    return _synth_deep(n, rng, feature_signal)
 
 
 def _quantile_labels(score: np.ndarray, n_classes: int = 4) -> np.ndarray:

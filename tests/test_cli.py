@@ -157,7 +157,10 @@ def test_bad_config_key_exit_2(looped_graph_file, tmp_path):
                    "--kmax", "2", "--config", cfg) == 2
 
 
-@pytest.mark.parametrize("line, key", [("lr=abc", "lr"), ("max_epochs=1.5", "max_epochs")])
+@pytest.mark.parametrize("line, key", [
+    ("lr=abc", "lr"), ("max_epochs=1.5", "max_epochs"),
+    ("seed=\u0663", "seed"), ("max_epochs=+3", "max_epochs"), ("lr=1_0.5", "lr"),
+])
 def test_bad_config_value_exit_2(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# run settings\n{line}\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import pytest
 
 from hopscope import (
     DatasetError,
+    InputError,
     dataset_stats,
     from_dense,
     from_edge_list,
@@ -131,6 +132,13 @@ def test_stats_match_recomputation(tmp_path):
     assert bundle.stats.pct_no_out == pytest.approx(100 / 3)
 
 
+def test_stats_edge_count_is_exact_past_int64():
+    # node 0's out-degree 2**64 wraps to 0 in int64
+    stats = dataset_stats(from_dense([[2**62] * 4 + [0]] + [[0] * 5] * 4), np.arange(5))
+    assert type(stats.n_edges) is int and stats.n_edges == 2**64
+    assert (stats.pct_no_in, stats.pct_no_out) == (20.0, 80.0)
+
+
 def test_save_dataset_round_trip(tmp_path):
     graph, x, labels = synthesize_dataset("hybrid", n=200, seed=3)
     out = tmp_path / "ds"
@@ -207,6 +215,39 @@ def test_matrix_csv_round_trip_weighted(tmp_path):
     save_matrix_csv(w, path)
     back = load_matrix_csv(path)
     assert np.allclose(back, w.to_dense(), rtol=1e-11)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("c0,c1\n1,abc\n", 2),
+    ("c0,c1\n1,2\n3\n", 3),
+    ("c0,c1\n1,2,3\n", 2),
+    ("c0\n1_0\n", 2),
+    ("c0\n\u0663\n", 2),
+    ("c0\n1\nnan\n", 3),
+    ("c0\n-inf\n", 2),
+    ("c0\n\n1\n", 2),
+])
+def test_matrix_csv_bad_rows_name_their_line(tmp_path, text, line):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=f"^{path}:{line}: "):
+        load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("content", [None, b"c0\n\xff\n", b""])
+def test_matrix_csv_unreadable_or_empty_file_names_it(tmp_path, content):
+    path = tmp_path / "m.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InputError, match=str(path)):
+        load_matrix_csv(path)
+
+
+def test_matrix_csv_header_only_is_zero_rows_wide(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(np.zeros((0, 3)), path)
+    assert path.read_text() == "c0,c1,c2\n"
+    assert load_matrix_csv(path).shape == (0, 3)
 
 
 def test_sweep_csv_empty_is_header_only(tmp_path):

@@ -101,6 +101,37 @@ def test_degrees_count_multiplicity():
     assert degrees(a, "out").values[0] == 2
 
 
+@pytest.mark.parametrize("dense, kind, node, total", [
+    ([[2**62, 2**62], [0, 0]], "out", 0, 2**63),
+    ([[0, 2**62], [0, 2**62]], "in", 1, 2**63),
+    ([[2**62] * 5] + [[0] * 5] * 4, "out", 0, 5 * 2**62),  # the int64 sum wraps back to a positive 2**62
+    ([[0, 2**62], [0, 2**62 - 1]], "in", 1, 2**63 - 1),  # the largest degree that fits
+])
+def test_degrees_raise_instead_of_wrapping(dense, kind, node, total):
+    a = from_dense(dense)
+    if total < 2**63:
+        assert degrees(a, kind).values.tolist()[node] == total
+        return
+    with pytest.raises(CountOverflowError, match=rf"^{kind}-degree of node {node} exceeds 64-bit range \({total}\)$"):
+        degrees(a, kind)
+
+
+def test_degree_total_is_an_exact_python_int():
+    a = from_dense([[2**62, 2**62], [0, 0]])
+    total = degrees(a, "in").total
+    assert type(total) is int and total == 2**63
+    assert degrees(from_dense([[1, 2], [0, 3]]), "out").total == 6
+
+
+def test_constructor_copies_the_callers_arrays():
+    ro, ci, v = np.array([0, 1]), np.array([0]), np.array([5])
+    a = SparseCountMatrix(1, 1, ro, ci, v)
+    for arr in (ro, ci, v):
+        assert arr.flags.writeable
+    v[0] = 2
+    assert a.values.tolist() == [5] and not a.values.flags.writeable
+
+
 def _random_graph(rng, n, p=0.3, max_mult=2):
     edges = []
     for i in range(n):

@@ -368,6 +368,22 @@ def test_backward_stops_at_layer_zero_parameters():
         assert all(np.array_equal(getattr(a, n), getattr(b, n)) for a, b in zip(grads, want) for n in a.fields)
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_through_the_transpose_view_is_bit_equal_to_a_transposed_copy(arch):
+    rng = np.random.default_rng(13)
+    spec = ModelSpec(arch=arch, k=3, hidden_width=5, norm="dir")
+    g = random_digraph(rng, 30, p=0.2)
+    x = rng.standard_normal((30, 4))
+    params = init_params(spec, 4, 3, rng)
+    ahat = build_aggregation(spec, g)
+    logits, caches = models._forward_pass(spec, ahat.csr, x, params, None)
+    upstream = rng.standard_normal(logits.shape)
+    want, want_norms = models._backward_pass(spec, ahat.csr.T.tocsr(), params, caches, upstream)
+    grads, norms = model_backward(spec, ahat, x, params, upstream)
+    assert norms == want_norms
+    assert all(getattr(a, n).tobytes() == getattr(b, n).tobytes() for a, b in zip(grads, want) for n in a.fields)
+
+
 def test_finite_differences_leave_caller_arrays_alone():
     rng = np.random.default_rng(9)
     spec = ModelSpec(arch="graphsage", k=2, hidden_width=3, activation="identity", norm="sym")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hopscope import (
     ARCHITECTURES,
+    NORM_SCHEMES,
     CountOverflowError,
     DatasetError,
     InputError,
@@ -34,6 +35,7 @@ from hopscope import (
     load_dataset,
     make_splits,
     mat_power_count,
+    normalize,
     mat_power_support,
     power_ladder,
     run_sweep,
@@ -189,6 +191,38 @@ def multigraphs(draw, max_nodes=6):
     mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(2**20, 2**40))
     dense = np.array(draw(st.lists(mult, min_size=n * n, max_size=n * n)), dtype=np.int64)
     return from_dense(dense.reshape(n, n))
+
+
+@st.composite
+def counts_with_empty_lines(draw, max_nodes=7):
+    """Counts up to 2**40 with some all-zero rows and columns."""
+    n = draw(st.integers(1, max_nodes))
+    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2**40))
+    dense = np.array(draw(st.lists(mult, min_size=n * n, max_size=n * n)), dtype=np.int64).reshape(n, n)
+    dense[draw(st.lists(st.integers(0, n - 1), max_size=2)), :] = 0
+    dense[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
+    return from_dense(dense)
+
+
+def _inverse_power(x, p):
+    return np.divide(1.0, x**p, out=np.zeros_like(x), where=x > 0)
+
+
+@given(counts_with_empty_lines(), st.sampled_from(NORM_SCHEMES))
+@settings(max_examples=200, deadline=None)
+def test_normalize_is_the_dense_diagonal_rescaling(a, scheme):
+    dense = a.to_dense().astype(np.float64)
+    out, inn, one = dense.sum(axis=1), dense.sum(axis=0), np.ones(a.n_rows)
+    d_l, d_r = {"none": (one, one), "row": (_inverse_power(out, 1), one),
+                "sym": (_inverse_power(out, 0.5), _inverse_power(out, 0.5)),
+                "dir": (_inverse_power(inn, 0.5), _inverse_power(out, 0.5))}[scheme]
+    want = np.diag(d_l) @ dense @ np.diag(d_r)
+    w = normalize(a, scheme)
+    np.testing.assert_allclose(w.to_dense(), want, rtol=1e-12, atol=0)
+    assert w.zero_row_count == int(np.count_nonzero(~want.any(axis=1)))
+    # the count matrix's own index arrays, not copies
+    assert np.shares_memory(w.csr.indptr, a.csr.indptr)
+    assert a.nnz == 0 or np.shares_memory(w.csr.indices, a.csr.indices)
 
 
 @given(multigraphs(), st.integers(1, 7))

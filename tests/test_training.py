@@ -77,6 +77,15 @@ def test_config_validation():
     assert (full.max_epochs, full.early_stop_patience, full.lr_sched_patience) == (1500, 410, 80)
 
 
+def test_negative_seeds_are_input_errors():
+    with pytest.raises(InputError, match="seed must be non-negative, got -1$"):
+        TrainConfig(seed=-1)
+    with pytest.raises(InputError, match="seed must be non-negative, got -2$"):
+        make_splits(np.repeat([0, 1], 60), seed=-2)
+    with pytest.raises(InputError, match="seed must be non-negative, got -3$"):
+        synthesize_dataset("structure_only", 60, seed=-3)
+
+
 @pytest.mark.parametrize("field, value", [("lr", np.nan), ("lr", np.inf), ("l2", np.nan), ("l2", np.inf)])
 def test_config_rejects_non_finite_rates(field, value):
     with pytest.raises(InputError, match="finite"):

@@ -1,0 +1,144 @@
+"""Print one ``sha256 label`` line per hopscope output, to check byte identity between two trees.
+
+    python tools/manifest.py [--src PATH/TO/src] > manifest.txt
+
+``--src`` picks the hopscope source to import (default: this checkout's
+``src``), so one copy of this script can hash a parent commit and a change;
+``diff`` of the two outputs then lists every output whose bytes moved.
+Outputs covered: the CLI command sequence of the c11 determinism check
+(exit code, stdout and stderr of each command, and every file it writes),
+``normalize`` for the four schemes on a plain, a ``--selfloops`` and a
+``--symmetrize`` graph, ``analyze-loops`` for the four lemmas, a short
+sweep of the two power architectures (past the first overflowing k) and a
+short deep ``train``, each through the CLI and, with exact float reprs,
+through the library, and the library's ``normalize`` of large exact walk
+counts. Uses only the standard library and hopscope; BLAS is
+pinned to one thread before numpy loads. Runs in about 10 s on 2 cores.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import random  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+TRAIN_ARGS = ["--splits", "2", "--max-epochs", "25", "--early-stop-patience", "15",
+              "--lr-sched-patience", "10", "--seed", "5"]
+SMALL_SPLITS = ["--per-class-train", "10", "--per-class-val", "15"]  # n=200 has 50 nodes per class
+
+
+def _emit(label: str, data: bytes):
+    print(f"{hashlib.sha256(data).hexdigest()} {label}")
+
+
+def _write_graph(path: Path, n: int, edges):
+    path.write_text("\n".join([f"%nodes {n}"] + [f"{s}\t{d}" for s, d in edges]) + "\n", encoding="utf-8")
+
+
+def _graphs(work: Path) -> dict[str, Path]:
+    """The c11 ring with loops, a multigraph with a sink and an isolated node, and a DAG."""
+    rng = random.Random(7)
+    ring = [(i, (i + 1) % 6) for i in range(6)] + [(i, i) for i in range(6)]
+    multi = [(i, (i + 1) % 38) for i in range(38)] + [(0, 1), (0, 1), (5, 0), (3, 1), (2, 0)]
+    multi += [(rng.randrange(38), rng.randrange(38)) for _ in range(60)] + [(7, 38)]  # 38 is a sink, 39 isolated
+    dag = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+    paths = {"ring": work / "ring.tsv", "multi": work / "multi.tsv", "dag": work / "dag.tsv"}
+    for (name, path), (n, edges) in zip(paths.items(), ((6, ring), (40, multi), (12, dag))):
+        _write_graph(path, n, edges)
+    return paths
+
+
+def _cli(main, label: str, argv: list[str], files: list[str] = ()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    _emit(label, f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+    for name in files:
+        path = Path(name)
+        _emit(f"{label} {name}", path.read_bytes() if path.is_file() else b"<missing>")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the hopscope package to hash")
+    args = parser.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from hopscope import (ModelSpec, TrainConfig, count_ladder, make_splits, normalize, run_sweep, symmetrize,
+                          synthesize_dataset, train_model)
+    from hopscope.cli import main as cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths keep the temporary directory out of every output
+        g = {name: str(path.relative_to(tmp)) for name, path in _graphs(Path(tmp)).items()}
+
+        _cli(cli, "c11 synth", ["synth", "--kind", "structure_only", "--n", "250", "--seed", "5", "--out", "ds"],
+             ["ds/edges.tsv", "ds/labels.tsv"])
+        _cli(cli, "c11 analyze-loops", ["analyze-loops", "--graph", g["ring"], "--lemma", "self_loop", "--kmax", "4",
+                                        "--seed", "5", "--out", "loops.csv"], ["loops.csv"])
+        _cli(cli, "c11 density-curve", ["density-curve", "--synth", "hybrid", "--n", "200", "--kmax", "4",
+                                        "--seed", "5", "--out", "density.csv"], ["density.csv"])
+        _cli(cli, "c11 normalize", ["normalize", "--graph", g["ring"], "--norm", "sym", "--out", "norm.csv"],
+             ["norm.csv"])
+        _cli(cli, "c11 train", ["train", "--dataset", "ds", "--arch", "k_layer_gcn", "--k", "1", "--norm", "row",
+                                "--prop", "reverse", *TRAIN_ARGS, "--out", "train.csv"], ["train.csv"])
+        _cli(cli, "c11 sweep", ["sweep", "--dataset", "ds", "--arches", "k_layer_gcn,one_layer_power_k", "--kmax", "2",
+                                "--norm", "row", "--prop", "reverse", *TRAIN_ARGS, "--out", "sweep.csv",
+                                "--density-out", "sweep_density.csv"], ["sweep.csv", "sweep_density.csv"])
+        _cli(cli, "c11 gradcheck", ["gradcheck", "--arch", "graphsage", "--k", "2", "--seed", "5"])
+
+        for scheme in ("none", "row", "sym", "dir"):
+            for flag in ("", "--selfloops", "--symmetrize"):
+                out = f"norm_{scheme}{flag.replace('-', '_')}.csv"
+                _cli(cli, f"normalize {scheme} {flag or 'plain'}",
+                     ["normalize", "--graph", g["multi"], "--norm", scheme, *filter(None, [flag]), "--out", out], [out])
+
+        for lemma, extra, graph in (("self_loop", ["--selfloops"], "multi"), ("two_node", ["--symmetrize"], "multi"),
+                                    ("m_node", ["--m", "3"], "multi"), ("dag", [], "dag")):
+            _cli(cli, f"analyze-loops {lemma}", ["analyze-loops", "--graph", g[graph], "--lemma", lemma, *extra,
+                                                 "--kmax", "6", "--out", f"{lemma}.csv"], [f"{lemma}.csv"])
+
+        # bidirectional structure_only (n=200) overflows at k = 14: large-count cells and failing ones
+        _cli(cli, "sweep power", ["sweep", "--synth", "structure_only", "--n", "200", "--arches",
+                                  "one_layer_power_k,hybrid_power_plus_linear", "--kmax", "15", "--norm", "sym",
+                                  "--prop", "bidirectional", "--hidden", "8", "--lr", "0.05", *TRAIN_ARGS, *SMALL_SPLITS,
+                                  "--out", "power.csv", "--density-out", "power_density.csv"],
+             ["power.csv", "power_density.csv"])
+        _cli(cli, "train deep", ["train", "--synth", "sparse_digraph_deep", "--n", "200", "--arch", "k_layer_gcn",
+                                 "--k", "12", "--act", "identity", "--norm", "row", "--lr", "0.005", *TRAIN_ARGS, *SMALL_SPLITS,
+                                 "--out", "deep.csv"], ["deep.csv"])
+
+    # the exact rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10
+    reach = symmetrize(synthesize_dataset("structure_only", n=400, seed=5)[0])
+    for k, rung in zip(range(1, 13), count_ladder(reach)):
+        for scheme in ("none", "row", "sym", "dir"):
+            w = normalize(rung, scheme)
+            _emit(f"library normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
+
+    cfg = TrainConfig(lr=0.05, max_epochs=25, early_stop_patience=15, lr_sched_patience=10, seed=5)
+    dataset = synthesize_dataset("structure_only", n=200, seed=5)
+    templates = [ModelSpec(arch=a, k=1, hidden_width=8, norm=norm, propagation="bidirectional")
+                 for a in ("one_layer_power_k", "hybrid_power_plus_linear") for norm in ("sym", "dir")]
+    _emit("library run_sweep power", repr(run_sweep(templates, range(1, 16), dataset, cfg, n_splits=2,
+                                                                  per_class_train=10, per_class_val=15)).encode())
+    graph, x, labels = synthesize_dataset("sparse_digraph_deep", n=200, seed=5)
+    (split,) = make_splits(labels, per_class_train=10, per_class_val=15, n_splits=1, seed=5)
+    for arch, k in (("k_layer_gcn", 12), ("k_layer_gcn_selfloop", 3), ("graphsage", 3), ("hybrid_power_plus_linear", 3)):
+        spec = ModelSpec(arch=arch, k=k, activation="identity" if k == 12 else "relu", norm="row")
+        m = train_model(spec, graph, x, labels, split, TrainConfig(lr=0.005, max_epochs=25, early_stop_patience=15,
+                                                                  lr_sched_patience=10, dropout=0.2, seed=5))
+        _emit(f"library train_model {arch} k={k}", repr((m.accuracies, m.epochs_run, m.best_epochs,
+                                                         m.grad_norm_traces)).encode())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
