@@ -7,9 +7,15 @@ artifacts only to files. Exit codes: 0 success (including "hypothesis
 not satisfied" reports), 1 a checked property failed, 2 bad input.
 
 All randomness flows from ``--seed``, so reruns with the same flags
-produce byte-identical output files. A ``--config`` file with flat
-``key=value`` lines supplies defaults for the training knobs; explicit
-flags win over the file.
+produce byte-identical output files.
+
+Every setting is resolved by argparse, first match wins: an explicit
+flag (in any spelling argparse accepts, abbreviations included), the
+``--paper-protocol`` budget (the epochs and patiences of
+``TrainConfig.paper_protocol()``), a ``--config`` file of flat
+``key=value`` lines, the built-in default. The protocol and the file
+become the subcommand's defaults before argv is parsed again, so the
+printed ``resolved config:`` is the configuration that runs.
 """
 
 from __future__ import annotations
@@ -22,31 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (
-    _plain_real,
-    fmt_real,
-    load_dataset,
-    resolve_dataset_dir,
-    save_dataset,
-    save_matrix_csv,
-    save_sweep_csv,
-)
+from .datasets import (_plain_real, dataset_stats, fmt_real, load_dataset, resolve_dataset_dir, save_dataset,
+                       save_matrix_csv, save_sweep_csv)
 from .errors import HopscopeError, InputError, LoopHypothesisError
 from .graphs import _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
 from .hops import dag_profile, power_ladder, verify_loop_lemma
-from .models import (
-    ARCHITECTURES,
-    ModelSpec,
-    _propagated,
-    finite_difference_gradients,
-    flat_gradients,
-    init_params,
-    max_relative_error,
-    model_backward,
-    relu_kink_risk,
-    uniform_features,
-)
-from .normalization import NORM_SCHEMES
+from .models import (ARCHITECTURES, ModelSpec, _propagated, gradient_check, init_params, relu_kink_risk,
+                     uniform_features)
+from .normalization import NORM_SCHEMES, normalize
 from .training import Metrics, TrainConfig, make_splits, run_sweep, synthesize_dataset, train_splits
 
 SYNTH_KINDS = ("structure_only", "hybrid", "sparse_digraph_deep")
@@ -63,6 +52,8 @@ _CONFIG_KEYS = {
     "seed": int,
 }
 
+_PAPER_BUDGET = ("max_epochs", "early_stop_patience", "lr_sched_patience")
+
 
 def _print_config(args: argparse.Namespace):
     skip = {"func"}
@@ -70,16 +61,16 @@ def _print_config(args: argparse.Namespace):
     print("resolved config: " + " ".join(f"{k}={v}" for k, v in items))
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]):
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
+def _config_file(path) -> dict:
+    """The typed ``key=value`` settings of a ``--config`` file; a later line wins."""
+    path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"config file {path} is not UTF-8 text: {exc}") from None
+    settings = {}
     for lineno, line in content_lines(text):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value")
@@ -90,49 +81,56 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]):
         try:
             if not (_plain if kind is int else _plain_real)(val):
                 raise ValueError(val)
-            value = kind(val)
+            settings[key] = kind(val)
         except ValueError:
             raise InputError(f"{path}:{lineno}: {key} needs a {kind.__name__}, got {val!r}") from None
-        if key not in vars(args):
-            continue  # key does not apply to this subcommand
-        flag = "--" + key.replace("_", "-")
-        if flag in argv or any(a.startswith(flag + "=") for a in argv):
-            continue  # explicit flag wins
-        setattr(args, key, value)
+    return settings
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` once for ``--config`` and ``--paper-protocol``, then again with them as defaults."""
+    args = build_parser().parse_args(argv)
+    defaults = _config_file(args.config) if args.config else {}
+    if getattr(args, "paper_protocol", False):  # only train and sweep have the flag
+        protocol = TrainConfig.paper_protocol()
+        defaults.update({key: getattr(protocol, key) for key in _PAPER_BUDGET})
+    return build_parser(**defaults).parse_args(argv) if defaults else args
+
+
+def _synthesize(args, kind: str):
+    return synthesize_dataset(kind, n=args.n, seed=args.seed, noise=args.noise, feature_signal=args.feature_signal)
 
 
 def _load_graph(args) -> "SparseCountMatrix":
-    g = read_edge_list(args.graph) if args.graph else _resolve_data(args)[0]
-    if getattr(args, "symmetrize", False):
+    g = read_edge_list(args.graph) if args.graph else _synthesize(args, args.synth)[0]
+    if args.symmetrize:
         g = symmetrize(g)
-    if getattr(args, "reverse", False):
+    if args.reverse:
         g = transpose(g)
-    if getattr(args, "selfloops", False):
+    if args.selfloops:
         g = add_self_loops(g)
     return g
 
 
 def _resolve_data(args):
-    if getattr(args, "dataset", None):
-        bundle = load_dataset(resolve_dataset_dir(args.dataset), dedup=getattr(args, "dedup", False))
-        x = bundle.features if bundle.features is not None else uniform_features(bundle.graph.n_rows)
-        print(
-            f"dataset {bundle.name}: nodes={bundle.stats.n_nodes} edges={bundle.stats.n_edges} "
-            f"classes={bundle.stats.n_classes} %no-in={bundle.stats.pct_no_in:.1f} "
-            f"%no-out={bundle.stats.pct_no_out:.1f}"
-        )
-        return bundle.graph, x, bundle.labels
-    graph, x, labels = synthesize_dataset(
-        args.synth, n=args.n, seed=args.seed,
-        noise=getattr(args, "noise", 0.0),
-        feature_signal=getattr(args, "feature_signal", 1.0),
+    if not args.dataset:
+        return _synthesize(args, args.synth)
+    bundle = load_dataset(resolve_dataset_dir(args.dataset), dedup=args.dedup)
+    x = bundle.features if bundle.features is not None else uniform_features(bundle.graph.n_rows)
+    print(
+        f"dataset {bundle.name}: nodes={bundle.stats.n_nodes} edges={bundle.stats.n_edges} "
+        f"classes={bundle.stats.n_classes} %no-in={bundle.stats.pct_no_in:.1f} "
+        f"%no-out={bundle.stats.pct_no_out:.1f}"
     )
-    return graph, x, labels
+    return bundle.graph, x, bundle.labels
+
+
+def _model_spec(args, arch: str, k: int) -> ModelSpec:
+    return ModelSpec(arch=arch, k=k, hidden_width=args.hidden, activation=args.act, norm=args.norm,
+                     propagation=args.prop)
 
 
 def _train_config(args) -> TrainConfig:
-    if getattr(args, "paper_protocol", False):
-        return TrainConfig.paper_protocol(lr=args.lr, l2=args.l2, dropout=args.dropout, seed=args.seed)
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
@@ -150,31 +148,29 @@ def cmd_analyze_loops(args) -> int:
             return 0
         h = prof.longest_path_len
         print(f"acyclic: longest path h={h}")
-        rows, ok_all = [], True
-        for k, dens, nnz in _density_curve(graph, max(args.kmax, h + 1)):
-            consistent = (nnz == 0) == (k > h)
-            ok_all = ok_all and consistent
-            rows.append((k, dens, nnz, consistent))
-            print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} consistent={consistent}")
-        _write_analyze_csv(args.out, rows)
-        print("dag nilpotency check:", "PASS" if ok_all else "FAIL")
-        return 0 if ok_all else 1
-
-    try:
-        report = verify_loop_lemma(graph, args.lemma, args.kmax, m=args.m)
-    except LoopHypothesisError as exc:
-        print(f"hypothesis not satisfied: {exc}")
-        return 0
-    rows = []
-    for check, (k, dens, nnz) in zip(report.checks, _density_curve(graph, args.kmax, report.nnz)):
-        rows.append((k, dens, nnz, check.holds))
-        extra = "" if check.holds else f"  counterexample={check.counterexample}"
-        print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} holds={check.holds}{extra}")
-    _write_analyze_csv(args.out, rows)
-    if report.cycle is not None:
-        print(f"checked against cycle {report.cycle}")
-    print(f"{args.lemma} inclusion (shift +{report.shift}):", "PASS" if report.all_hold else "FAIL")
-    return 0 if report.all_hold else 1
+        curve = _density_curve(graph, max(args.kmax, h + 1))
+        holds = [(nnz == 0) == (k > h) for k, _, nnz in curve]
+        notes = [f"consistent={ok}" for ok in holds]
+        verdict = "dag nilpotency check:"
+    else:
+        try:
+            report = verify_loop_lemma(graph, args.lemma, args.kmax, m=args.m)
+        except LoopHypothesisError as exc:
+            print(f"hypothesis not satisfied: {exc}")
+            return 0
+        curve = _density_curve(graph, args.kmax, report.nnz)
+        holds = [c.holds for c in report.checks]
+        notes = [f"holds={c.holds}" + ("" if c.holds else f"  counterexample={c.counterexample}")
+                 for c in report.checks]
+        cycle = "" if report.cycle is None else f"checked against cycle {report.cycle}\n"
+        verdict = f"{cycle}{args.lemma} inclusion (shift +{report.shift}):"
+    for (k, dens, nnz), note in zip(curve, notes):
+        print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} {note}")
+    if args.out:
+        lines = [f"{k},{fmt_real(dens)},{nnz},{str(bool(ok)).lower()}" for (k, dens, nnz), ok in zip(curve, holds)]
+        _write_lines(args.out, ["k,density,nnz,subset_holds"] + lines)
+    print(verdict, "PASS" if all(holds) else "FAIL")
+    return 0 if all(holds) else 1
 
 
 def _density_curve(graph, kmax: int, nnz=None) -> list[tuple[int, float, int]]:
@@ -196,12 +192,6 @@ def _write_density_csv(out, curve):
     _write_lines(out, ["k,density,nnz"] + [f"{k},{fmt_real(dens)},{nnz}" for k, dens, nnz in curve])
 
 
-def _write_analyze_csv(out, rows):
-    if out:
-        lines = [f"{k},{fmt_real(dens)},{nnz},{str(bool(holds)).lower()}" for k, dens, nnz, holds in rows]
-        _write_lines(out, ["k,density,nnz,subset_holds"] + lines)
-
-
 def cmd_density_curve(args) -> int:
     _print_config(args)
     if args.kmax < 1:
@@ -215,8 +205,6 @@ def cmd_density_curve(args) -> int:
 
 def cmd_normalize(args) -> int:
     _print_config(args)
-    from .normalization import normalize
-
     graph = _load_graph(args)
     w = normalize(graph, args.norm)
     save_matrix_csv(w, args.out)
@@ -228,13 +216,9 @@ def cmd_normalize(args) -> int:
 
 def cmd_synth(args) -> int:
     _print_config(args)
-    graph, x, labels = synthesize_dataset(
-        args.kind, n=args.n, seed=args.seed, noise=args.noise, feature_signal=args.feature_signal
-    )
+    graph, x, labels = _synthesize(args, args.kind)
     features = None if args.kind == "structure_only" else x
     save_dataset(graph, features, labels, args.out)
-    from .datasets import dataset_stats
-
     st = dataset_stats(graph, labels)
     print(f"wrote {args.out}: nodes={st.n_nodes} edges={st.n_edges} classes={st.n_classes} "
           f"%no-in={st.pct_no_in:.1f} %no-out={st.pct_no_out:.1f}")
@@ -244,10 +228,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _print_config(args)
     graph, x, labels = _resolve_data(args)
-    spec = ModelSpec(
-        arch=args.arch, k=args.k, hidden_width=args.hidden,
-        activation=args.act, norm=args.norm, propagation=args.prop,
-    )
+    spec = _model_spec(args, args.arch, args.k)
     cfg = _train_config(args)
     splits = make_splits(
         labels, per_class_train=args.per_class_train, per_class_val=args.per_class_val,
@@ -280,11 +261,7 @@ def cmd_sweep(args) -> int:
     for a in arch_names:
         if a not in ARCHITECTURES:
             raise InputError(f"unknown architecture {a!r} (choices: {', '.join(ARCHITECTURES)})")
-    templates = [
-        ModelSpec(arch=a, k=1, hidden_width=args.hidden, activation=args.act,
-                  norm=args.norm, propagation=args.prop)
-        for a in arch_names
-    ]
+    templates = [_model_spec(args, a, 1) for a in arch_names]
     cfg = _train_config(args)
     rows = run_sweep(templates, range(1, args.kmax + 1), (graph, x, labels), cfg,
                      n_splits=args.splits, per_class_train=args.per_class_train,
@@ -304,30 +281,20 @@ def cmd_gradcheck(args) -> int:
     _print_config(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     n, d, p_edge = 8, 3, 0.3
-    spec = ModelSpec(arch=args.arch, k=args.k, hidden_width=args.hidden,
-                     activation=args.act, norm=args.norm, propagation=args.prop)
-    err = None
+    spec = _model_spec(args, args.arch, args.k)
     for _ in range(25):
         mask = rng.random((n, n)) < p_edge
         np.fill_diagonal(mask, False)
-        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
-        graph = from_edge_list(edges, n)
+        graph = from_edge_list([(int(i), int(j)) for i, j in zip(*np.nonzero(mask))], n)
         x = rng.standard_normal((n, d))
         params = init_params(spec, d, 3, rng)
         # random biases keep empty-aggregation rows away from the ReLU kink
         params = [replace(p, b=0.5 * rng.standard_normal(p.b.shape)) for p in params]
-        if relu_kink_risk(spec, graph, x, params):
-            continue
-        upstream = rng.standard_normal((n, 3))
-        analytic, _ = model_backward(spec, graph, x, params, upstream)
-        numeric = finite_difference_gradients(spec, graph, x, params, upstream, step=1e-4)
-        flat = flat_gradients(analytic)
-        if args.corrupt:
-            flat[0] += 0.1 * max(1.0, np.abs(flat).max())
-        err = max_relative_error(flat, flat_gradients(numeric))
-        break
-    if err is None:
+        if not relu_kink_risk(spec, graph, x, params):
+            break
+    else:
         raise InputError("could not draw a kink-free instance; try another seed")
+    err = gradient_check(spec, graph, x, params, rng.standard_normal((n, 3)))
     print(f"max relative gradient error: {err:.3e} (threshold 1e-4)")
     ok = err < 1e-4
     print("gradcheck:", "PASS" if ok else "FAIL")
@@ -338,13 +305,23 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
+def _add_synth_args(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int, default=300, help="synthetic node count")
+    p.add_argument("--noise", type=float, default=0.0, help="label noise for structure_only, in [0, 1]")
+    p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
+
+
+def _add_transform_args(p: argparse.ArgumentParser):
+    p.add_argument("--selfloops", action="store_true", help="add self-loops first")
+    p.add_argument("--symmetrize", action="store_true", help="symmetrize first")
+    p.add_argument("--reverse", action="store_true", help="transpose the adjacency first")
+
+
 def _add_data_args(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--dataset", help="dataset directory (or name under $HOPSCOPE_DATA_DIR)")
     src.add_argument("--synth", choices=SYNTH_KINDS, help="synthetic dataset kind")
-    p.add_argument("--n", type=int, default=300, help="synthetic node count")
-    p.add_argument("--noise", type=float, default=0.0, help="label noise for structure_only")
-    p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
+    _add_synth_args(p)
     p.add_argument("--dedup", action="store_true", help="deduplicate repeated edges on load")
 
 
@@ -367,13 +344,14 @@ def _add_train_args(p: argparse.ArgumentParser):
     p.add_argument("--early-stop-patience", dest="early_stop_patience", type=int, default=100)
     p.add_argument("--lr-sched-patience", dest="lr_sched_patience", type=int, default=40)
     p.add_argument("--paper-protocol", dest="paper_protocol", action="store_true",
-                   help="use the full 1500-epoch budget with patience 410/80")
+                   help="default to the full 1500-epoch budget with patience 410/80")
     p.add_argument("--splits", type=int, default=10)
     p.add_argument("--per-class-train", dest="per_class_train", type=int, default=20)
     p.add_argument("--per-class-val", dest="per_class_val", type=int, default=30)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(**defaults) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` replace the built-in defaults of every subcommand that has the key."""
     parser = argparse.ArgumentParser(prog="hopscope", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=("self_loop", "two_node", "m_node", "dag"))
     p.add_argument("--m", type=int, default=None, help="cycle length for m_node")
     p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--selfloops", action="store_true", help="add self-loops before checking")
-    p.add_argument("--symmetrize", action="store_true", help="symmetrize before checking")
-    p.add_argument("--reverse", action="store_true", help="transpose the adjacency first")
+    _add_transform_args(p)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_analyze_loops)
 
@@ -393,30 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="edge-list file")
     src.add_argument("--synth", choices=SYNTH_KINDS)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
+    _add_synth_args(p)
     p.add_argument("--kmax", type=int, default=10)
-    p.add_argument("--selfloops", action="store_true")
-    p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--reverse", action="store_true")
+    _add_transform_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_density_curve)
 
     p = sub.add_parser("normalize", help="write a normalized adjacency as CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--norm", required=True, choices=NORM_SCHEMES)
-    p.add_argument("--selfloops", action="store_true")
-    p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--reverse", action="store_true")
+    _add_transform_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("synth", help="write a synthetic dataset directory")
     p.add_argument("--kind", required=True, choices=SYNTH_KINDS)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
+    _add_synth_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -439,21 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
     _add_model_args(p)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
     p.set_defaults(func=cmd_gradcheck)
 
     for p in sub.choices.values():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None)
+        p.set_defaults(**{key: value for key, value in defaults.items() if p.get_default(key) is not None})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        args = _parse(argv)
         if args.seed < 0:
             raise InputError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)

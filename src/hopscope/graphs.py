@@ -55,7 +55,10 @@ _INT64_END = 1 << 63
 
 def _int64_field(values, name: str) -> np.ndarray:
     """A read-only contiguous int64 copy of ``values``; floats must be whole numbers within int64."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged nested list
+        raise InputError(f"{name} must form a regular array: {exc}") from None
     if arr.dtype.kind == "f":
         ok = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)
         if not ok.all():

@@ -192,6 +192,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     return float(np.mean(pred == labels[idx]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(
     spec: ModelSpec,
     graph: SparseCountMatrix | WeightedAdjacency,
@@ -214,7 +215,9 @@ def train_model(
     per-array loop, and a snapshot is ``theta.copy()``.
 
     Divergence (non-finite loss or activations) raises
-    :class:`NumericError` carrying the epoch at which it happened.
+    :class:`NumericError` carrying the epoch at which it happened. numpy's
+    overflow and invalid-value warnings are off: every forward's finite
+    check and the loss check catch each non-finite value they lead to.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels.max()) + 1
@@ -238,6 +241,12 @@ def train_model(
     y_train = labels[split.train]
     evaluated = None  # (logits, caches) of the current params without masks
 
+    def forward(masks):
+        try:
+            return _forward_pass(spec, ahat.csr, x, params, masks, ax=ax)
+        except NumericError as exc:
+            raise NumericError(str(exc), epoch=epoch) from exc
+
     for epoch in range(1, cfg.max_epochs + 1):
         masks = None
         if cfg.dropout > 0.0 and hidden_shapes:
@@ -247,10 +256,7 @@ def train_model(
             ] + [None]  # output layer never masked
         if masks is not None or evaluated is None:
             evaluated = None  # one set of caches alive at a time, as in a lone forward
-            try:
-                evaluated = _forward_pass(spec, ahat.csr, x, params, masks, ax=ax)
-            except NumericError as exc:
-                raise NumericError(str(exc), epoch=epoch) from exc
+            evaluated = forward(masks)
         logits, caches = evaluated
         loss = _cross_entropy(logits[split.train], y_train)
         if cfg.l2 > 0:
@@ -276,7 +282,7 @@ def train_model(
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
 
         evaluated = caches = None
-        evaluated = _forward_pass(spec, ahat.csr, x, params, None, ax=ax)
+        evaluated = forward(None)
         val_acc = _accuracy(evaluated[0], labels, split.val)
         if val_acc > best_val:
             best_val, best_epoch, best_theta = val_acc, epoch, theta.copy()
@@ -452,6 +458,10 @@ def synthesize_dataset(kind: str, n: int, seed: int, noise: float = 0.0, feature
         raise InputError(f"unknown synthetic kind {kind!r}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    if not 0.0 <= noise <= 1.0:
+        raise InputError(f"noise must be in [0, 1], got {noise}")
+    if not np.isfinite(feature_signal):
+        raise InputError(f"feature_signal must be finite, got {feature_signal}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind_keys[kind],)))
     if kind == "structure_only":
         return _synth_structure_only(n, rng, noise)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopscope import cli, models
 from hopscope.cli import main
 from hopscope.errors import InputError
 from hopscope.graphs import read_edge_list
@@ -115,11 +116,21 @@ def test_sweep_deterministic_and_row_count(tmp_path):
     assert len(lines) == 5  # 2 arches x k in {1,2}
 
 
-def test_gradcheck_pass_and_corrupt_negative_control(capsys):
+def test_gradcheck_pass_and_corrupt_negative_control(capsys, monkeypatch):
     assert run_cli("gradcheck", "--arch", "k_layer_gcn", "--k", "3", "--seed", "1") == 0
     assert run_cli("gradcheck", "--arch", "hybrid_power_plus_linear", "--k", "4", "--seed", "2") == 0
-    assert run_cli("gradcheck", "--arch", "k_layer_gcn", "--k", "3", "--seed", "1", "--corrupt") == 1
-    assert run_cli("gradcheck", "--arch", "graphsage", "--k", "2", "--seed", "5", "--corrupt") == 1
+    exact_backward = models.model_backward
+
+    def corrupted_backward(*args, **kwargs):
+        grads, norms = exact_backward(*args, **kwargs)
+        flat = models.flat_gradients(grads)
+        flat[0] += 0.1 * max(1.0, np.abs(flat).max())
+        return models._views(flat, grads), norms
+
+    monkeypatch.setattr(models, "model_backward", corrupted_backward)
+    assert run_cli("gradcheck", "--arch", "k_layer_gcn", "--k", "3", "--seed", "1") == 1
+    assert run_cli("gradcheck", "--arch", "graphsage", "--k", "2", "--seed", "5") == 1
+    assert "gradcheck: FAIL" in capsys.readouterr().out
 
 
 def test_non_integer_node_count_header_exit_2(tmp_path, capsys):
@@ -331,3 +342,110 @@ def test_non_finite_rate_exit_2(tmp_path, capsys, key, value, via_config):
     assert run_cli(*_CHEAP_RUNS["train"], *extra) == 2
     err = capsys.readouterr().err
     assert ("learning rate" if key == "lr" else "l2") in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("flag, value", [("--noise", "-0.1"), ("--noise", "1.5"), ("--noise", "nan"),
+                                         ("--feature-signal", "nan"), ("--feature-signal", "inf"),
+                                         ("--feature-signal", "-inf")])
+def test_bad_synthetic_knob_exit_2(tmp_path, capsys, command, flag, value):
+    argv = ["synth", "--kind", "hybrid", "--out", tmp_path / "ds"] if command == "synth" else _CHEAP_RUNS["train"]
+    assert run_cli(*argv, "--n", "60", f"{flag}={value}") == 2
+    message = "noise must be in [0, 1]" if flag == "--noise" else "feature_signal must be finite"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+# ---------------------------------------------------------------------------
+# precedence: explicit flag > --paper-protocol > --config > built-in default
+
+
+_TINY_TRAIN = ["train", "--synth", "structure_only", "--n", "60", "--arch", "k_layer_gcn", "--splits", "1",
+               "--per-class-train", "3", "--per-class-val", "3"]
+_TINY_BUDGET = ["--max-epochs", "5", "--early-stop-patience", "3", "--lr-sched-patience", "2"]
+
+
+def _printed_config(text: str) -> dict[str, str]:
+    (line,) = [line for line in text.splitlines() if line.startswith("resolved config: ")]
+    return dict(item.split("=", 1) for item in line.removeprefix("resolved config: ").split())
+
+
+def _epochs_run(text: str) -> list[int]:
+    (line,) = [line for line in text.splitlines() if line.startswith("majority baseline")]
+    return [int(e) for e in line.split("epochs_run=[")[1].rstrip("]").split(", ")]
+
+
+@pytest.fixture()
+def run_cfg(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr=0.2\nmax_epochs=21\nearly_stop_patience=11\nseed=3\n", encoding="utf-8")
+    return path
+
+
+def test_abbreviated_flag_beats_config(run_cfg, capsys):
+    assert run_cli(*_TINY_TRAIN, "--config", run_cfg, "--max-ep", "5", "--early-stop-p=3",
+                   "--lr-sched", "2") == 0
+    out = capsys.readouterr().out
+    printed = _printed_config(out)
+    assert (printed["max_epochs"], printed["early_stop_patience"], printed["lr"]) == ("5", "3", "0.2")
+    assert max(_epochs_run(out)) <= 5
+
+
+def test_paper_protocol_yields_to_explicit_budget_flags(capsys):
+    assert run_cli(*_TINY_TRAIN, "--paper-protocol", *_TINY_BUDGET) == 0
+    out = capsys.readouterr().out
+    printed = _printed_config(out)
+    assert [printed[k] for k in ("max_epochs", "early_stop_patience", "lr_sched_patience")] == ["5", "3", "2"]
+    assert max(_epochs_run(out)) <= 5
+
+
+def test_paper_protocol_alone_runs_the_paper_budget(capsys):
+    from hopscope.training import Metrics, TrainConfig, make_splits, synthesize_dataset, train_splits
+    from hopscope.datasets import fmt_real
+
+    assert run_cli(*_TINY_TRAIN, "--paper-protocol") == 0
+    out = capsys.readouterr().out
+    assert "max_epochs=1500" in out and "early_stop_patience=410" in out and "lr_sched_patience=80" in out
+    graph, x, labels = synthesize_dataset("structure_only", n=60, seed=0)
+    splits = make_splits(labels, per_class_train=3, per_class_val=3, n_splits=1, seed=0)
+    runs, _ = train_splits(models.ModelSpec("k_layer_gcn", k=2), graph, x, labels, splits,
+                           TrainConfig.paper_protocol())
+    merged = Metrics.merge(runs)
+    assert f"test accuracy: mean={fmt_real(merged.mean)} std={fmt_real(merged.std)} over 1 runs" in out
+    assert _epochs_run(out) == list(merged.epochs_run)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--config", "CFG"],
+    ["--config", "CFG", "--max-ep", "19", "--seed=8"],
+    ["--paper-protocol"],
+    ["--paper-protocol", "--config", "CFG"],
+    ["--config", "CFG", "--paper", "--max-epochs=900", "--early-stop", "7", "--lr-s", "2", "--lr=0.5"],
+    ["--drop", "0.25", "--l2", "0.001", "--paper-protocol", "--early-stop-patience", "1400"],
+], ids=["defaults", "config", "config-abbrev", "paper", "paper-config", "all-three", "paper-partial"])
+def test_printed_config_is_the_config_that_ran(tmp_path, capsys, monkeypatch, run_cfg, command, extra):
+    ran = []
+    monkeypatch.setattr(cli, "train_splits", lambda *args: ran.append(args[-1]) or ([], []))
+    monkeypatch.setattr(cli, "run_sweep", lambda templates, ks, dataset, cfg, **kw: ran.append(cfg) or [])
+    argv = [str(run_cfg) if a == "CFG" else a for a in extra]
+    if command == "train":
+        run_cli(*_TINY_TRAIN, *argv)
+    else:
+        run_cli("sweep", "--synth", "structure_only", "--n", "60", "--arches", "k_layer_gcn", "--kmax", "1",
+                "--out", tmp_path / "s.csv", *argv)
+    printed = _printed_config(capsys.readouterr().out)
+    (cfg,) = ran
+    assert {k: str(v) for k, v in vars(cfg).items()} == {k: printed[k] for k in vars(cfg)}
+    if "--paper-protocol" in extra or "--paper" in extra:
+        assert cfg.lr_sched_patience == (2 if "--lr-s" in extra else 80)
+
+
+def test_paper_protocol_beats_config(run_cfg, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "train_splits", lambda *args: ran.append(args[-1]) or ([], []))
+    run_cli(*_TINY_TRAIN, "--config", run_cfg, "--paper-protocol")
+    (cfg,) = ran
+    assert (cfg.max_epochs, cfg.early_stop_patience, cfg.lr, cfg.seed) == (1500, 410, 0.2, 3)
+    assert "max_epochs=1500" in capsys.readouterr().out

@@ -177,6 +177,12 @@ def test_from_dense_rejects_non_integers(dense, message):
         from_dense(dense)
 
 
+@pytest.mark.parametrize("dense", [[[1, 2], [3]], [[0, [1]]]])
+def test_from_dense_rejects_a_ragged_list(dense):
+    with pytest.raises(InputError, match="entries must form a regular array"):
+        from_dense(dense)
+
+
 def test_from_dense_accepts_integral_floats_and_leaves_its_input_writable():
     dense = np.array([[0, 2], [1, 0]])
     assert from_dense(dense.astype(float)) == from_dense(dense) == from_edge_list([(0, 1), (0, 1), (1, 0)], 2)

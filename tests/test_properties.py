@@ -47,7 +47,7 @@ from hopscope import (
     transpose,
 )
 from hopscope import cli, datasets, graphs, hops
-from hopscope.models import _reach_adjacency
+from hopscope.models import ACTIVATIONS, PROPAGATIONS, _reach_adjacency
 from hopscope.training import train_splits
 
 
@@ -581,9 +581,8 @@ def test_config_reader_raises_only_input_error(text):
         path.write_bytes(text)
         argv = ["train", "--synth", "structure_only", "--n", "40", "--arch", "k_layer_gcn", "--splits", "1",
                 "--config", str(path)]
-        args = cli.build_parser().parse_args(argv)
         try:
-            cli._apply_config_file(args, argv)
+            args = cli._parse(argv)
             cfg = cli._train_config(args)
         except InputError:
             bad = True
@@ -618,3 +617,69 @@ def test_features_reader_raises_only_dataset_error(text):
         else:
             event("accepted")
             assert bundle.features.shape[0] == 3 and np.isfinite(bundle.features).all()
+
+
+# bounded CLI argv: each subcommand with its required flags (one may be dropped) and a draw of
+# its optional ones, with values that may be out of range, negative or non-finite; a train
+# run stays at n <= 60 and at most 3 epochs. "@" stands for the example's directory.
+_CYCLIC_GRAPH = "%nodes 7\n0\t1\n1\t2\n2\t0\n2\t3\n3\t3\n4\t5\n5\t4\n"
+_SMALL_INT = st.integers(-2, 6).map(str)
+_REAL = st.sampled_from(["0", "0.3", "1", "1.5", "-0.2", "1e-3", "nan", "inf", "-inf"])
+_TRANSFORMS = {"--selfloops": None, "--symmetrize": None, "--reverse": None}
+_MODEL = {"--k": st.integers(0, 3).map(str), "--hidden": st.integers(0, 4).map(str),
+          "--act": st.sampled_from(ACTIVATIONS), "--norm": st.sampled_from(NORM_SCHEMES),
+          "--prop": st.sampled_from(PROPAGATIONS)}
+_SYNTH = {"--n": st.sampled_from(["-5", "0", "49", "50", "60"]), "--noise": _REAL, "--feature-signal": _REAL}
+_ARGV_SHAPES = {  # subcommand -> (required flags, optional flags); None marks a switch
+    "analyze-loops": ({"--graph": st.just("@g.tsv"),
+                       "--lemma": st.sampled_from(["self_loop", "two_node", "m_node", "dag"])},
+                      {"--m": _SMALL_INT, "--kmax": _SMALL_INT, "--out": st.just("@loops.csv"), **_TRANSFORMS}),
+    "density-curve": ({"--out": st.just("@density.csv")},
+                      {"--graph": st.just("@g.tsv"), "--synth": st.sampled_from(cli.SYNTH_KINDS),
+                       "--kmax": _SMALL_INT, **_SYNTH, **_TRANSFORMS}),
+    "normalize": ({"--graph": st.just("@g.tsv"), "--norm": st.sampled_from(NORM_SCHEMES),
+                   "--out": st.just("@w.csv")}, dict(_TRANSFORMS)),
+    "synth": ({"--kind": st.sampled_from(cli.SYNTH_KINDS), "--out": st.just("@ds")}, dict(_SYNTH)),
+    "gradcheck": ({"--arch": st.sampled_from(ARCHITECTURES)}, dict(_MODEL)),
+    "train": ({"--synth": st.sampled_from(cli.SYNTH_KINDS), "--arch": st.sampled_from(ARCHITECTURES)},
+              {**_MODEL, "--noise": _REAL, "--feature-signal": _REAL, "--lr": _REAL, "--l2": _REAL,
+               "--dropout": _REAL, "--splits": st.integers(0, 2).map(str), "--paper-protocol": None,
+               "--dedup": None}),
+}
+_TRAIN_BUDGET = {"--n": st.sampled_from(["50", "60"]), "--max-epochs": st.integers(1, 3).map(str),
+                 "--early-stop-patience": st.integers(0, 1).map(str),
+                 "--lr-sched-patience": st.integers(0, 2).map(str),
+                 "--per-class-train": st.integers(1, 3).map(str), "--per-class-val": st.integers(1, 3).map(str)}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_SHAPES)))
+    required, optional = _ARGV_SHAPES[command]
+    flags = [f for f in required if not draw(st.booleans())] if draw(st.integers(0, 9)) == 0 else list(required)
+    flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=5))
+    if command == "train":  # never dropped, so no run goes past 3 epochs
+        flags += list(_TRAIN_BUDGET)
+    if command == "density-curve" and not {"--graph", "--synth"} & set(flags):
+        flags.append(draw(st.sampled_from(["--graph", "--synth"])))
+    argv = [command]
+    for flag in flags:
+        values = {**required, **optional, **_TRAIN_BUDGET}[flag]
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--seed=-1", "--seed=3", "--frobnicate", "stray"])))
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=150, deadline=None)
+def test_cli_argv_ends_in_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "g.tsv").write_text(_CYCLIC_GRAPH, encoding="utf-8")
+        try:
+            code = _quiet_main([a.replace("@", f"{tmp}/") for a in argv])
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == 2
+            code = "argparse"
+    assert code in (0, 1, 2, "argparse")
+    event(f"{argv[0]} exit {code}")

@@ -196,6 +196,16 @@ def test_train_splits_seed_rule_and_failures(tiny_structure_ds):
     assert [(si, type(exc)) for si, exc in failed] == [(0, NumericError), (1, NumericError)]
 
 
+def test_diverging_run_names_its_epoch_and_fails_as_a_split():
+    # lr=1e120 overflows the update's matmuls; pytest turns numpy's RuntimeWarning into an error
+    graph, x, labels = synthesize_dataset("structure_only", n=400, seed=0)
+    spec = ModelSpec(arch="k_layer_gcn", k=3, activation="identity", norm="none", propagation="bidirectional")
+    runs, failed = train_splits(spec, graph, x, labels, make_splits(labels, n_splits=2, seed=0), TrainConfig(lr=1e120))
+    assert runs == []
+    assert [(si, type(exc), exc.epoch) for si, exc in failed] == [(0, NumericError, 1), (1, NumericError, 1)]
+    assert "non-finite values in layer 2 output" in str(failed[0][1])
+
+
 def test_contract_errors_are_not_split_failures(tiny_structure_ds):
     graph, x, labels = tiny_structure_ds
     splits = make_splits(labels, n_splits=2, seed=3)
@@ -354,6 +364,18 @@ def test_synthesize_deterministic(kind):
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
+
+
+@pytest.mark.parametrize("kind", ["structure_only", "hybrid"])
+@pytest.mark.parametrize("knob, value, message", [
+    ("noise", -0.1, "noise must be in"), ("noise", 1.5, "noise must be in"), ("noise", np.nan, "noise must be in"),
+    ("feature_signal", np.nan, "feature_signal must be finite"),
+    ("feature_signal", np.inf, "feature_signal must be finite"),
+    ("feature_signal", -np.inf, "feature_signal must be finite"),
+])
+def test_synthesize_rejects_bad_noise_and_feature_signal(kind, knob, value, message):
+    with pytest.raises(InputError, match=message):
+        synthesize_dataset(kind, n=60, seed=0, **{knob: value})
 
 
 def test_synthesize_rejects_small_n():

@@ -11,9 +11,12 @@ Outputs covered: the CLI command sequence of the c11 determinism check
 ``--symmetrize`` graph, ``analyze-loops`` for the four lemmas, a short
 sweep of the two power architectures (past the first overflowing k) and a
 short deep ``train``, each through the CLI and, with exact float reprs,
-through the library, and the library's ``normalize`` of large exact walk
-counts. Uses only the standard library and hopscope; BLAS is
-pinned to one thread before numpy loads. Runs in about 10 s on 2 cores.
+through the library, a short ``train`` that takes its settings from a
+``--config`` file, an abbreviated flag and ``--paper-protocol`` with
+explicit budget flags (its resolved config pins their precedence), and the
+library's ``normalize`` of large exact walk counts. Uses only the standard
+library and hopscope; BLAS is pinned to one thread before numpy loads.
+Runs in about 4 s on 2 cores.
 """
 
 import os
@@ -94,6 +97,12 @@ def main() -> int:
                                 "--norm", "row", "--prop", "reverse", *TRAIN_ARGS, "--out", "sweep.csv",
                                 "--density-out", "sweep_density.csv"], ["sweep.csv", "sweep_density.csv"])
         _cli(cli, "c11 gradcheck", ["gradcheck", "--arch", "graphsage", "--k", "2", "--seed", "5"])
+
+        Path("run.cfg").write_text("lr=0.05\nhidden=8\nmax_epochs=21\n", encoding="utf-8")
+        _cli(cli, "train precedence", ["train", "--dataset", "ds", "--arch", "k_layer_gcn", "--norm", "row",
+                                       "--prop", "reverse", "--splits", "2", "--seed", "5", "--config", "run.cfg",
+                                       "--paper-protocol", "--max-ep", "25", "--early-stop-patience", "15",
+                                       "--lr-sched", "10", "--out", "precedence.csv"], ["precedence.csv"])
 
         for scheme in ("none", "row", "sym", "dir"):
             for flag in ("", "--selfloops", "--symmetrize"):
