@@ -102,7 +102,8 @@ def _synthesize(args, kind: str):
 
 
 def _load_graph(args) -> "SparseCountMatrix":
-    g = read_edge_list(args.graph) if args.graph else _synthesize(args, args.synth)[0]
+    # a synthetic graph is drawn before its labels and features: --n and --seed fix it
+    g = read_edge_list(args.graph) if args.graph else synthesize_dataset(args.synth, n=args.n, seed=args.seed)[0]
     if args.symmetrize:
         g = symmetrize(g)
     if args.reverse:
@@ -305,10 +306,12 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_synth_args(p: argparse.ArgumentParser):
+def _add_synth_args(p: argparse.ArgumentParser, graph_only: bool = False):
+    """``--n``, and unless ``graph_only`` the label and feature settings, which leave the graph as it is."""
     p.add_argument("--n", type=int, default=300, help="synthetic node count")
-    p.add_argument("--noise", type=float, default=0.0, help="label noise for structure_only, in [0, 1]")
-    p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
+    if not graph_only:
+        p.add_argument("--noise", type=float, default=0.0, help="label noise for structure_only, in [0, 1]")
+        p.add_argument("--feature-signal", dest="feature_signal", type=float, default=1.0)
 
 
 def _add_transform_args(p: argparse.ArgumentParser):
@@ -369,7 +372,7 @@ def build_parser(**defaults) -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="edge-list file")
     src.add_argument("--synth", choices=SYNTH_KINDS)
-    _add_synth_args(p)
+    _add_synth_args(p, graph_only=True)
     p.add_argument("--kmax", type=int, default=10)
     _add_transform_args(p)
     p.add_argument("--out", required=True)

@@ -10,12 +10,19 @@ overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
 product per step: :func:`count_ladder` for counts and
 :func:`power_ladder` for patterns; every sweep over k reads one.
 
-The count ladder carries each rung in the smaller of two forms. A rung
-with ``3 * nnz >= 2 * n^2`` is a dense int64 array (8 bytes a cell is
-then no more than CSR's 12 an entry), and the sparse base advances it
-with one sparse-times-dense product: no nnz pass, no index sort. Any
-other rung stays canonical CSR. The form is chosen anew at every rung,
-and a rung becomes a :class:`SparseCountMatrix` only where it is read.
+A caller that only normalizes ``A^k`` reads :func:`float_powers`, the
+same walk in float64. Every term of its products is non-negative, so an
+entry is ``float(exact count)`` while the count is at most 2**53, close
+to it beyond, and infinite only past float64 range; the support is exact.
+
+The count and float ladders share one walker, :func:`_rungs`, which
+carries each rung in the smaller of two forms. A rung with
+``3 * nnz >= 2 * n^2`` is a dense array (8 bytes a cell is then no more
+than CSR's 12 an entry), and the sparse base advances it with one
+sparse-times-dense product: no nnz pass, no index sort. A sparse rung
+whose product is sure to pass that line takes the same route. Any other
+rung stays canonical CSR. The form is chosen anew at every rung, and a
+rung becomes a matrix only where it is read.
 
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
@@ -47,6 +54,8 @@ __all__ = [
     "support_of",
     "mat_power_count",
     "count_ladder",
+    "FloatCountMatrix",
+    "float_powers",
     "mat_power_support",
     "power_ladder",
     "support_subset",
@@ -192,39 +201,60 @@ def _count_matmul(x: sp.csr_matrix, y):
     return _canonical(out, np.int64) if sp.issparse(out) else out
 
 
+def _float_matmul(x: sp.csr_matrix, y):
+    """Float64 product of CSR ``x`` and CSR or dense ``y``: the step of :func:`float_powers`."""
+    return x @ y
+
+
 def _rung_form(m):
-    """``m`` as a dense int64 array if ``3 * nnz >= 2 * n^2``, else as canonical CSR.
+    """``m`` as a dense array if ``3 * nnz >= 2 * n^2``, else as canonical CSR of its dtype.
 
     Past that line 8 bytes per cell of dense storage are no more than
-    CSR's 12 per entry (int64 value, int32 index).
+    CSR's 12 per entry (8-byte value, int32 index).
     """
     cells = m.shape[0] * m.shape[1]
     if sp.issparse(m):
-        return m.toarray() if cells and 3 * m.nnz >= 2 * cells else m
-    return m if 3 * np.count_nonzero(m) >= 2 * cells else _canonical(m, np.int64)
+        return m.toarray() if cells and 3 * m.nnz >= 2 * cells else _canonical(m, m.dtype)
+    return m if 3 * np.count_nonzero(m) >= 2 * cells else _canonical(m, m.dtype)
 
 
-def _count_rungs(a: SparseCountMatrix) -> Iterator:
-    """Yield the exact ``A^1, A^2, ...`` unconverted, each in its :func:`_rung_form`.
+def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
+    """A one-pass lower bound on ``nnz(base @ cur)`` for positive canonical operands.
 
-    The sparse base multiplies from the left, so a dense rung advances
-    with one sparse-times-dense product.
+    No term can cancel, so row i of the product holds at least the
+    entries of the fullest row of ``cur`` among i's out-neighbours.
     """
-    if not a.is_square:
+    picked = np.diff(cur.indptr)[base.indices]
+    starts = base.indptr[:-1][np.diff(base.indptr) > 0]
+    return int(np.maximum.reduceat(picked, starts).sum()) if picked.size else 0
+
+
+def _rungs(base: sp.csr_matrix, product) -> Iterator:
+    """Yield ``B^1, B^2, ...`` of the positive CSR ``base`` unconverted, each in its :func:`_rung_form`.
+
+    ``product(base, rung)`` makes the next rung; the sparse base multiplies
+    from the left, so a dense rung advances with one sparse-times-dense
+    product. A sparse rung goes dense before its product when
+    :func:`_product_nnz_floor` already passes the dense line, so a product
+    that is sure to be dense never builds and sorts a CSR first.
+    """
+    if base.shape[0] != base.shape[1]:
         raise InputError("matrix power requires a square matrix")
-    base = a.csr
+    cells = base.shape[0] * base.shape[1]
     cur = _rung_form(base)
     while True:
         yield cur
-        cur = _rung_form(_count_matmul(base, cur))
+        if sp.issparse(cur) and cells and 3 * _product_nnz_floor(base, cur) >= 2 * cells:
+            cur = cur.toarray()
+        cur = _rung_form(product(base, cur))
 
 
-def _count_powers(a: SparseCountMatrix, ks) -> Iterator[SparseCountMatrix]:
-    """Yield ``A^k`` for each k of the ascending ``ks`` (all >= 1) off one
-    walk of :func:`_count_rungs`; only those rungs become matrices."""
-    rungs = enumerate(_count_rungs(a), start=1)
+def _powers(rungs: Iterator, ks, cls) -> Iterator:
+    """Yield rung k of ``rungs`` as a ``cls`` for each k of the ascending ``ks`` (all >= 1);
+    only those rungs are converted."""
+    rungs = enumerate(rungs, start=1)
     for k in ks:
-        yield next(SparseCountMatrix._of(r) for j, r in rungs if j == k)
+        yield next(cls._of(r) for j, r in rungs if j == k)
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -234,7 +264,33 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     ladder, and ``A^K`` costs ``K - 1`` products. Advancing to the first
     rung with an entry outside int64 raises :class:`CountOverflowError`.
     """
-    return _count_powers(a, count(1))
+    return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix)
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class FloatCountMatrix(_CSRWrapper):
+    """Walk counts rounded to float64, as :func:`float_powers` yields them.
+
+    ``csr`` is canonical with positive values, so its pattern is the
+    support of the exact power; an entry past float64 range is ``inf``.
+    """
+
+    csr: sp.csr_matrix
+    _dtype = np.float64
+
+
+def float_powers(a: SparseCountMatrix, ks) -> Iterator[FloatCountMatrix]:
+    """Yield ``A^k`` in float64 for each k of the ascending ``ks`` (all >= 1) off one ladder.
+
+    For callers that need a normalized real matrix, not exact counts; it
+    never raises for size. Every term of every product is non-negative, so
+    an entry equals ``float(exact)`` while the count is at most 2**53, is
+    off by at most about ``n * 2**-53`` relative per product beyond, and
+    is ``inf`` only past float64 range; a zero stays zero and a count stays
+    non-zero. ``A^K`` costs ``K - 1`` products, and only the rungs in
+    ``ks`` are converted.
+    """
+    return _powers(_rungs(a.csr.astype(np.float64), _float_matmul), ks, FloatCountMatrix)
 
 
 def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
@@ -245,7 +301,7 @@ def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
         raise InputError("power must be non-negative")
     if k == 0:
         return SparseCountMatrix._of(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
-    return next(_count_powers(a, [k]))
+    return next(_powers(_rungs(a.csr, _count_matmul), [k], SparseCountMatrix))
 
 
 def density(x: _CSRWrapper) -> float:

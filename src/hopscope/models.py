@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, add_self_loops, degrees, symmetrize, transpose
-from .hops import mat_power_count
+from .hops import density, float_powers
 from .normalization import NORM_SCHEMES, WeightedAdjacency, normalize
 
 __all__ = [
@@ -228,17 +228,39 @@ def _reach_adjacency(spec: ModelSpec, a: SparseCountMatrix) -> SparseCountMatrix
     return p
 
 
+def _power_aggregations(reach: SparseCountMatrix, ks: list[int], norm: str):
+    """Yield ``(density, Â)`` of ``A^k`` for each k of the ascending ``ks``, off one float64 ladder.
+
+    Â is ``normalize`` of the float rung, and the density is the rung's
+    own, as its support is exact. The first rung whose degree sums are not
+    finite raises :class:`NumericError` naming k, and ends the ladder.
+    """
+    rungs = float_powers(reach, ks)
+    for k in ks:
+        rung = next(rungs)
+        if k == ks[-1]:
+            rungs = None  # no ladder stays alive while the last cell trains
+        try:
+            ahat = normalize(rung, norm)
+        except NumericError as exc:
+            raise NumericError(f"A^{k} leaves float64 range: {exc}") from None
+        dens, rung = density(rung), None
+        yield dens, ahat
+
+
 def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacency:
     """The single Â a model uses, built once from the raw adjacency.
 
     Order: propagation transform, optional self-loops, optional k-th
-    power (for the power architectures), then normalization using the
-    degrees of whatever matrix came out of the structural steps.
+    power (for the power architectures, in float64), then normalization
+    using the degrees of whatever matrix came out of the structural steps.
+    A power past float64 range raises :class:`NumericError`.
     """
     p = _reach_adjacency(spec, a)
-    if spec.arch in _POWER_ARCHES:
-        p = mat_power_count(p, spec.k)
-    return normalize(p, spec.norm)
+    if spec.arch not in _POWER_ARCHES:
+        return normalize(p, spec.norm)
+    ((_, ahat),) = _power_aggregations(p, [spec.k], spec.norm)
+    return ahat
 
 
 def _layer_dims(spec: ModelSpec, in_dim: int, n_classes: int) -> list[tuple[int, int]]:

@@ -6,10 +6,13 @@ row and column sums): ``none`` is ``A``, ``row`` is ``D_out^-1 A`` (mean
 aggregation), ``sym`` is ``D_out^-½ A D_out^-½`` and ``dir`` is
 ``D_in^-½ A D_out^-½``. A zero degree inverts to 0, not infinity: nodes
 with nothing to aggregate get a zero row, and the result says how many.
+The matrix is a count matrix or a float64 power off
+:func:`hopscope.hops.float_powers`; degree sums that are not finite
+raise :class:`~hopscope.errors.NumericError`.
 
 The result is a :class:`WeightedAdjacency`, the float64 member of the
 one CSR idiom of :mod:`hopscope.graphs`: its ``csr`` reuses the read-only
-index arrays of the count matrix with new values, so an entry that a zero
+index arrays of the source matrix with new values, so an entry that a zero
 degree wiped stays as an explicit zero.
 """
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
+from .hops import FloatCountMatrix
 
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "normalize", "gcn_canonical"]
 
@@ -48,24 +52,29 @@ def _inverse(x: np.ndarray, root: bool) -> np.ndarray:
     return np.divide(1.0, np.sqrt(x) if root else x, out=np.zeros(len(x)), where=x > 0)
 
 
-def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
-    """Apply one of the four schemes to a count matrix: ``D_l · A · D_r``.
+@np.errstate(over="ignore")  # a degree sum past float64 range is caught below
+def normalize(a: SparseCountMatrix | FloatCountMatrix, scheme: str) -> WeightedAdjacency:
+    """Apply one of the four schemes to a walk-count matrix: ``D_l · A · D_r``.
 
     Rows of the ``row`` result sum to 1 wherever the source row is
     non-empty. Zero-degree factors are defined as 0, so isolated or
-    source-less nodes simply aggregate nothing.
+    source-less nodes simply aggregate nothing. An out- or in-degree that
+    is not finite (an infinite entry, or a sum past float64 range) raises
+    :class:`NumericError` for every scheme.
     """
     if scheme not in NORM_SCHEMES:
         raise InputError(f"unknown normalization scheme {scheme!r}")
     if not a.is_square:
         raise InputError("normalize requires a square matrix")
     m, n = a.csr, a.n_rows
-    counts = m.data.astype(np.float64)
+    counts = m.data.astype(np.float64, copy=False)
     sizes = np.diff(m.indptr)
     rows = np.repeat(np.arange(n), sizes)
     # rows sum pairwise, as scipy's sum(axis=1) does: past 2**53 a sequential bincount rounds differently
     out_deg, in_deg = np.zeros(n), np.bincount(m.indices, weights=counts, minlength=n)
     out_deg[sizes > 0] = np.add.reduceat(counts, m.indptr[:-1][sizes > 0])
+    if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):
+        raise NumericError("degree sums are not finite")
     d_l = d_r = np.ones(n)
     if scheme == "row":
         d_l = _inverse(out_deg, root=False)

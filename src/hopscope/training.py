@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
-from .hops import _count_powers, density, power_ladder
+from .hops import density, power_ladder
 from .models import (
     _POWER_ARCHES,
     ModelSpec,
@@ -28,6 +28,7 @@ from .models import (
     _features,
     _forward_pass,
     _packed,
+    _power_aggregations,
     _reach_adjacency,
     _resolve_ahat,
     _views,
@@ -314,8 +315,9 @@ def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
 
     The aggregation is built once and shared by every split. Returns
     ``(runs, failed)``: the finished runs' Metrics, and a ``(split index,
-    error)`` pair for each run that raised :class:`NumericError` or
-    :class:`CountOverflowError`; when the aggregation itself overflows,
+    error)`` pair for each run that raised :class:`NumericError`. When the
+    aggregation itself fails (a power past float64 range, or a
+    :class:`CountOverflowError` from symmetrizing or adding self-loops),
     every split fails with that error. :class:`InputError` propagates.
     """
     runs, failed = [], []
@@ -327,7 +329,7 @@ def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
         run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
         try:
             runs.append(train_model(spec, ahat, x, labels, split, replace(cfg, seed=run_seed)))
-        except (NumericError, CountOverflowError) as exc:
+        except NumericError as exc:
             failed.append((si, exc))
     return runs, failed
 
@@ -351,24 +353,21 @@ class SweepRow:
 def _sweep_aggregations(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]):
     """Yield ``(k, density, Â)`` for each k of the ascending ``ks``.
 
-    A power template walks one exact count ladder and converts only the
-    rungs in ``ks``: rung k is ``A^k``, and as its counts are positive its
-    nnz is that of ``support(A^k)``. From the first rung that leaves int64
-    on, Â is that :class:`CountOverflowError`. A depth template's Â does
-    not depend on k. Those two read their densities off the boolean ladder.
+    A power template walks one float64 ladder and converts only the rungs
+    in ``ks``: Â is the normalized rung k and the density is that rung's.
+    From the first rung that leaves float64 range on, Â is that
+    :class:`NumericError`. A depth template's Â does not depend on k.
+    Those two read their densities off the boolean ladder.
     """
     reach = _reach_adjacency(template, graph)
     if template.arch in _POWER_ARCHES:
-        powers = _count_powers(reach, ks)
+        cells = _power_aggregations(reach, ks, template.norm)
         for i, k in enumerate(ks):
             try:
-                rung = next(powers)
-            except CountOverflowError as exc:
+                dens, ahat = next(cells)
+            except NumericError as exc:
                 ks, ahat = ks[i:], exc
                 break
-            if k == ks[-1]:
-                powers = None  # no ladder stays alive while the last cell trains
-            ahat, dens, rung = normalize(rung, template.norm), density(rung), None
             yield k, dens, ahat
         else:
             return
@@ -391,11 +390,11 @@ def run_sweep(
     """Train every (architecture, k) cell over shared splits.
 
     Rows come out in deterministic (arch order, ascending k) order; a run
-    that diverges or overflows is counted in ``failures`` instead of
-    aborting the sweep, while an :class:`InputError` aborts it. A power
-    template walks one exact count ladder up to the largest k and each
-    cell trains on its normalized rung; when ``A^j`` leaves int64, every
-    cell from k = j on fails on all splits with that error. A depth
+    that diverges is counted in ``failures`` instead of aborting the
+    sweep, while an :class:`InputError` aborts it. A power template walks
+    one float64 ladder up to the largest k and each cell trains on its
+    normalized rung; when ``A^j`` leaves float64 range, every cell from
+    k = j on fails on all splits with that :class:`NumericError`. A depth
     template builds its Â once.
     """
     graph, x, labels = dataset
@@ -412,7 +411,7 @@ def run_sweep(
     for template in arches:
         for k, dens, ahat in _sweep_aggregations(template, graph, ks):
             spec = replace(template, k=k)
-            if isinstance(ahat, CountOverflowError):
+            if isinstance(ahat, NumericError):
                 runs, failed = [], [(si, ahat) for si in range(len(splits))]
             else:
                 runs, failed = train_splits(spec, ahat, x, labels, splits, cfg)

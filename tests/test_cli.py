@@ -78,6 +78,15 @@ def test_density_curve_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--noise=0.5", "--feature-signal=5"])
+def test_density_curve_has_no_label_or_feature_flags(tmp_path, capsys, flag):
+    # the graph is drawn before the labels and features, so these could not change the curve
+    with pytest.raises(SystemExit) as exc:
+        run_cli("density-curve", "--synth", "structure_only", "--n", "120", flag, "--out", tmp_path / "d.csv")
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_normalize_writes_matrix(looped_graph_file, tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert run_cli("normalize", "--graph", looped_graph_file, "--norm", "row", "--out", out) == 0

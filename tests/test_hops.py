@@ -314,35 +314,53 @@ def test_sweep_densities_walk_one_ladder_per_template(products):
 
 def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
     counted = []
-    real = hops._count_matmul
-    monkeypatch.setattr(hops, "_count_matmul", lambda x, y: counted.append(1) or real(x, y))
+    real = hops._float_matmul
+    monkeypatch.setattr(hops, "_float_matmul", lambda x, y: counted.append(1) or real(x, y))
+    monkeypatch.setattr(hops, "_count_matmul", lambda x, y: pytest.fail("a power sweep made an exact product"))
     data = synthesize_dataset("structure_only", n=60, seed=1)
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
     rows = run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
                      n_splits=1, per_class_train=2, per_class_val=2)
-    # rungs 1..5 of one ladder feed both cells' aggregations and densities
+    monkeypatch.undo()
+    # rungs 1..5 of one ladder of walk counts, in float64, feed both cells' aggregations and densities
     assert (len(counted), len(products)) == (4, 0)
     assert [r.density for r in rows] == [density(support_of(mat_power_count(data[0], k))) for k in (2, 5)]
 
 
 def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
-    converted = []
+    converted, exact = [], []
     data = synthesize_dataset("structure_only", n=60, seed=1)
-    real = SparseCountMatrix._of
-    monkeypatch.setattr(SparseCountMatrix, "_of", lambda r: converted.append(real(r)) or converted[-1])
+    real = hops.FloatCountMatrix._of
+    monkeypatch.setattr(hops.FloatCountMatrix, "_of", lambda r: converted.append(real(r)) or converted[-1])
+    monkeypatch.setattr(SparseCountMatrix, "_of", lambda r: exact.append(r))
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
     run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
               n_splits=1, per_class_train=2, per_class_val=2)
-    got = list(converted)  # mat_power_count below converts through the patch too
-    assert got == [mat_power_count(data[0], 2), mat_power_count(data[0], 5)]
+    monkeypatch.undo()
+    assert exact == []
+    assert converted == list(hops.float_powers(data[0], [2, 5]))
+    for rung, k in zip(converted, (2, 5)):
+        assert np.array_equal(rung.to_dense(), mat_power_count(data[0], k).to_dense().astype(np.float64))
 
 
-def test_structure_only_ladder_is_dense_from_rung_two():
+def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
     graph, _, _ = synthesize_dataset("structure_only", n=400, seed=5)
-    spec = ModelSpec(arch="one_layer_power_k", k=1, propagation="bidirectional")
-    rungs = list(islice(hops._count_rungs(_reach_adjacency(spec, graph)), 4))
-    assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
-    assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in rungs[1:])
+    reach = _reach_adjacency(ModelSpec(arch="one_layer_power_k", k=1, propagation="bidirectional"), graph)
+    # the nnz floor of A @ A already passes the dense line: 159,600 of 160,000 cells against 106,667
+    assert hops._product_nnz_floor(reach.csr, reach.csr) == 159_600
+    operands = []
+    for dtype, name, ladder in ((np.int64, "_count_matmul", lambda: mat_power_count(reach, 2)),
+                                (np.float64, "_float_matmul", lambda: next(hops.float_powers(reach, [2])))):
+        real = getattr(hops, name)
+        monkeypatch.setattr(hops, name, lambda x, y, real=real: operands.append(y) or real(x, y))
+        rungs = list(islice(hops._rungs(reach.csr.astype(dtype), getattr(hops, name)), 4))
+        assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
+        assert all(isinstance(r, np.ndarray) and r.dtype == dtype for r in rungs[1:])
+        # rung 2 too is one sparse-times-dense product, also through the public ladders:
+        # no sparse-times-sparse product is built and sorted first
+        ladder()
+        assert len(operands) == 4 and all(isinstance(y, np.ndarray) for y in operands)
+        operands.clear()
 
 
 def test_binomial_check_reads_one_count_ladder(monkeypatch):

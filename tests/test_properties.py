@@ -22,6 +22,7 @@ from hopscope import (
     InputError,
     Metrics,
     ModelSpec,
+    NumericError,
     SparseCountMatrix,
     SupportPattern,
     SweepRow,
@@ -47,7 +48,7 @@ from hopscope import (
     transpose,
 )
 from hopscope import cli, datasets, graphs, hops
-from hopscope.models import ACTIVATIONS, PROPAGATIONS, _reach_adjacency
+from hopscope.models import ACTIVATIONS, PROPAGATIONS, _reach_adjacency, build_aggregation
 from hopscope.training import train_splits
 
 
@@ -185,19 +186,19 @@ def _overflow_message(exact):
 
 
 @st.composite
-def multigraphs(draw, max_nodes=6):
-    """Small digraphs whose multiplicities are small or huge, so some powers leave int64."""
+def multigraphs(draw, max_nodes=6, huge=(2**20, 2**40)):
+    """Small digraphs whose multiplicities are small or ``huge``, so some powers leave int64."""
     n = draw(st.integers(1, max_nodes))
-    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(2**20, 2**40))
+    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(*huge))
     dense = np.array(draw(st.lists(mult, min_size=n * n, max_size=n * n)), dtype=np.int64)
     return from_dense(dense.reshape(n, n))
 
 
 @st.composite
-def counts_with_empty_lines(draw, max_nodes=7):
-    """Counts up to 2**40 with some all-zero rows and columns."""
+def counts_with_empty_lines(draw, max_nodes=7, top=2**40):
+    """Counts up to ``top`` with some all-zero rows and columns."""
     n = draw(st.integers(1, max_nodes))
-    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2**40))
+    mult = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(1, top))
     dense = np.array(draw(st.lists(mult, min_size=n * n, max_size=n * n)), dtype=np.int64).reshape(n, n)
     dense[draw(st.lists(st.integers(0, n - 1), max_size=2)), :] = 0
     dense[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0
@@ -228,7 +229,7 @@ def test_normalize_is_the_dense_diagonal_rescaling(a, scheme):
 @given(multigraphs(), st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
 def test_count_ladder_rungs_are_exact_powers(a, k_max):
-    ladder, raw = count_ladder(a), hops._count_rungs(a)
+    ladder, raw = count_ladder(a), hops._rungs(a.csr, hops._count_matmul)
     for k in range(1, k_max + 1):
         exact = _exact_power(a, k)
         msg = _overflow_message(exact)
@@ -244,6 +245,74 @@ def test_count_ladder_rungs_are_exact_powers(a, k_max):
         form = next(raw)
         assert isinstance(form, np.ndarray) == (3 * rung.nnz >= 2 * a.n_rows**2)
         event(f"rung form: {type(form).__name__}")
+
+
+# multiplicities up to 2**31 put many rungs between 2**53 and int64
+@given(st.one_of(multigraphs(), multigraphs(huge=(2**10, 2**31))), st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_float_ladder_is_the_count_ladder_in_float64(a, k_max):
+    exact_ladder = count_ladder(a)
+    for k, rung in zip(range(1, k_max + 1), hops.float_powers(a, range(1, k_max + 1))):
+        exact = _exact_power(a, k)
+        top = max(exact.max(), 0)
+        # the support is exact at every size, and the rung canonical
+        assert np.array_equal(rung.to_dense() != 0, exact != 0)
+        assert rung.csr.has_canonical_format and np.all(rung.values > 0)
+        if top <= _INT64_MAX:
+            counts = next(exact_ladder)
+            assert np.array_equal(rung.csr.indptr, counts.csr.indptr)
+            assert np.array_equal(rung.csr.indices, counts.csr.indices)
+        if top <= 2**53:
+            event("counts within 2**53: bit-equal")
+            assert np.array_equal(rung.to_dense(), exact.astype(np.float64))
+        else:
+            event("within int64" if top <= _INT64_MAX else "past int64")
+            np.testing.assert_allclose(rung.to_dense(), exact.astype(np.float64), rtol=1e-12, atol=0)
+
+
+def _powers_near_int64(k):
+    """Counts whose k-th powers often land between 2**53 and int64."""
+    return st.tuples(counts_with_empty_lines(top=2 ** (56 // k)), st.just(k))
+
+
+@given(st.one_of(st.tuples(counts_with_empty_lines(), st.integers(1, 4)),
+                 st.integers(1, 4).flatmap(_powers_near_int64)),
+       st.sampled_from(NORM_SCHEMES), st.sampled_from(["one_layer_power_k", "hybrid_power_plus_linear"]))
+@settings(max_examples=200, deadline=None)
+def test_power_aggregation_is_the_normalized_exact_power(a_k, scheme, arch):
+    a, k = a_k
+    got = build_aggregation(ModelSpec(arch=arch, k=k, norm=scheme, propagation="forward"), a)
+    exact = _exact_power(a, k)
+    top = max(exact.max(), 0)
+    if top > _INT64_MAX:
+        event("past int64")
+        return
+    want = normalize(mat_power_count(a, k), scheme)
+    assert got.zero_row_count == want.zero_row_count
+    assert np.array_equal(got.csr.indptr, want.csr.indptr) and np.array_equal(got.csr.indices, want.csr.indices)
+    if top <= 2**53:
+        event("counts within 2**53: bit-equal")
+        assert np.array_equal(got.values, want.values)
+    else:
+        event("within int64")
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
+
+
+def test_float_ladder_past_float64_range():
+    # a complete digraph with loops on 4 nodes and every edge 2**30 times: each entry of A^k is 2**(32 k - 2)
+    a = from_dense(np.full((4, 4), 2**30, dtype=np.int64))
+    ks = [31, 32, 33]  # row sums 2**992 fit; at k = 32 the entries fit and their row sums 2**1024 do not
+    rungs = list(hops.float_powers(a, ks))
+    assert [float(r.values.max()) for r in rungs] == [2.0**990, 2.0**1022, np.inf]
+    assert all(r.nnz == 16 for r in rungs)
+    for scheme in NORM_SCHEMES:
+        assert normalize(rungs[0], scheme).values.size == 16
+        for rung in rungs[1:]:
+            with pytest.raises(NumericError, match="degree sums are not finite"):
+                normalize(rung, scheme)
+        for arch in ("one_layer_power_k", "hybrid_power_plus_linear"):
+            with pytest.raises(NumericError, match=r"^A\^32 leaves float64 range"):
+                build_aggregation(ModelSpec(arch=arch, k=32, norm=scheme), a)
 
 
 def _block_and_pair(mult):
@@ -262,7 +331,7 @@ def _block_and_pair(mult):
 def test_count_ladder_switches_form_both_ways(mult, first_overflow):
     # 20^15 leaves int64 at k = 16 from a CSR rung; 2^13 * 20^12 at k = 13 from a dense one
     a = _block_and_pair(mult)
-    ladder, raw = count_ladder(a), hops._count_rungs(a)
+    ladder, raw = count_ladder(a), hops._rungs(a.csr, hops._count_matmul)
     for k in range(1, first_overflow):
         exact = _exact_power(a, k)
         rung, form = next(ladder), next(raw)
@@ -365,7 +434,7 @@ def _per_cell_rows(templates, ks, dataset, cfg, **split_kw):
 
 
 def _heavy_multigraph():
-    # every edge of the hybrid digraph repeated 2**20 times: A^3 leaves int64
+    # every edge of the hybrid digraph repeated 2**20 times: A^3 leaves int64, reversed A^48 float64 range
     graph, x, labels = synthesize_dataset("hybrid", n=200, seed=2)
     heavy = SparseCountMatrix(graph.n_rows, graph.n_cols, graph.row_offsets, graph.col_indices,
                               graph.values * 2**20)
@@ -382,14 +451,15 @@ def test_sweep_rows_equal_the_per_cell_route(dataset, propagation, norm):
     templates = [ModelSpec(arch=a, k=1, hidden_width=4, norm=norm, propagation=propagation)
                  for a in ARCHITECTURES]
     cfg = TrainConfig(lr=0.05, dropout=0.2, max_epochs=4, early_stop_patience=2, lr_sched_patience=1, seed=3)
-    ks = [4, 1, 2, 3]
+    ks = [4, 1, 2, 3] + ([48] if dataset is _heavy_multigraph else [])
     split_kw = dict(n_splits=2, per_class_train=2, per_class_val=2)
     rows = run_sweep(templates, ks, data, cfg, **split_kw)
     want = _per_cell_rows(templates, sorted(ks), data, cfg, **split_kw)
     assert repr(rows) == repr(want)  # repr: a failed cell's mean is nan
     if dataset is _heavy_multigraph:
+        # k = 3 and 4 pass int64 and train; A^48 has infinite counts
         assert [r.failures for r in rows if r.arch in ("one_layer_power_k", "hybrid_power_plus_linear")] \
-            == [0, 0, 2, 2] * 2
+            == [0, 0, 0, 0, 2] * 2
 
 
 @st.composite
@@ -629,14 +699,15 @@ _TRANSFORMS = {"--selfloops": None, "--symmetrize": None, "--reverse": None}
 _MODEL = {"--k": st.integers(0, 3).map(str), "--hidden": st.integers(0, 4).map(str),
           "--act": st.sampled_from(ACTIVATIONS), "--norm": st.sampled_from(NORM_SCHEMES),
           "--prop": st.sampled_from(PROPAGATIONS)}
-_SYNTH = {"--n": st.sampled_from(["-5", "0", "49", "50", "60"]), "--noise": _REAL, "--feature-signal": _REAL}
+_N = {"--n": st.sampled_from(["-5", "0", "49", "50", "60"])}
+_SYNTH = {**_N, "--noise": _REAL, "--feature-signal": _REAL}
 _ARGV_SHAPES = {  # subcommand -> (required flags, optional flags); None marks a switch
     "analyze-loops": ({"--graph": st.just("@g.tsv"),
                        "--lemma": st.sampled_from(["self_loop", "two_node", "m_node", "dag"])},
                       {"--m": _SMALL_INT, "--kmax": _SMALL_INT, "--out": st.just("@loops.csv"), **_TRANSFORMS}),
     "density-curve": ({"--out": st.just("@density.csv")},
                       {"--graph": st.just("@g.tsv"), "--synth": st.sampled_from(cli.SYNTH_KINDS),
-                       "--kmax": _SMALL_INT, **_SYNTH, **_TRANSFORMS}),
+                       "--kmax": _SMALL_INT, **_N, **_TRANSFORMS}),
     "normalize": ({"--graph": st.just("@g.tsv"), "--norm": st.sampled_from(NORM_SCHEMES),
                    "--out": st.just("@w.csv")}, dict(_TRANSFORMS)),
     "synth": ({"--kind": st.sampled_from(cli.SYNTH_KINDS), "--out": st.just("@ds")}, dict(_SYNTH)),

@@ -11,6 +11,7 @@ from hopscope import (
     from_edge_list,
     majority_baseline,
     make_splits,
+    mat_power_count,
     run_sweep,
     synthesize_dataset,
     train_model,
@@ -324,13 +325,28 @@ def test_train_splits_builds_one_aggregation(tiny_structure_ds, monkeypatch):
 def test_train_splits_failed_aggregation_fails_every_split(tiny_structure_ds):
     graph, x, labels = tiny_structure_ds
     splits = make_splits(labels, n_splits=3, seed=3)
-    # 400-step walk counts on the bidirectional graph leave int64
+    # 400-step walk counts on the bidirectional graph leave float64 range (their degree sums from k = 212)
     spec = ModelSpec(arch="one_layer_power_k", k=400, norm="none", propagation="bidirectional")
     cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=3)
     runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
     assert runs == []
     assert [si for si, _ in failed] == [0, 1, 2]
-    assert all(isinstance(exc, CountOverflowError) for _, exc in failed)
+    assert all(isinstance(exc, NumericError) and str(exc).startswith("A^400 leaves float64 range")
+               for _, exc in failed)
+
+
+@pytest.mark.parametrize("norm", ["row", "sym", "dir"])
+def test_power_sweep_trains_past_int64_walk_counts(norm):
+    # bidirectional structure_only (n=400): exact walk counts leave int64 at k = 13, while depth runs 50 layers
+    graph, x, labels = synthesize_dataset("structure_only", n=400, seed=5)
+    templates = [ModelSpec(arch=a, k=1, hidden_width=8, norm=norm, propagation="bidirectional")
+                 for a in ("one_layer_power_k", "hybrid_power_plus_linear")]
+    with pytest.raises(CountOverflowError):
+        mat_power_count(models._reach_adjacency(templates[0], graph), 13)
+    cfg = TrainConfig(lr=0.05, max_epochs=4, early_stop_patience=3, lr_sched_patience=2, seed=5)
+    rows = run_sweep(templates, [13, 50], (graph, x, labels), cfg, n_splits=2)
+    assert [(r.k, r.failures) for r in rows] == [(13, 0), (50, 0)] * 2
+    assert all(0.0 <= r.acc_mean <= 1.0 and np.isfinite(r.acc_std) and 0.0 < r.density <= 1.0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ Outputs covered: the CLI command sequence of the c11 determinism check
 (exit code, stdout and stderr of each command, and every file it writes),
 ``normalize`` for the four schemes on a plain, a ``--selfloops`` and a
 ``--symmetrize`` graph, ``analyze-loops`` for the four lemmas, a short
-sweep of the two power architectures (past the first overflowing k) and a
-short deep ``train``, each through the CLI and, with exact float reprs,
-through the library, a short ``train`` that takes its settings from a
-``--config`` file, an abbreviated flag and ``--paper-protocol`` with
-explicit budget flags (its resolved config pins their precedence), and the
-library's ``normalize`` of large exact walk counts. Uses only the standard
-library and hopscope; BLAS is pinned to one thread before numpy loads.
-Runs in about 4 s on 2 cores.
+sweep of the two power architectures up to k = 15 (its walk counts pass
+2**53 at k = 12 and int64 at k = 14; every cell trains on the float64
+ladder) and a short deep ``train``, each through the CLI and, with exact
+float reprs, through the library, a short ``train`` that takes its
+settings from a ``--config`` file, an abbreviated flag and
+``--paper-protocol`` with explicit budget flags (its resolved config pins
+their precedence), and the library's ``normalize`` of large walk counts,
+exact (``count_ladder``) and in float64 (``float_powers``, up to k = 50).
+Uses only the standard library and hopscope; BLAS is pinned to one thread
+before numpy loads. Runs in about 4 s on 2 cores.
 """
 
 import os
@@ -77,6 +79,7 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from hopscope import (ModelSpec, TrainConfig, count_ladder, make_splits, normalize, run_sweep, symmetrize,
                           synthesize_dataset, train_model)
+    from hopscope.hops import float_powers
     from hopscope.cli import main as cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,7 +118,7 @@ def main() -> int:
             _cli(cli, f"analyze-loops {lemma}", ["analyze-loops", "--graph", g[graph], "--lemma", lemma, *extra,
                                                  "--kmax", "6", "--out", f"{lemma}.csv"], [f"{lemma}.csv"])
 
-        # bidirectional structure_only (n=200) overflows at k = 14: large-count cells and failing ones
+        # bidirectional structure_only (n=200): walk counts pass 2**53 at k = 12 and int64 at k = 14
         _cli(cli, "sweep power", ["sweep", "--synth", "structure_only", "--n", "200", "--arches",
                                   "one_layer_power_k,hybrid_power_plus_linear", "--kmax", "15", "--norm", "sym",
                                   "--prop", "bidirectional", "--hidden", "8", "--lr", "0.05", *TRAIN_ARGS, *SMALL_SPLITS,
@@ -125,12 +128,15 @@ def main() -> int:
                                  "--k", "12", "--act", "identity", "--norm", "row", "--lr", "0.005", *TRAIN_ARGS, *SMALL_SPLITS,
                                  "--out", "deep.csv"], ["deep.csv"])
 
-    # the exact rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10
+    # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at k = 11
     reach = symmetrize(synthesize_dataset("structure_only", n=400, seed=5)[0])
-    for k, rung in zip(range(1, 13), count_ladder(reach)):
-        for scheme in ("none", "row", "sym", "dir"):
-            w = normalize(rung, scheme)
-            _emit(f"library normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
+    float_ks = [*range(1, 13), 50]
+    for label, ks, rungs in (("", range(1, 13), count_ladder(reach)),
+                             (" float", float_ks, float_powers(reach, float_ks))):
+        for k, rung in zip(ks, rungs):
+            for scheme in ("none", "row", "sym", "dir"):
+                w = normalize(rung, scheme)
+                _emit(f"library{label} normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
 
     cfg = TrainConfig(lr=0.05, max_epochs=25, early_stop_patience=15, lr_sched_patience=10, seed=5)
     dataset = synthesize_dataset("structure_only", n=200, seed=5)
