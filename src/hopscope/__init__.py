@@ -48,6 +48,7 @@ from .hops import (
     support_equal,
     support_of,
     support_periodicity,
+    support_powers,
     support_subset,
     verify_loop_lemma,
 )
@@ -69,7 +70,7 @@ from .models import (
     sage_layer_forward,
     uniform_features,
 )
-from .normalization import NORM_SCHEMES, WeightedAdjacency, gcn_canonical, normalize
+from .normalization import NORM_SCHEMES, PowerAggregation, WeightedAdjacency, gcn_canonical, normalize, normalize_power
 from .training import (
     Metrics,
     SplitSpec,

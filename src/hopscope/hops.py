@@ -8,21 +8,18 @@ over booleans (canonical ``bool`` scipy CSR, the format every other
 layer uses), so they track only which entries are non-zero and can never
 overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
 product per step: :func:`count_ladder` for counts and
-:func:`power_ladder` for patterns; every sweep over k reads one.
+:func:`power_ladder` (or :func:`support_powers` for chosen k) for
+patterns; every sweep over k reads one. A power aggregation reads
+neither (see :mod:`hopscope.normalization`).
 
-A caller that only normalizes ``A^k`` reads :func:`float_powers`, the
-same walk in float64. Every term of its products is non-negative, so an
-entry is ``float(exact count)`` while the count is at most 2**53, close
-to it beyond, and infinite only past float64 range; the support is exact.
-
-The count and float ladders share one walker, :func:`_rungs`, which
-carries each rung in the smaller of two forms. A rung with
-``3 * nnz >= 2 * n^2`` is a dense array (8 bytes a cell is then no more
-than CSR's 12 an entry), and the sparse base advances it with one
-sparse-times-dense product: no nnz pass, no index sort. A sparse rung
-whose product is sure to pass that line takes the same route. Any other
-rung stays canonical CSR. The form is chosen anew at every rung, and a
-rung becomes a matrix only where it is read.
+Both ladders share one walker, :func:`_rungs`, which carries each rung
+in the smaller of two forms. A rung with ``3 * nnz >= 2 * n^2`` is a
+dense array (8 bytes a cell is then no more than CSR's 12 an entry), and
+the sparse base advances it with one sparse-times-dense product: no nnz
+pass, no index sort. A sparse rung whose product is sure to pass that
+line takes the same route. Any other rung stays canonical CSR. The form
+is chosen anew at every rung, and a rung becomes a matrix only where it
+is read.
 
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
@@ -54,10 +51,9 @@ __all__ = [
     "support_of",
     "mat_power_count",
     "count_ladder",
-    "FloatCountMatrix",
-    "float_powers",
     "mat_power_support",
     "power_ladder",
+    "support_powers",
     "support_subset",
     "support_equal",
     "verify_loop_lemma",
@@ -104,33 +100,6 @@ class SupportPattern(_CSRWrapper):
 def support_of(m) -> SupportPattern:
     """Non-zero pattern of a square count or weighted CSR matrix."""
     return SupportPattern._of(m.csr)
-
-
-def _bool_matmul(x: SupportPattern, y: SupportPattern) -> SupportPattern:
-    return SupportPattern._of(x.csr @ y.csr)
-
-
-def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
-    """Yield ``support(A^1), support(A^2), ...`` without end, one boolean product per step.
-
-    Sweeps over k read one ladder: ``support(A^K)`` costs ``K - 1`` products.
-    """
-    base = support_of(a)
-    cur = base
-    while True:
-        yield cur
-        cur = _bool_matmul(cur, base)
-
-
-def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
-    """Boolean-semiring power: the pattern of ``A^k`` without overflow risk."""
-    if not a.is_square:
-        raise InputError("matrix power requires a square matrix")
-    if k < 0:
-        raise InputError("power must be non-negative")
-    if k == 0:
-        return SupportPattern._of(sp.identity(a.n_rows, dtype=bool, format="csr"))
-    return next(islice(power_ladder(a), k - 1, None))
 
 
 def _first_extra(p: SupportPattern, q: SupportPattern) -> tuple[int, int] | None:
@@ -201,8 +170,8 @@ def _count_matmul(x: sp.csr_matrix, y):
     return _canonical(out, np.int64) if sp.issparse(out) else out
 
 
-def _float_matmul(x: sp.csr_matrix, y):
-    """Float64 product of CSR ``x`` and CSR or dense ``y``: the step of :func:`float_powers`."""
+def _bool_matmul(x: sp.csr_matrix, y):
+    """Boolean product of CSR ``x`` and CSR or dense ``y``: the step of :func:`support_powers`."""
     return x @ y
 
 
@@ -267,41 +236,35 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix)
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
-class FloatCountMatrix(_CSRWrapper):
-    """Walk counts rounded to float64, as :func:`float_powers` yields them.
-
-    ``csr`` is canonical with positive values, so its pattern is the
-    support of the exact power; an entry past float64 range is ``inf``.
-    """
-
-    csr: sp.csr_matrix
-    _dtype = np.float64
+def support_powers(a: SparseCountMatrix, ks) -> Iterator[SupportPattern]:
+    """Yield ``support(A^k)`` for each k of the ascending ``ks`` (all >= 1), converting only those rungs."""
+    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, SupportPattern)
 
 
-def float_powers(a: SparseCountMatrix, ks) -> Iterator[FloatCountMatrix]:
-    """Yield ``A^k`` in float64 for each k of the ascending ``ks`` (all >= 1) off one ladder.
-
-    For callers that need a normalized real matrix, not exact counts; it
-    never raises for size. Every term of every product is non-negative, so
-    an entry equals ``float(exact)`` while the count is at most 2**53, is
-    off by at most about ``n * 2**-53`` relative per product beyond, and
-    is ``inf`` only past float64 range; a zero stays zero and a count stays
-    non-zero. ``A^K`` costs ``K - 1`` products, and only the rungs in
-    ``ks`` are converted.
-    """
-    return _powers(_rungs(a.csr.astype(np.float64), _float_matmul), ks, FloatCountMatrix)
+def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
+    """Yield ``support(A^1), support(A^2), ...`` without end, one boolean product per step."""
+    return support_powers(a, count(1))
 
 
-def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
-    """Integer-semiring power: entry ``(i, j)`` counts length-``k`` walks."""
+def _power(a: SparseCountMatrix, k: int, base: sp.csr_matrix, product, cls):
+    """``A^k`` as a ``cls``: rung k of the walk of ``base`` by ``product``, the identity at k = 0."""
     if not a.is_square:
         raise InputError("matrix power requires a square matrix")
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
-        return SparseCountMatrix._of(sp.eye(a.n_rows, dtype=np.int64, format="csr"))
-    return next(_powers(_rungs(a.csr, _count_matmul), [k], SparseCountMatrix))
+        return cls._of(sp.identity(a.n_rows, dtype=cls._dtype, format="csr"))
+    return next(_powers(_rungs(base, product), [k], cls))
+
+
+def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
+    """Integer-semiring power: entry ``(i, j)`` counts length-``k`` walks."""
+    return _power(a, k, a.csr, _count_matmul, SparseCountMatrix)
+
+
+def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
+    """Boolean-semiring power: the pattern of ``A^k`` without overflow risk."""
+    return _power(a, k, support_of(a).csr, _bool_matmul, SupportPattern)
 
 
 def density(x: _CSRWrapper) -> float:

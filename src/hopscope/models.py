@@ -4,8 +4,8 @@ Five architectures share one layer vocabulary:
 
 * ``k_layer_gcn`` — k aggregation layers on the (normalized) adjacency;
 * ``k_layer_gcn_selfloop`` — same with +I applied before normalizing;
-* ``one_layer_power_k`` — a single aggregation layer whose matrix is the
-  normalized k-th power;
+* ``one_layer_power_k`` — a single aggregation layer whose operator is
+  the normalized k-th power, applied as k sparse products;
 * ``hybrid_power_plus_linear`` — one aggregation on the k-th power
   followed by k-1 plain linear layers (parameter count matches the deep
   model while the aggregation matches the single-layer one);
@@ -22,9 +22,11 @@ logits. Feature and hidden matrices are plain float64 ndarrays. All
 kernels are pure: dropout enters only through explicit mask arguments so
 a given (params, masks) pair always reproduces the same numbers.
 
-Who recomputes what: every kernel multiplies by the CSR that Â holds,
-with no copy, and the backward by ``Âᵀ`` as a CSC view over the same
-arrays; ``model_backward`` reruns the forward. The trainer computes
+Who recomputes what: every kernel multiplies by Â through its ``@`` and
+the backward by its ``.T``, with no copy: a :class:`WeightedAdjacency`
+hands both to its CSR (``Âᵀ`` is a CSC view), and a
+:class:`PowerAggregation` applies its k-th power by k sparse products and
+is never built. ``model_backward`` reruns the forward. The trainer computes
 layer 0's ``Â X`` once per run (it depends on no parameter, and dropout
 masks only layer outputs), and calls ``_forward_pass`` and
 ``_backward_pass`` (a reverse sweep over the forward's caches) directly,
@@ -41,8 +43,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, add_self_loops, degrees, symmetrize, transpose
-from .hops import density, float_powers
-from .normalization import NORM_SCHEMES, WeightedAdjacency, normalize
+from .normalization import NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
 
 __all__ = [
     "ARCHITECTURES",
@@ -174,7 +175,7 @@ def _check_finite(h: np.ndarray, where: str):
         raise NumericError(f"non-finite values in {where}")
 
 
-def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str, m=None):
+def _layer(ahat, h: np.ndarray, p: LayerParams, kind: str, m=None):
     """The one layer kernel: ``(Â H, Â H W + H W0 + b)`` before the activation.
 
     A ``linear`` layer skips the aggregation (``Â H`` is None and ``W``
@@ -184,7 +185,7 @@ def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str, m=None):
     if (kind == "sage") != (p.W0 is not None):
         raise InputError(f"{kind} layer {'without' if p.W0 is None else 'with'} a self weight W0")
     if m is None and kind != "linear":
-        m = ahat_sp @ h
+        m = ahat @ h
     z = (h if m is None else m) @ p.W
     if p.W0 is not None:
         z = z + h @ p.W0
@@ -193,7 +194,7 @@ def _layer(ahat_sp, h: np.ndarray, p: LayerParams, kind: str, m=None):
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     h = _features(ahat, h, [p])
-    out = _act(act, _layer(ahat.csr, h, p, kind)[1])
+    out = _act(act, _layer(ahat, h, p, kind)[1])
     _check_finite(out, f"{kind} layer output")
     return out
 
@@ -228,39 +229,18 @@ def _reach_adjacency(spec: ModelSpec, a: SparseCountMatrix) -> SparseCountMatrix
     return p
 
 
-def _power_aggregations(reach: SparseCountMatrix, ks: list[int], norm: str):
-    """Yield ``(density, Â)`` of ``A^k`` for each k of the ascending ``ks``, off one float64 ladder.
-
-    Â is ``normalize`` of the float rung, and the density is the rung's
-    own, as its support is exact. The first rung whose degree sums are not
-    finite raises :class:`NumericError` naming k, and ends the ladder.
-    """
-    rungs = float_powers(reach, ks)
-    for k in ks:
-        rung = next(rungs)
-        if k == ks[-1]:
-            rungs = None  # no ladder stays alive while the last cell trains
-        try:
-            ahat = normalize(rung, norm)
-        except NumericError as exc:
-            raise NumericError(f"A^{k} leaves float64 range: {exc}") from None
-        dens, rung = density(rung), None
-        yield dens, ahat
-
-
-def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacency:
+def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacency | PowerAggregation:
     """The single Â a model uses, built once from the raw adjacency.
 
-    Order: propagation transform, optional self-loops, optional k-th
-    power (for the power architectures, in float64), then normalization
+    Order: propagation transform, optional self-loops, then normalization
     using the degrees of whatever matrix came out of the structural steps.
-    A power past float64 range raises :class:`NumericError`.
+    A power architecture gets a :class:`PowerAggregation`, never built as
+    a matrix; one whose degrees leave float64 range raises :class:`NumericError`.
     """
     p = _reach_adjacency(spec, a)
-    if spec.arch not in _POWER_ARCHES:
-        return normalize(p, spec.norm)
-    ((_, ahat),) = _power_aggregations(p, [spec.k], spec.norm)
-    return ahat
+    if spec.arch in _POWER_ARCHES:
+        return normalize_power(p, spec.k, spec.norm)
+    return normalize(p, spec.norm)
 
 
 def _layer_dims(spec: ModelSpec, in_dim: int, n_classes: int) -> list[tuple[int, int]]:
@@ -290,13 +270,11 @@ def init_params(spec: ModelSpec, in_dim: int, n_classes: int, rng: np.random.Gen
     return params
 
 
-def _resolve_ahat(spec: ModelSpec, a) -> WeightedAdjacency:
-    if isinstance(a, WeightedAdjacency):
-        return a
-    return build_aggregation(spec, a)
+def _resolve_ahat(spec: ModelSpec, a) -> WeightedAdjacency | PowerAggregation:
+    return a if isinstance(a, (WeightedAdjacency, PowerAggregation)) else build_aggregation(spec, a)
 
 
-def _forward_pass(spec, ahat_sp, x, params, hidden_masks, *, ax=None):
+def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None):
     """Shared forward; returns logits plus per-layer caches for backward.
 
     ``ax`` is layer 0's ``Â X``, which no parameter touches: a caller
@@ -310,7 +288,7 @@ def _forward_pass(spec, ahat_sp, x, params, hidden_masks, *, ax=None):
     n_layers = len(kinds)
     for i, (kind, p) in enumerate(zip(kinds, params)):
         last = i == n_layers - 1
-        m, z = _layer(ahat_sp, h, p, kind, ax if i == 0 else None)
+        m, z = _layer(ahat, h, p, kind, ax if i == 0 else None)
         out = z if last else _act(spec.activation, z)
         mask = None
         if not last and hidden_masks is not None and hidden_masks[i] is not None:
@@ -342,7 +320,7 @@ def model_forward(spec: ModelSpec, a, x: np.ndarray, params, hidden_masks=None) 
     prebuilt aggregation from :func:`build_aggregation`."""
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
-    logits, _ = _forward_pass(spec, ahat.csr, x, params, hidden_masks)
+    logits, _ = _forward_pass(spec, ahat, x, params, hidden_masks)
     return logits
 
 
@@ -356,11 +334,11 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     """
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
-    logits, caches = _forward_pass(spec, ahat.csr, x, params, hidden_masks)
+    logits, caches = _forward_pass(spec, ahat, x, params, hidden_masks)
     upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
     if upstream_grad.shape != logits.shape:
         raise InputError(f"upstream gradient must have shape {logits.shape}")
-    return _backward_pass(spec, ahat.csr.T, params, caches, upstream_grad)
+    return _backward_pass(spec, ahat.T, params, caches, upstream_grad)
 
 
 def _backward_pass(spec, ahat_t, params, caches, upstream):
@@ -456,7 +434,7 @@ def relu_kink_risk(spec: ModelSpec, a, x, params, tol: float = 1e-3) -> bool:
     if spec.activation != "relu":
         return False
     ahat = _resolve_ahat(spec, a)
-    _, caches = _forward_pass(spec, ahat.csr, _features(ahat, x, params), params, None)
+    _, caches = _forward_pass(spec, ahat, _features(ahat, x, params), params, None)
     for c in caches:
         if not c["last"] and np.any(np.abs(c["z"]) < tol):
             return True

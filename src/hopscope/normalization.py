@@ -1,32 +1,32 @@
 """Edge reweighting schemes for the aggregation matrix.
 
-Every scheme is one rescaling ``D_l · A · D_r`` by diagonals taken from
-the degrees of the matrix being normalized (a powered matrix by its own
-row and column sums): ``none`` is ``A``, ``row`` is ``D_out^-1 A`` (mean
-aggregation), ``sym`` is ``D_out^-½ A D_out^-½`` and ``dir`` is
-``D_in^-½ A D_out^-½``. A zero degree inverts to 0, not infinity: nodes
-with nothing to aggregate get a zero row, and the result says how many.
-The matrix is a count matrix or a float64 power off
-:func:`hopscope.hops.float_powers`; degree sums that are not finite
-raise :class:`~hopscope.errors.NumericError`.
+Every scheme is one rescaling ``D_l · M · D_r`` by diagonals that
+:func:`_diagonals` takes from the out- and in-degrees of ``M``: ``none``
+is ``M``, ``row`` is ``D_out^-1 M`` (mean aggregation), ``sym`` is
+``D_out^-½ M D_out^-½`` and ``dir`` is ``D_in^-½ M D_out^-½``. A zero
+degree inverts to 0, not infinity: nodes with nothing to aggregate get a
+zero row, and the result says how many.
 
-The result is a :class:`WeightedAdjacency`, the float64 member of the
-one CSR idiom of :mod:`hopscope.graphs`: its ``csr`` reuses the read-only
-index arrays of the source matrix with new values, so an entry that a zero
-degree wiped stays as an explicit zero.
+:func:`normalize` rescales a count matrix into a :class:`WeightedAdjacency`,
+whose ``csr`` reuses the read-only index arrays of the source with new
+values, so an entry that a zero degree wiped stays as an explicit zero.
+:func:`normalize_power` rescales ``A^k`` into a :class:`PowerAggregation`,
+which is never built: its degrees take k sparse products with a vector,
+and its ``@`` applies it by k sparse products, as SGC computes ``S^K X``.
+Both types offer ``@`` and ``.T``, so one model kernel takes either.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
-from .hops import FloatCountMatrix
 
-__all__ = ["NORM_SCHEMES", "WeightedAdjacency", "normalize", "gcn_canonical"]
+__all__ = ["NORM_SCHEMES", "WeightedAdjacency", "PowerAggregation", "normalize", "normalize_power", "gcn_canonical"]
 
 NORM_SCHEMES = ("none", "row", "sym", "dir")
 
@@ -46,45 +46,116 @@ class WeightedAdjacency(_CSRWrapper):
         for arr in (self.csr.indptr, self.csr.indices, self.csr.data):
             arr.flags.writeable = False
 
+    def __matmul__(self, x):
+        return self.csr @ x
+
+    @property
+    def T(self):
+        """``Âᵀ`` as a CSC view over the arrays of ``csr``."""
+        return self.csr.T
+
 
 def _inverse(x: np.ndarray, root: bool) -> np.ndarray:
     """``1 / x``, or ``1 / sqrt(x)`` with ``root``, where ``x > 0``; 0 elsewhere."""
     return np.divide(1.0, np.sqrt(x) if root else x, out=np.zeros(len(x)), where=x > 0)
 
 
-@np.errstate(over="ignore")  # a degree sum past float64 range is caught below
-def normalize(a: SparseCountMatrix | FloatCountMatrix, scheme: str) -> WeightedAdjacency:
+def _diagonals(scheme: str, out_deg: np.ndarray, in_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d_l, d_r)`` of ``scheme`` from the out- and in-degrees of the matrix it rescales."""
+    if scheme not in NORM_SCHEMES:
+        raise InputError(f"unknown normalization scheme {scheme!r}")
+    ones = np.ones(len(out_deg))
+    if scheme == "row":
+        return _inverse(out_deg, root=False), ones
+    if scheme == "sym":
+        return (_inverse(out_deg, root=True),) * 2
+    if scheme == "dir":
+        return _inverse(in_deg, root=True), _inverse(out_deg, root=True)
+    return ones, ones
+
+
+def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
     """Apply one of the four schemes to a walk-count matrix: ``D_l · A · D_r``.
 
     Rows of the ``row`` result sum to 1 wherever the source row is
     non-empty. Zero-degree factors are defined as 0, so isolated or
-    source-less nodes simply aggregate nothing. An out- or in-degree that
-    is not finite (an infinite entry, or a sum past float64 range) raises
-    :class:`NumericError` for every scheme.
+    source-less nodes simply aggregate nothing.
     """
-    if scheme not in NORM_SCHEMES:
-        raise InputError(f"unknown normalization scheme {scheme!r}")
     if not a.is_square:
         raise InputError("normalize requires a square matrix")
     m, n = a.csr, a.n_rows
     counts = m.data.astype(np.float64, copy=False)
-    sizes = np.diff(m.indptr)
-    rows = np.repeat(np.arange(n), sizes)
-    # rows sum pairwise, as scipy's sum(axis=1) does: past 2**53 a sequential bincount rounds differently
-    out_deg, in_deg = np.zeros(n), np.bincount(m.indices, weights=counts, minlength=n)
-    out_deg[sizes > 0] = np.add.reduceat(counts, m.indptr[:-1][sizes > 0])
-    if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):
-        raise NumericError("degree sums are not finite")
-    d_l = d_r = np.ones(n)
-    if scheme == "row":
-        d_l = _inverse(out_deg, root=False)
-    elif scheme == "sym":
-        d_l = d_r = _inverse(out_deg, root=True)
-    elif scheme == "dir":
-        d_l, d_r = _inverse(in_deg, root=True), _inverse(out_deg, root=True)
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    out_deg = np.bincount(rows, weights=counts, minlength=n)
+    in_deg = np.bincount(m.indices, weights=counts, minlength=n)
+    d_l, d_r = _diagonals(scheme, out_deg, in_deg)
     vals = counts * d_l[rows] * d_r[m.indices]
     zero_rows = int(np.count_nonzero(np.bincount(rows, weights=np.abs(vals), minlength=n) == 0))
     return WeightedAdjacency(sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape), scheme, zero_rows)
+
+
+def _walk(m, k: int, x):
+    """``M^k x`` by k sparse products."""
+    for _ in range(k):
+        x = m @ x
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class PowerAggregation:
+    """``D_l · A^k · D_r`` over the float64 ``A`` (CSR, or a CSC view in a transpose), never built.
+
+    ``@`` applies it by k sparse products, ``.T`` is the same operator over
+    ``A.T`` with the diagonals swapped, and ``to_scipy`` builds it for
+    oracles. ``zero_row_count`` takes k more products, on first read.
+    """
+
+    a: sp.spmatrix
+    k: int
+    d_l: np.ndarray
+    d_r: np.ndarray
+    scheme: str
+
+    @cached_property
+    def zero_row_count(self) -> int:
+        # all terms are non-negative and every stored count is at least 1, so this zero test is exact
+        return int(np.count_nonzero(self.d_l * _walk(self.a, self.k, self.d_r) == 0))
+
+    @property
+    def n_rows(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.a.shape[1]
+
+    def __matmul__(self, x):
+        col = (-1,) + (1,) * (np.ndim(x) - 1)  # a diagonal scales the rows of a vector or a matrix
+        return self.d_l.reshape(col) * _walk(self.a, self.k, self.d_r.reshape(col) * x)
+
+    @property
+    def T(self) -> "PowerAggregation":
+        return PowerAggregation(self.a.T, self.k, self.d_r, self.d_l, self.scheme)
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """The matrix as a new CSR, built by k sparse products."""
+        return sp.csr_matrix(sp.diags(self.d_l) @ _walk(self.a, self.k, sp.diags(self.d_r)))
+
+
+def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregation:
+    """One of the four schemes on ``A^k``, with degrees ``A^k·1`` and ``(Aᵀ)^k·1`` from k products each.
+
+    Every term is non-negative, so a degree is exact up to 2**53, close
+    beyond, and not finite only past float64 range: that raises
+    :class:`NumericError` naming ``A^k``.
+    """
+    if not a.is_square:
+        raise InputError("normalize requires a square matrix")
+    m, ones = a.csr.astype(np.float64), np.ones(a.n_rows)
+    out_deg, in_deg = _walk(m, k, ones), _walk(m.T, k, ones)
+    if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):
+        raise NumericError(f"A^{k} leaves float64 range: degree sums are not finite")
+    return PowerAggregation(m, k, *_diagonals(scheme, out_deg, in_deg), scheme)
 
 
 def gcn_canonical(a: SparseCountMatrix) -> WeightedAdjacency:

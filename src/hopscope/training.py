@@ -14,21 +14,18 @@ paths, and a low-density digraph built for very deep stability runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
 from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
-from .hops import density, power_ladder
+from .hops import density, support_powers
 from .models import (
-    _POWER_ARCHES,
     ModelSpec,
     _backward_pass,
     _features,
     _forward_pass,
     _packed,
-    _power_aggregations,
     _reach_adjacency,
     _resolve_ahat,
     _views,
@@ -37,7 +34,7 @@ from .models import (
     model_forward,
     uniform_features,
 )
-from .normalization import WeightedAdjacency, normalize
+from .normalization import PowerAggregation, WeightedAdjacency
 
 __all__ = [
     "SplitSpec",
@@ -196,7 +193,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def train_model(
     spec: ModelSpec,
-    graph: SparseCountMatrix | WeightedAdjacency,
+    graph: SparseCountMatrix | WeightedAdjacency | PowerAggregation,
     x: np.ndarray,
     labels,
     split: SplitSpec,
@@ -205,7 +202,8 @@ def train_model(
     """One deterministic training run; returns single-run Metrics.
 
     ``graph`` is a raw count matrix or a prebuilt aggregation. Â and layer
-    0's ``Â X`` are built once per run (Âᵀ is a view); the backward reuses the
+    0's ``Â X`` are built once per run (a power architecture's by k sparse
+    products, and its Â never as a matrix); the backward reuses the
     caches of the epoch's forward, and an epoch that draws no dropout
     masks reuses the previous eval forward: one forward per epoch without
     dropout, two with.
@@ -225,8 +223,8 @@ def train_model(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     ahat = _resolve_ahat(spec, graph)
     x = _features(ahat, x)
-    ahat_t = ahat.csr.T  # a CSC view over Â's arrays: Âᵀ with no copy
-    ax = ahat.csr @ x  # layer 0 always aggregates, and Â X is the same in every forward
+    ahat_t = ahat.T  # a CSC view over Â's arrays, or the transposed power operator: no copy
+    ax = ahat @ x  # layer 0 always aggregates, and Â X is the same in every forward
     theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
     weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
@@ -244,7 +242,7 @@ def train_model(
 
     def forward(masks):
         try:
-            return _forward_pass(spec, ahat.csr, x, params, masks, ax=ax)
+            return _forward_pass(spec, ahat, x, params, masks, ax=ax)
         except NumericError as exc:
             raise NumericError(str(exc), epoch=epoch) from exc
 
@@ -313,10 +311,11 @@ def train_model(
 def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
     """One :func:`train_model` run per split, seeded by ``spawn_key=(si, 17)``.
 
-    The aggregation is built once and shared by every split. Returns
-    ``(runs, failed)``: the finished runs' Metrics, and a ``(split index,
-    error)`` pair for each run that raised :class:`NumericError`. When the
-    aggregation itself fails (a power past float64 range, or a
+    The aggregation is built once (a power's as an operator, never as a
+    matrix) and shared by every split. Returns ``(runs, failed)``: the
+    finished runs' Metrics, and a ``(split index, error)`` pair for each
+    run that raised :class:`NumericError`. When the aggregation itself
+    fails (a power whose degrees leave float64 range, or a
     :class:`CountOverflowError` from symmetrizing or adding self-loops),
     every split fails with that error. :class:`InputError` propagates.
     """
@@ -350,32 +349,18 @@ class SweepRow:
     failures: int
 
 
-def _sweep_aggregations(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]):
-    """Yield ``(k, density, Â)`` for each k of the ascending ``ks``.
+def _sweep_densities(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]) -> list[float]:
+    """The density of ``support(M^k)`` for each k of the ascending ``ks``, ``M`` the template's reach.
 
-    A power template walks one float64 ladder and converts only the rungs
-    in ``ks``: Â is the normalized rung k and the density is that rung's.
-    From the first rung that leaves float64 range on, Â is that
-    :class:`NumericError`. A depth template's Â does not depend on k.
-    Those two read their densities off the boolean ladder.
+    One boolean ladder gives them all and converts only the rungs in
+    ``ks``. A reach that raises :class:`CountOverflowError` gives NaN for
+    every k; :func:`train_splits` fails each of its cells with that error.
     """
-    reach = _reach_adjacency(template, graph)
-    if template.arch in _POWER_ARCHES:
-        cells = _power_aggregations(reach, ks, template.norm)
-        for i, k in enumerate(ks):
-            try:
-                dens, ahat = next(cells)
-            except NumericError as exc:
-                ks, ahat = ks[i:], exc
-                break
-            yield k, dens, ahat
-        else:
-            return
-    else:
-        ahat = normalize(reach, template.norm)
-    densities = [density(p) for p in islice(power_ladder(reach), ks[-1])]
-    for k in ks:
-        yield k, densities[k - 1], ahat
+    try:
+        reach = _reach_adjacency(template, graph)
+    except CountOverflowError:
+        return [float("nan")] * len(ks)
+    return [density(p) for p in support_powers(reach, ks)]
 
 
 def run_sweep(
@@ -391,11 +376,11 @@ def run_sweep(
 
     Rows come out in deterministic (arch order, ascending k) order; a run
     that diverges is counted in ``failures`` instead of aborting the
-    sweep, while an :class:`InputError` aborts it. A power template walks
-    one float64 ladder up to the largest k and each cell trains on its
-    normalized rung; when ``A^j`` leaves float64 range, every cell from
-    k = j on fails on all splits with that :class:`NumericError`. A depth
-    template builds its Â once.
+    sweep, while an :class:`InputError` aborts it. Every cell is one
+    :func:`train_splits` call on the raw graph, which builds the cell's Â:
+    a power cell whose degrees leave float64 range fails alone, and every
+    cell of a template whose reach overflows int64 fails, with a NaN
+    density. A template's densities come off one boolean ladder.
     """
     graph, x, labels = dataset
     if x is None:
@@ -409,12 +394,9 @@ def run_sweep(
     )
     rows = []
     for template in arches:
-        for k, dens, ahat in _sweep_aggregations(template, graph, ks):
+        for k, dens in zip(ks, _sweep_densities(template, graph, ks)):
             spec = replace(template, k=k)
-            if isinstance(ahat, NumericError):
-                runs, failed = [], [(si, ahat) for si in range(len(splits))]
-            else:
-                runs, failed = train_splits(spec, ahat, x, labels, splits, cfg)
+            runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
             merged = Metrics.merge(runs)
             rows.append(
                 SweepRow(

@@ -11,6 +11,7 @@ from hopscope import (
     LoopHypothesisError,
     ModelSpec,
     SparseCountMatrix,
+    SupportPattern,
     TrainConfig,
     WeightedAdjacency,
     add_self_loops,
@@ -313,34 +314,29 @@ def test_sweep_densities_walk_one_ladder_per_template(products):
 
 
 def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
-    counted = []
-    real = hops._float_matmul
-    monkeypatch.setattr(hops, "_float_matmul", lambda x, y: counted.append(1) or real(x, y))
     monkeypatch.setattr(hops, "_count_matmul", lambda x, y: pytest.fail("a power sweep made an exact product"))
     data = synthesize_dataset("structure_only", n=60, seed=1)
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
     rows = run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
                      n_splits=1, per_class_train=2, per_class_val=2)
     monkeypatch.undo()
-    # rungs 1..5 of one ladder of walk counts, in float64, feed both cells' aggregations and densities
-    assert (len(counted), len(products)) == (4, 0)
+    # rungs 1..5 of one boolean ladder give both cells' densities; their aggregations walk no ladder
+    assert len(products) == 4
     assert [r.density for r in rows] == [density(support_of(mat_power_count(data[0], k))) for k in (2, 5)]
 
 
 def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
-    converted, exact = [], []
+    converted = []
     data = synthesize_dataset("structure_only", n=60, seed=1)
-    real = hops.FloatCountMatrix._of
-    monkeypatch.setattr(hops.FloatCountMatrix, "_of", lambda r: converted.append(real(r)) or converted[-1])
-    monkeypatch.setattr(SparseCountMatrix, "_of", lambda r: exact.append(r))
+    real = SupportPattern._of
+    monkeypatch.setattr(SupportPattern, "_of", lambda r: converted.append(real(r)) or converted[-1])
+    monkeypatch.setattr(SparseCountMatrix, "_of", lambda r: pytest.fail("a power sweep built an exact power"))
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
     run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
               n_splits=1, per_class_train=2, per_class_val=2)
     monkeypatch.undo()
-    assert exact == []
-    assert converted == list(hops.float_powers(data[0], [2, 5]))
-    for rung, k in zip(converted, (2, 5)):
-        assert np.array_equal(rung.to_dense(), mat_power_count(data[0], k).to_dense().astype(np.float64))
+    # support_of(A) starts the ladder; then only rungs 2 and 5 become patterns
+    assert converted == [support_of(data[0]), mat_power_support(data[0], 2), mat_power_support(data[0], 5)]
 
 
 def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
@@ -349,13 +345,13 @@ def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
     # the nnz floor of A @ A already passes the dense line: 159,600 of 160,000 cells against 106,667
     assert hops._product_nnz_floor(reach.csr, reach.csr) == 159_600
     operands = []
-    for dtype, name, ladder in ((np.int64, "_count_matmul", lambda: mat_power_count(reach, 2)),
-                                (np.float64, "_float_matmul", lambda: next(hops.float_powers(reach, [2])))):
+    for base, name, ladder in ((reach.csr, "_count_matmul", lambda: mat_power_count(reach, 2)),
+                               (support_of(reach).csr, "_bool_matmul", lambda: mat_power_support(reach, 2))):
         real = getattr(hops, name)
         monkeypatch.setattr(hops, name, lambda x, y, real=real: operands.append(y) or real(x, y))
-        rungs = list(islice(hops._rungs(reach.csr.astype(dtype), getattr(hops, name)), 4))
+        rungs = list(islice(hops._rungs(base, getattr(hops, name)), 4))
         assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
-        assert all(isinstance(r, np.ndarray) and r.dtype == dtype for r in rungs[1:])
+        assert all(isinstance(r, np.ndarray) and r.dtype == base.dtype for r in rungs[1:])
         # rung 2 too is one sparse-times-dense product, also through the public ladders:
         # no sparse-times-sparse product is built and sorted first
         ladder()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hopscope import (
     InputError,
     Metrics,
     ModelSpec,
+    SparseCountMatrix,
     TrainConfig,
     from_edge_list,
     majority_baseline,
@@ -16,9 +18,10 @@ from hopscope import (
     synthesize_dataset,
     train_model,
 )
-from hopscope import models, training
+from hopscope import hops, models, training
 from hopscope.errors import CountOverflowError, NumericError
 from hopscope.models import build_aggregation, init_params, model_backward, model_forward
+from hopscope.normalization import PowerAggregation
 from hopscope.training import train_splits
 
 
@@ -333,6 +336,63 @@ def test_train_splits_failed_aggregation_fails_every_split(tiny_structure_ds):
     assert [si for si, _ in failed] == [0, 1, 2]
     assert all(isinstance(exc, NumericError) and str(exc).startswith("A^400 leaves float64 range")
                for _, exc in failed)
+
+
+def test_sweep_fails_the_cells_of_a_template_whose_reach_overflows():
+    # every stored count 2**62: symmetrizing adds two of them, which leaves int64
+    graph, x, labels = synthesize_dataset("structure_only", n=60, seed=1)
+    heavy = SparseCountMatrix(graph.n_rows, graph.n_cols, graph.row_offsets, graph.col_indices,
+                              np.full(graph.nnz, 2**62))
+    cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=3)
+    split_kw = dict(per_class_train=2, per_class_val=2)
+    templates = [ModelSpec(arch=a, k=1, hidden_width=4, propagation=p)
+                 for a, p in (("k_layer_gcn", "bidirectional"), ("one_layer_power_k", "bidirectional"),
+                              ("k_layer_gcn", "forward"))]
+    runs, failed = train_splits(templates[0], heavy, x, labels, make_splits(labels, n_splits=2, seed=3, **split_kw),
+                                cfg)
+    assert runs == [] and [(si, type(exc)) for si, exc in failed] == [(0, CountOverflowError), (1, CountOverflowError)]
+    rows = run_sweep(templates, [1, 3], (heavy, x, labels), cfg, n_splits=2, **split_kw)
+    assert [(r.arch, r.propagation, r.k, r.failures) for r in rows[:4]] == [
+        ("k_layer_gcn", "bidirectional", 1, 2), ("k_layer_gcn", "bidirectional", 3, 2),
+        ("one_layer_power_k", "bidirectional", 1, 2), ("one_layer_power_k", "bidirectional", 3, 2)]
+    assert all(np.isnan(r.acc_mean) and np.isnan(r.density) for r in rows[:4])
+    # the forward template's reach is the graph itself: it trains
+    assert [(r.k, r.failures) for r in rows[4:]] == [(1, 0), (3, 0)] and all(r.density > 0 for r in rows[4:])
+
+
+def test_power_cells_never_materialize_their_aggregation(monkeypatch):
+    # building Â and training on it stay below the bytes of one n×n float64 array, also in the
+    # cells of a sweep; a sweep's boolean density ladder is not part of Â and is not measured
+    graph, x, labels = synthesize_dataset("structure_only", n=400, seed=1)
+    monkeypatch.setattr(PowerAggregation, "to_scipy", lambda self: pytest.fail("a power cell materialized Â"))
+    monkeypatch.setattr(hops, "_count_matmul", lambda x, y: pytest.fail("a power cell built an exact power"))
+    peaks = []
+
+    def peak_of(fn):
+        def measured(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return measured
+
+    monkeypatch.setattr(training, "train_splits", peak_of(training.train_splits))
+    templates = [ModelSpec(arch=a, k=1, hidden_width=8, propagation="bidirectional")
+                 for a in ("one_layer_power_k", "hybrid_power_plus_linear")]
+    cfg = TrainConfig(lr=0.05, max_epochs=3, early_stop_patience=2, seed=1)
+    splits = make_splits(labels, n_splits=2, seed=1)
+    tracemalloc.start()
+    try:
+        rows = run_sweep(templates, [2, 10], (graph, x, labels), cfg, n_splits=2)
+        for t in templates:
+            runs, failed = training.train_splits(replace(t, k=10), graph, x, labels, splits, cfg)
+            assert (len(runs), failed) == (2, [])
+    finally:
+        tracemalloc.stop()
+    assert [r.failures for r in rows] == [0] * 4
+    assert len(peaks) == 4 + 2 and max(peaks) < 8 * 400 * 400
 
 
 @pytest.mark.parametrize("norm", ["row", "sym", "dir"])

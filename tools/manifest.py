@@ -10,13 +10,14 @@ Outputs covered: the CLI command sequence of the c11 determinism check
 ``normalize`` for the four schemes on a plain, a ``--selfloops`` and a
 ``--symmetrize`` graph, ``analyze-loops`` for the four lemmas, a short
 sweep of the two power architectures up to k = 15 (its walk counts pass
-2**53 at k = 12 and int64 at k = 14; every cell trains on the float64
-ladder) and a short deep ``train``, each through the CLI and, with exact
+2**53 at k = 12 and int64 at k = 14; every cell applies its power by k
+sparse products) and a short deep ``train``, each through the CLI and, with exact
 float reprs, through the library, a short ``train`` that takes its
 settings from a ``--config`` file, an abbreviated flag and
 ``--paper-protocol`` with explicit budget flags (its resolved config pins
-their precedence), and the library's ``normalize`` of large walk counts,
-exact (``count_ladder``) and in float64 (``float_powers``, up to k = 50).
+their precedence), the library's ``normalize`` of large exact walk counts
+(``count_ladder``), and ``build_aggregation(...) @ X`` of the power
+architecture on the same graph, up to k = 50.
 Uses only the standard library and hopscope; BLAS is pinned to one thread
 before numpy loads. Runs in about 4 s on 2 cores.
 """
@@ -77,9 +78,8 @@ def main() -> int:
                         help="directory holding the hopscope package to hash")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from hopscope import (ModelSpec, TrainConfig, count_ladder, make_splits, normalize, run_sweep, symmetrize,
-                          synthesize_dataset, train_model)
-    from hopscope.hops import float_powers
+    from hopscope import (ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features, make_splits,
+                          normalize, run_sweep, symmetrize, synthesize_dataset, train_model)
     from hopscope.cli import main as cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,14 +129,17 @@ def main() -> int:
                                  "--out", "deep.csv"], ["deep.csv"])
 
     # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at k = 11
-    reach = symmetrize(synthesize_dataset("structure_only", n=400, seed=5)[0])
-    float_ks = [*range(1, 13), 50]
-    for label, ks, rungs in (("", range(1, 13), count_ladder(reach)),
-                             (" float", float_ks, float_powers(reach, float_ks))):
-        for k, rung in zip(ks, rungs):
-            for scheme in ("none", "row", "sym", "dir"):
-                w = normalize(rung, scheme)
-                _emit(f"library{label} normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
+    graph = synthesize_dataset("structure_only", n=400, seed=5)[0]
+    for k, rung in zip(range(1, 13), count_ladder(symmetrize(graph))):
+        for scheme in ("none", "row", "sym", "dir"):
+            w = normalize(rung, scheme)
+            _emit(f"library normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
+    x = degree_features(graph)
+    for k in [*range(1, 13), 50]:
+        for scheme in ("none", "row", "sym", "dir"):
+            agg = build_aggregation(ModelSpec(arch="one_layer_power_k", k=k, norm=scheme, propagation="bidirectional"),
+                                    graph)
+            _emit(f"library power aggregation A^{k} {scheme}", (agg @ x).tobytes() + repr(agg.zero_row_count).encode())
 
     cfg = TrainConfig(lr=0.05, max_epochs=25, early_stop_patience=15, lr_sched_patience=10, seed=5)
     dataset = synthesize_dataset("structure_only", n=200, seed=5)
