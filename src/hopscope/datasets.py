@@ -10,11 +10,13 @@ A dataset directory holds plain text files:
 
 Node and class ids may be arbitrary integers; the loader remaps both
 to dense ranges. ``edges.tsv`` (under at most an exact ``%nodes N``
-first line) and ``labels.tsv`` are read a block of lines at a time in
-numpy when they hold nothing but ASCII digits, ``-``, tabs, spaces and
-newlines, two tokens on each non-blank line, and, for the labels, each
-node exactly once. Any other text goes through the line grammar, so an
-error still names ``file:line``. All CSV output uses UTF-8, ``.`` decimals,
+first line) and ``labels.tsv`` are read a block of lines at a time by
+numpy's C reader when they hold nothing but ASCII digits, ``-``, tabs,
+spaces and newlines, two tokens on each non-blank line, and, for the
+labels, each node exactly once. Any other text goes through the line
+grammar, so an error still names ``file:line``. :func:`save_dataset`
+writes both files from digit arrays built in numpy, a block of rows at a
+time. All CSV output uses UTF-8, ``.`` decimals,
 a header row, deterministic row order, and 12 significant digits for
 reals, so identical inputs always produce byte-identical files.
 """
@@ -48,6 +50,7 @@ __all__ = [
 
 DATA_DIR_ENV = "HOPSCOPE_DATA_DIR"
 _WRITE_BLOCK = 1 << 16  # edge lines formatted per write in save_dataset
+_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)  # the digit-count steps of _int_lines
 
 
 def fmt_real(x: float) -> str:
@@ -296,6 +299,38 @@ def save_sweep_csv(rows, path: str | os.PathLike):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _int_lines(*columns: np.ndarray) -> str:
+    """The text ``f"{a}\\t{b}\\n"`` writes for each row of the int64 ``columns``, built in numpy.
+
+    Each value takes ``1 + (how many of 10, 100, ..., 10**18 its magnitude
+    reaches)`` digits, plus a ``-`` when negative. The digits are filled into
+    a byte buffer from the right, one ``divmod`` by 10 per digit place, over
+    the values that still have digits left. Magnitudes are uint64, so
+    ``-2**63`` is exact.
+    """
+    fields = []
+    for column in columns:
+        column = np.asarray(column, dtype=np.int64)
+        neg, mag = column < 0, column.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)  # modulo 2**64, so -2**63 has magnitude 2**63
+        fields.append((neg, mag, np.searchsorted(_POW10, mag, side="right") + 1 + neg))
+    row_lengths = sum(width + 1 for _, _, width in fields)
+    buf = np.empty(int(row_lengths.sum()), dtype=np.uint8)
+    at = np.cumsum(row_lengths) - row_lengths  # where each row's next field starts
+    for end, (neg, mag, width) in zip(b"\t" * (len(fields) - 1) + b"\n", fields):
+        buf[at[neg]] = ord("-")
+        at = at + width
+        buf[at] = end
+        digit_at = at - 1
+        while len(mag):
+            mag, digit = np.divmod(mag, 10)
+            buf[digit_at] = digit + ord("0")
+            left = mag > 0
+            mag, digit_at = mag[left], digit_at[left] - 1
+        at += 1
+    return buf.tobytes().decode("ascii")
+
+
 def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, out_dir: str | os.PathLike):
     """Write a dataset directory in the loadable on-disk format."""
     out = Path(out_dir)
@@ -308,12 +343,10 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.write(f"%nodes {graph.n_rows}\n")
         for lo in range(0, len(src), _WRITE_BLOCK):
-            block = zip(src[lo:lo + _WRITE_BLOCK].tolist(), dst[lo:lo + _WRITE_BLOCK].tolist())
-            fh.write("".join([f"{s}\t{d}\n" for s, d in block]))
+            fh.write(_int_lines(src[lo:lo + _WRITE_BLOCK], dst[lo:lo + _WRITE_BLOCK]))
     labels = np.asarray(labels, dtype=np.int64)
-    (out / "labels.tsv").write_text(
-        "\n".join(f"{i}\t{int(c)}" for i, c in enumerate(labels)) + "\n", encoding="utf-8"
-    )
+    # without nodes the file still ends its one (empty) line
+    (out / "labels.tsv").write_text(_int_lines(np.arange(len(labels)), labels) or "\n", encoding="utf-8")
     if features is not None:
         rows = [
             str(i) + "," + ",".join(fmt_real(v) for v in row) for i, row in enumerate(np.asarray(features))

@@ -20,6 +20,7 @@ workers.
 
 from __future__ import annotations
 
+import io
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -86,9 +87,13 @@ def _canonical(m, dtype) -> sp.csr_matrix:
     """
     if isinstance(m, np.ndarray):  # straight to CSR: scipy's route through COO is 5x slower
         nz = m != 0
-        offsets = np.zeros(m.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(nz, axis=1), out=offsets[1:])
-        m = sp.csr_matrix((m[nz], np.broadcast_to(np.arange(m.shape[1]), m.shape)[nz], offsets), shape=m.shape)
+        per_row = np.count_nonzero(nz, axis=1)
+        # the index dtype scipy keeps (int32 while the shape and nnz fit), so it copies neither index array
+        index = np.int32 if max(m.shape) < 2**31 and per_row.sum() < 2**31 else np.int64
+        offsets = np.zeros(m.shape[0] + 1, dtype=index)
+        np.cumsum(per_row, out=offsets[1:])
+        columns = np.broadcast_to(np.arange(m.shape[1], dtype=index), m.shape)[nz]
+        m = sp.csr_matrix((m[nz], columns, offsets), shape=m.shape)
     m = sp.csr_matrix(m, dtype=dtype)
     if not (m.has_canonical_format and m.data.all()):
         if not all(arr.flags.writeable for arr in (m.indptr, m.indices, m.data)):
@@ -406,32 +411,31 @@ def _int_table(text: str, width: int) -> np.ndarray | None:
     """The ``(rows, width)`` int64 table of a text of plain integer lines, or None.
 
     The text is read a block of about ``_TABLE_BLOCK`` characters of whole
-    lines at a time. A block holds only ASCII digits, ``-``, tabs, spaces
-    and newlines, and each of its lines is blank or has exactly ``width``
-    tokens; there numpy's conversion is ``int()`` on ``-?[0-9]+``, so a
-    token such as ``1-2`` or one outside int64 fails it. Anything else (a
-    comment, ``\\r``, ``_``, ``+``, non-ASCII text, a ragged line) gives
-    None and leaves the text to the line grammar, which names the line.
+    lines at a time. A block of only ASCII digits, ``-``, tabs, spaces and
+    newlines is converted by numpy's C reader (``np.loadtxt``), which skips
+    blank lines and reads a token as ``int()`` reads ``-?[0-9]+`` within
+    int64; a block without a token is skipped. None leaves the text to the
+    line grammar, which names the line. It comes for any other byte (a
+    comment, ``\\r``, ``_``, ``+``, non-ASCII text), for a token loadtxt
+    refuses (``1-2``, one outside int64) and for a non-blank line without
+    ``width`` tokens.
     """
-    rows, lo = [], 0
+    tables, lo = [], 0
     while lo < len(text):
         hi = text.find("\n", lo + _TABLE_BLOCK - 1) + 1 or len(text)
         block, lo = text[lo:hi], hi
-        if not block.isascii():
+        if not (block.isascii() and _TABLE_BYTES[np.frombuffer(block.encode("ascii"), dtype=np.uint8)].all()):
             return None
-        b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-        if not _TABLE_BYTES[b].all():
-            return None
-        start = b > 32  # a digit or '-' after a tab, space, newline or the block's start
-        start[1:] &= b[:-1] <= 32
-        per_line = np.bincount(np.cumsum(b == 10, dtype=np.int32)[start])
-        if not ((per_line == 0) | (per_line == width)).all():
-            return None
+        if block.isspace():
+            continue  # loadtxt warns on input without data
         try:
-            rows.append(np.array(block.split(), dtype=np.int64))
+            table = np.loadtxt(io.StringIO(block), dtype=np.int64, comments=None, ndmin=2)
         except (ValueError, OverflowError):
             return None
-    return np.concatenate(rows or [np.zeros(0, dtype=np.int64)]).reshape(-1, width)
+        if table.shape[1] != width:  # loadtxt refuses a line whose token count differs from the first's
+            return None
+        tables.append(table)
+    return np.concatenate(tables) if tables else np.zeros((0, width), dtype=np.int64)
 
 
 def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]:

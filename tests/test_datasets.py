@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,27 @@ def test_save_dataset_edges_match_per_row_writer(tmp_path, monkeypatch):
     assert graph.values.max() >= 5 and np.count_nonzero(np.diff(graph.row_offsets) == 0) >= n // 2
     save_dataset(graph, None, np.zeros(n, dtype=np.int64), tmp_path / "ds")
     assert (tmp_path / "ds" / "edges.tsv").read_bytes() == _reference_edges_tsv(graph)
+
+
+@pytest.mark.parametrize("labels", [
+    [-3, 0, -9_223_372_036_854_775_808, 7],  # negative, down to -2**63
+    [0, 1_000_000, 42, 1_000_000],  # sparse
+    [9_223_372_036_854_775_807, 1_000_000_000_000_000_000, -1_000_000_000_000_000_000, 5],  # 19 digits
+    [],
+], ids=["negative", "sparse", "19-digit", "no-nodes"])
+def test_save_dataset_labels_match_per_line_writer(tmp_path, labels):
+    save_dataset(from_edge_list([], len(labels)), None, np.array(labels, dtype=np.int64), tmp_path)
+    want = "\n".join(f"{i}\t{c}" for i, c in enumerate(labels)) + "\n"
+    assert (tmp_path / "labels.tsv").read_bytes() == want.encode("utf-8")
+
+
+def test_blank_edge_body_loads_without_warning(tmp_path):
+    write_toy(tmp_path, features=False)
+    (tmp_path / "edges.tsv").write_text("%nodes 3\n\n \t\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = load_dataset(tmp_path)
+    assert bundle.graph == from_edge_list([], 3)
 
 
 def test_save_dataset_writes_empty_graph(tmp_path):

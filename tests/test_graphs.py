@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -331,6 +333,17 @@ def test_int_table_blocks_end_at_line_ends(monkeypatch, block):
     assert graphs._int_table("1 2 3 4\n", 2) is None  # one ragged line, whatever the cut
     assert graphs._int_table("1 2\n 3\t4\n\n-5  6", 2).tolist() == [[1, 2], [3, 4], [-5, 6]]
     assert graphs._int_table("", 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+@pytest.mark.parametrize("text", ["\n \t\n", " ", "\n\n  \n", "1 2\n\n \t\n", "\n \n3\t4"])
+def test_int_table_skips_blank_blocks_without_warning(monkeypatch, block, text):
+    monkeypatch.setattr(graphs, "_TABLE_BLOCK", block)  # loadtxt warns on a block with no token
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = graphs._int_table(text, 2)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[int(t) for t in line.split()] for line in text.splitlines() if line.split()]
 
 
 # ---------------------------------------------------------------------------

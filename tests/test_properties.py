@@ -528,6 +528,18 @@ def test_edge_array_agrees_with_the_line_grammar(text, block):
             assert edges.dtype == np.int64 and np.array_equal(edges, want[0]) and declared == want[1]
 
 
+# 0, ±1, ±9, ±10, ±10**j up to 10**18 and the int64 ends: every digit count, both signs
+_WRITER_INTS = st.sampled_from([v for m in (0, 1, 9, 10, *(10**j for j in range(2, 19)), 2**63 - 1) for v in (m, -m)]
+                               + [-2**63]) | st.integers(-2**63, 2**63 - 1)
+
+
+@given(st.lists(st.tuples(_WRITER_INTS, _WRITER_INTS), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_int_lines_are_the_per_line_f_strings(rows):
+    src, dst = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    assert datasets._int_lines(src, dst) == "".join(f"{s}\t{d}\n" for s, d in rows)
+
+
 @st.composite
 def labelled_datasets(draw):
     """``(edges.tsv, labels.tsv)`` texts: a graph whose every node has an edge, and its labels.

@@ -16,8 +16,11 @@ float reprs, through the library, a short ``train`` that takes its
 settings from a ``--config`` file, an abbreviated flag and
 ``--paper-protocol`` with explicit budget flags (its resolved config pins
 their precedence), the library's ``normalize`` of large exact walk counts
-(``count_ladder``), and ``build_aggregation(...) @ X`` of the power
-architecture on the same graph, up to k = 50.
+(``count_ladder``), ``build_aggregation(...) @ X`` of the power
+architecture on the same graph, up to k = 50, the ``edges.tsv`` and
+``labels.tsv`` bytes of a library ``save_dataset`` of a multigraph with
+negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
+arrays) of ``load_dataset`` on that directory and on a headerless copy.
 Uses only the standard library and hopscope; BLAS is pinned to one thread
 before numpy loads. Runs in about 4 s on 2 cores.
 """
@@ -78,8 +81,9 @@ def main() -> int:
                         help="directory holding the hopscope package to hash")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from hopscope import (ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features, make_splits,
-                          normalize, run_sweep, symmetrize, synthesize_dataset, train_model)
+    from hopscope import (ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features, load_dataset,
+                          make_splits, normalize, read_edge_list, run_sweep, save_dataset, symmetrize,
+                          synthesize_dataset, train_model)
     from hopscope.cli import main as cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,6 +131,24 @@ def main() -> int:
         _cli(cli, "train deep", ["train", "--synth", "sparse_digraph_deep", "--n", "200", "--arch", "k_layer_gcn",
                                  "--k", "12", "--act", "identity", "--norm", "row", "--lr", "0.005", *TRAIN_ARGS, *SMALL_SPLITS,
                                  "--out", "deep.csv"], ["deep.csv"])
+
+        # the multigraph with negative, sparse and 19-digit class ids; the headerless copy remaps
+        # the endpoint ids and so leaves out the label of isolated node 39
+        multi = read_edge_list(g["multi"])
+        classes = [-2**63, -7, 0, 3, 10**18, 2**63 - 1, 42]
+        save_dataset(multi, None, [classes[i * 3 % 7] for i in range(multi.n_rows)], "lib_ds")
+        headerless = Path("lib_ds_headerless")
+        headerless.mkdir()
+        body = Path("lib_ds/edges.tsv").read_text(encoding="utf-8").partition("\n")[2]
+        (headerless / "edges.tsv").write_text(body, encoding="utf-8")
+        labels = Path("lib_ds/labels.tsv").read_text(encoding="utf-8").splitlines(True)[:39]
+        (headerless / "labels.tsv").write_text("".join(labels), encoding="utf-8")
+        for name in ("edges.tsv", "labels.tsv"):
+            _emit(f"library save_dataset {name}", Path("lib_ds", name).read_bytes())
+        for root in ("lib_ds", headerless):
+            bundle = load_dataset(root)
+            arrays = [arr.tolist() for arr in (bundle.graph.row_offsets, bundle.graph.col_indices, bundle.graph.values)]
+            _emit(f"library load_dataset {root}", repr((bundle, arrays)).encode())
 
     # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at k = 11
     graph = synthesize_dataset("structure_only", n=400, seed=5)[0]
