@@ -24,19 +24,25 @@ a given (params, masks) pair always reproduces the same numbers.
 
 Who recomputes what: every kernel multiplies by Â through its ``@`` and
 the backward by its ``.T``, with no copy: a :class:`WeightedAdjacency`
-hands both to its CSR (``Âᵀ`` is a CSC view), and a
-:class:`PowerAggregation` applies its k-th power by k sparse products and
-is never built. ``model_backward`` reruns the forward. The trainer computes
-layer 0's ``Â X`` once per run (it depends on no parameter, and dropout
-masks only layer outputs), and calls ``_forward_pass`` and
-``_backward_pass`` (a reverse sweep over the forward's caches) directly,
-on records whose arrays are views into one flat float64 vector in
-``_FIELDS`` order (``_packed``); Adam, its snapshots and the finite
-differences work on that vector. Shapes are checked once per call.
+hands both straight to scipy's compiled CSR and CSC kernels (``Âᵀ`` is a
+CSC view; ``normalization._spmm`` skips scipy's per-call
+dispatch and keeps its bits), and a :class:`PowerAggregation` applies its
+k-th power by k sparse products and is never built. ``model_backward``
+reruns the forward. The trainer computes layer 0's ``Â X`` once per run
+(it depends on no parameter, and dropout masks only layer outputs), and
+calls ``_forward_pass`` and ``_backward_pass`` (a reverse sweep over the
+forward's caches) directly, on records whose arrays are views into one
+flat float64 vector in ``_FIELDS`` order (``_packed``). The backward
+writes its gradients with ``out=`` into views of a second flat vector
+that the run allocates once, so Adam, its snapshots and the finite
+differences work on whole vectors and no epoch builds a record. A layer's
+finite check is one sum; only a non-finite sum runs the elementwise test.
+Shapes are checked once per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,9 +176,15 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) if name == "relu" else z
 
 
-def _check_finite(h: np.ndarray, where: str):
-    if not np.all(np.isfinite(h)):
-        raise NumericError(f"non-finite values in {where}")
+@np.errstate(over="ignore", invalid="ignore")
+def _check_finite(h: np.ndarray, where: str, *args):
+    """Raise :class:`NumericError` naming ``where.format(*args)`` if an entry of ``h`` is not finite.
+
+    A finite sum proves every entry finite, so the elementwise test and the
+    message run only when the one sum is not (an entry is, or the sum overflowed).
+    """
+    if not math.isfinite(np.add.reduce(h, axis=None)) and not np.isfinite(h).all():
+        raise NumericError(f"non-finite values in {where.format(*args)}")
 
 
 def _layer(ahat, h: np.ndarray, p: LayerParams, kind: str, m=None):
@@ -188,14 +200,15 @@ def _layer(ahat, h: np.ndarray, p: LayerParams, kind: str, m=None):
         m = ahat @ h
     z = (h if m is None else m) @ p.W
     if p.W0 is not None:
-        z = z + h @ p.W0
-    return m, z + p.b
+        z += h @ p.W0
+    z += p.b
+    return m, z
 
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     h = _features(ahat, h, [p])
     out = _act(act, _layer(ahat, h, p, kind)[1])
-    _check_finite(out, f"{kind} layer output")
+    _check_finite(out, "{} layer output", kind)
     return out
 
 
@@ -294,7 +307,7 @@ def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None):
         if not last and hidden_masks is not None and hidden_masks[i] is not None:
             mask = hidden_masks[i]
             out = out * mask
-        _check_finite(out, f"layer {i} output")
+        _check_finite(out, "layer {} output", i)
         caches.append({"kind": kind, "h": h, "m": m, "z": z, "mask": mask, "last": last})
         h = out
     return h, caches
@@ -341,28 +354,35 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     return _backward_pass(spec, ahat.T, params, caches, upstream_grad)
 
 
-def _backward_pass(spec, ahat_t, params, caches, upstream):
-    """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``."""
-    grads: list = [None] * len(params)
+def _backward_pass(spec, ahat_t, params, caches, upstream, grads=None):
+    """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``.
+
+    Every gradient is written with ``out=`` into ``grads``: records shaped
+    like ``params`` whose arrays view one flat vector (new ones if None).
+    A layer's norm sums one ``np.add.reduce(a ** 2)`` per array in ``_FIELDS`` order.
+    """
+    if grads is None:
+        grads = _views(np.empty(sum(getattr(p, n).size for p in params for n in p.fields)), params)
+    norms = [0.0] * len(params)
     g = upstream
     for i in range(len(params) - 1, -1, -1):
-        c = caches[i]
-        p = params[i]
+        c, p, d = caches[i], params[i], grads[i]
         if c["mask"] is not None:
             g = g * c["mask"]
         gz = g * (c["z"] > 0) if spec.activation == "relu" and not c["last"] else g
         src = c["h"] if c["m"] is None else c["m"]
-        dW0 = None if p.W0 is None else c["h"].T @ gz
-        grads[i] = LayerParams(W=src.T @ gz, b=gz.sum(axis=0), W0=dW0)
+        if p.W0 is not None:
+            np.matmul(c["h"].T, gz, out=d.W0)
+        np.matmul(src.T, gz, out=d.W)
+        np.add.reduce(gz, axis=0, out=d.b)
+        norms[i] = math.sqrt(sum(np.add.reduce(getattr(d, n) ** 2, axis=None) for n in d.fields))
         if i == 0:
             break
         g = gz @ p.W.T
         if c["m"] is not None:
             g = ahat_t @ g
         if p.W0 is not None:
-            g = g + gz @ p.W0.T
-
-    norms = [float(np.sqrt(sum(np.sum(getattr(gp, n) ** 2) for n in gp.fields))) for gp in grads]
+            g += gz @ p.W0.T
     return grads, norms
 
 

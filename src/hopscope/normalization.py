@@ -13,7 +13,9 @@ values, so an entry that a zero degree wiped stays as an explicit zero.
 :func:`normalize_power` rescales ``A^k`` into a :class:`PowerAggregation`,
 which is never built: its degrees take k sparse products with a vector,
 and its ``@`` applies it by k sparse products, as SGC computes ``S^K X``.
-Both types offer ``@`` and ``.T``, so one model kernel takes either.
+Both types offer ``@`` and ``.T``, so one model kernel takes either. A
+:class:`WeightedAdjacency` and its transpose multiply by :func:`_spmm`, which
+calls the compiled kernel that scipy's ``@`` ends in, without its dispatch.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
@@ -29,6 +32,39 @@ from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "PowerAggregation", "normalize", "normalize_power", "gcn_canonical"]
 
 NORM_SCHEMES = ("none", "row", "sym", "dir")
+
+# (one vector, many vectors) kernels per format: the calls scipy's ``@`` ends in for a dense operand
+_KERNELS = {f: (getattr(_sparsetools, f + "_matvec"), getattr(_sparsetools, f + "_matvecs")) for f in ("csr", "csc")}
+
+
+def _spmm(m, x) -> np.ndarray:
+    """``m @ x`` for a float64 scipy CSR or CSC ``m`` and a dense 1-D or 2-D ``x``, bit for bit.
+
+    It takes scipy's route with none of its per-call dispatch: ``x`` as a
+    C-contiguous float64 array, a zero result, and ``matvec`` for a vector
+    or a single column, ``matvecs`` otherwise.
+    """
+    x = np.asarray(x, dtype=np.float64, order="C")
+    n_row, n_col = m.shape
+    if x.ndim not in (1, 2) or x.shape[0] != n_col:
+        raise ValueError(f"cannot multiply a {n_row}x{n_col} matrix by an operand of shape {x.shape}")
+    out = np.zeros((n_row,) + x.shape[1:])
+    matvec, matvecs = _KERNELS[m.format]
+    if x.ndim == 1 or x.shape[1] == 1:
+        matvec(n_row, n_col, m.indptr, m.indices, m.data, x, out)
+    else:
+        matvecs(n_row, n_col, x.shape[1], m.indptr, m.indices, m.data, x, out)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Transpose:
+    """``Âᵀ`` of a :class:`WeightedAdjacency`: a CSC view over its arrays, multiplied by :func:`_spmm`."""
+
+    csc: sp.csc_matrix
+
+    def __matmul__(self, x):
+        return _spmm(self.csc, x)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -41,18 +77,18 @@ class WeightedAdjacency(_CSRWrapper):
     zero_row_count: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.csr.data)):
-            raise InputError("weighted adjacency must be finite")
+        if self.csr.dtype != np.float64 or not np.all(np.isfinite(self.csr.data)):
+            raise InputError("weighted adjacency must hold finite float64 values")
         for arr in (self.csr.indptr, self.csr.indices, self.csr.data):
             arr.flags.writeable = False
 
     def __matmul__(self, x):
-        return self.csr @ x
+        return _spmm(self.csr, x)
 
     @property
-    def T(self):
-        """``Âᵀ`` as a CSC view over the arrays of ``csr``."""
-        return self.csr.T
+    def T(self) -> _Transpose:
+        """``Âᵀ`` over a CSC view of the arrays of ``csr``: no copy."""
+        return _Transpose(self.csr.T)
 
 
 def _inverse(x: np.ndarray, root: bool) -> np.ndarray:

@@ -29,7 +29,6 @@ from .models import (
     _reach_adjacency,
     _resolve_ahat,
     _views,
-    flat_gradients,
     init_params,
     model_forward,
     uniform_features,
@@ -209,9 +208,11 @@ def train_model(
     dropout, two with.
 
     The layer records view one flat vector ``theta`` (the layout of
-    ``flat_gradients``): Adam's ``m``/``v``, the weights-only l2 term and
-    the update are elementwise on whole vectors, the same bits as a
-    per-array loop, and a snapshot is ``theta.copy()``.
+    ``flat_gradients``), and the backward writes every gradient into views
+    of one flat vector ``grad`` of the same layout, both allocated once per
+    run: Adam's ``m``/``v``, the weights-only l2 term and the update are
+    elementwise and in place on whole vectors, the same bits as a per-array
+    loop, and a snapshot is ``theta.copy()``.
 
     Divergence (non-finite loss or activations) raises
     :class:`NumericError` carrying the epoch at which it happened. numpy's
@@ -226,6 +227,8 @@ def train_model(
     ahat_t = ahat.T  # a CSC view over Â's arrays, or the transposed power operator: no copy
     ax = ahat @ x  # layer 0 always aggregates, and Â X is the same in every forward
     theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
+    grad = np.zeros_like(theta)
+    grads = _views(grad, params)
     weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -268,14 +271,15 @@ def train_model(
         probs[np.arange(len(y_train)), y_train] -= 1.0
         upstream[split.train] = probs / len(y_train)
 
-        grads, norms = _backward_pass(spec, ahat_t, params, caches, upstream)
+        _, norms = _backward_pass(spec, ahat_t, params, caches, upstream, grads)
         traces.append(tuple(norms))
 
-        g = flat_gradients(grads)
         if cfg.l2 > 0:
-            g[weights] += cfg.l2 * theta[weights]
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
+            grad[weights] += cfg.l2 * theta[weights]
+        m *= beta1
+        m += (1 - beta1) * grad
+        v *= beta2
+        v += (1 - beta2) * grad * grad
         m_hat = m / (1 - beta1**epoch)
         v_hat = v / (1 - beta2**epoch)
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it

@@ -1,4 +1,4 @@
-import time
+import sys
 from itertools import islice
 
 import numpy as np
@@ -34,7 +34,7 @@ from hopscope import (
     train_model,
     verify_loop_lemma,
 )
-from hopscope import hops, training
+from hopscope import hops
 from hopscope.cli import main
 from hopscope.models import _reach_adjacency
 
@@ -239,11 +239,23 @@ def bidirected_k77():
     return symmetrize(from_edge_list([(i, 7 + j) for i in range(7) for j in range(7)], 14))
 
 
-def test_cycle_search_gives_up_within_its_budget():
-    start = time.perf_counter()
-    with pytest.raises(InputError, match="cycle search for m=9 gave up after 1000000 extensions"):
-        verify_loop_lemma(bidirected_k77(), "m_node", 2, m=9)
-    assert time.perf_counter() - start < 1.0
+def test_cycle_search_gives_up_within_its_budget(monkeypatch):
+    assert hops.CYCLE_SEARCH_BUDGET == 1_000_000
+    monkeypatch.setattr(hops, "CYCLE_SEARCH_BUDGET", 500)
+    extensions = []
+
+    def count_extensions(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend" and frame.f_code.co_filename == hops.__file__:
+            extensions.append(len(frame.f_locals["path"]))
+
+    sys.setprofile(count_extensions)
+    try:
+        with pytest.raises(InputError, match="cycle search for m=9 gave up after 500 extensions"):
+            verify_loop_lemma(bidirected_k77(), "m_node", 2, m=9)
+    finally:
+        sys.setprofile(None)
+    # one call for the start node, then one per extension the budget allows, and none after it
+    assert extensions.count(1) == 1 and len(extensions) == 1 + 500
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +384,14 @@ def test_binomial_check_reads_one_count_ladder(monkeypatch):
 def test_train_model_aggregates_the_features_once_per_run(monkeypatch, epochs):
     graph, x, labels = synthesize_dataset("hybrid", n=200, seed=1)  # 12 features, hidden width 4
     feature_products = []
-    resolve = training._resolve_ahat
+    product = WeightedAdjacency.__matmul__
 
-    class Counting(sp.csr_matrix):
-        def __matmul__(self, other):
-            if isinstance(other, np.ndarray) and other.shape[1] == x.shape[1]:
-                feature_products.append(1)
-            return super().__matmul__(other)
+    def counting(ahat, other):
+        if other.shape[1] == x.shape[1]:
+            feature_products.append(1)
+        return product(ahat, other)
 
-    def counting_ahat(spec, g):
-        ahat = resolve(spec, g)
-        return WeightedAdjacency(Counting(ahat.csr), ahat.scheme, ahat.zero_row_count)
-
-    monkeypatch.setattr(training, "_resolve_ahat", counting_ahat)
+    monkeypatch.setattr(WeightedAdjacency, "__matmul__", counting)
     spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4)
     cfg = TrainConfig(dropout=0.5, max_epochs=epochs, early_stop_patience=epochs - 1)
     (split,) = make_splits(labels, per_class_train=5, per_class_val=5, n_splits=1)

@@ -400,3 +400,23 @@ def test_finite_differences_leave_caller_arrays_alone():
         for n in p.fields:
             assert getattr(q, n).shape == getattr(p, n).shape
             assert not any(np.shares_memory(getattr(q, n), arr) for arr in after)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_backward_into_a_reused_buffer_is_bit_equal_to_the_allocating_call(arch):
+    rng = np.random.default_rng(zlib.crc32(arch.encode()))
+    spec = ModelSpec(arch=arch, k=3, hidden_width=5, norm="dir")
+    g = random_digraph(rng, 12, p=0.3)
+    x = rng.standard_normal((12, 4))
+    params = init_params(spec, 4, 3, rng)
+    ahat = build_aggregation(spec, g)
+    masks = [(rng.random((12, 5)) < 0.6) / 0.6 for _ in params[:-1]] + [None]
+    _, caches = models._forward_pass(spec, ahat, x, params, masks)
+    flat = np.full(models.flat_gradients(params).size, np.nan)
+    buffer = models._views(flat, params)
+    for _ in range(2):  # a second upstream must overwrite every entry the first one wrote
+        upstream = rng.standard_normal((12, 3))
+        want, want_norms = models._backward_pass(spec, ahat.T, params, caches, upstream)
+        got, norms = models._backward_pass(spec, ahat.T, params, caches, upstream, buffer)
+        assert got is buffer and norms == want_norms
+        assert flat.tobytes() == models.flat_gradients(want).tobytes()

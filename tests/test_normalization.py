@@ -114,3 +114,12 @@ def test_canonical_support_is_looped_support():
 def test_unknown_scheme_rejected():
     with pytest.raises(InputError):
         normalize(p3(), "minmax")
+
+
+def test_direct_kernel_rejects_an_operand_of_the_wrong_shape():
+    # the compiled kernel trusts its sizes, so a mismatch must stop before it reads past x
+    w = normalize(p3(), "sym")
+    for op in (w, w.T):
+        for x in (np.ones((2, 3)), np.ones(4), np.ones((3, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="cannot multiply a 3x3 matrix"):
+                op @ x

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hopscope import (
     ARCHITECTURES,
@@ -27,6 +28,7 @@ from hopscope import (
     SupportPattern,
     SweepRow,
     TrainConfig,
+    WeightedAdjacency,
     add_self_loops,
     count_ladder,
     degrees,
@@ -48,7 +50,14 @@ from hopscope import (
     transpose,
 )
 from hopscope import cli, datasets, graphs, hops
-from hopscope.models import ACTIVATIONS, PROPAGATIONS, _reach_adjacency, build_aggregation, max_relative_error
+from hopscope.models import (
+    ACTIVATIONS,
+    PROPAGATIONS,
+    _check_finite,
+    _reach_adjacency,
+    build_aggregation,
+    max_relative_error,
+)
 from hopscope.training import train_splits
 
 
@@ -226,6 +235,71 @@ def test_normalize_is_the_dense_diagonal_rescaling(a, scheme):
     assert a.nnz == 0 or np.shares_memory(w.csr.indices, a.csr.indices)
 
 
+@st.composite
+def dense_operands(draw, n):
+    """An operand for an n-column product: a vector or 1 to 40 columns, C-ordered, F-ordered or strided."""
+    width = draw(st.one_of(st.none(), st.integers(1, 40)))
+    shape = (n,) if width is None else (n, width)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    x[rng.random(shape) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    event(f"{'vector' if width is None else 'one column' if width == 1 else 'columns'}, {layout}")
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":  # every other column (every other entry of a vector) of a wider array
+        wide = np.full(shape[:-1] + (2 * shape[-1],), np.nan)
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    return x
+
+
+@given(counts_with_empty_lines(), st.sampled_from(NORM_SCHEMES), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_direct_kernel_is_bit_equal_to_scipys_product(a, scheme, wide, data):
+    # ``@`` of Â and of its CSC view Âᵀ calls scipy's private compiled kernels: a change to
+    # their signature or semantics in scipy must fail here
+    w = normalize(a, scheme)
+    if wide:
+        m = sp.csr_matrix(w.csr, copy=True)
+        m.indptr, m.indices = m.indptr.astype(np.int64), m.indices.astype(np.int64)
+        w = WeightedAdjacency(m, w.scheme, w.zero_row_count)
+    event(f"{w.csr.indices.dtype} indices")
+    if np.any(w.csr.data == 0):
+        event("explicit zeros")
+    if np.any(np.diff(w.csr.indptr) == 0):
+        event("empty rows")
+    for op, ref in ((w, w.csr), (w.T, w.csr.T)):
+        x = data.draw(dense_operands(a.n_rows))
+        got, want = op @ x, ref @ x
+        assert type(got) is np.ndarray and got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+_BIG = np.finfo(np.float64).max
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                  elements=st.one_of(st.floats(), st.sampled_from([_BIG, -_BIG, _BIG / 2, np.inf, -np.inf, np.nan]))))
+@settings(max_examples=300, deadline=None)
+def test_check_finite_raises_exactly_on_a_non_finite_entry(h):
+    finite = bool(np.all(np.isfinite(h)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        event("not finite" if not finite else "finite, sum overflows" if not np.isfinite(h.sum()) else "finite")
+    if finite:
+        _check_finite(h, "layer {} output", 7)
+    else:
+        with pytest.raises(NumericError, match=r"^non-finite values in layer 7 output$"):
+            _check_finite(h, "layer {} output", 7)
+
+
+def test_check_finite_passes_a_finite_array_whose_sum_overflows():
+    _check_finite(np.array([[1e308, 1e308]]), "layer {} output", 0)
+    _check_finite(np.array([_BIG, _BIG, -_BIG]), "layer {} output", 0)
+    with pytest.raises(NumericError, match="in graphsage layer output"):
+        _check_finite(np.array([[np.inf, -np.inf]]), "{} layer output", "graphsage")
+
+
 @given(multigraphs(), st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
 def test_count_ladder_rungs_are_exact_powers(a, k_max):
@@ -264,7 +338,8 @@ def test_power_aggregation_is_the_normalized_exact_power(a_k, scheme, arch):
         event("past int64")
         return
     event("counts within 2**53" if max(exact.max(), 0) <= 2**53 else "counts within int64")
-    want = normalize(mat_power_count(a, k), scheme)
+    # not mat_power_count: its ladder raises when a rung below k leaves int64, though A^k fits
+    want = normalize(from_dense(exact.astype(np.int64)), scheme)
     # positive operands: no cancellation, so the relative error measures the operator alone
     rng = np.random.default_rng(a.n_rows)
     x, g = 1.0 + rng.random((a.n_rows, 3)), 1.0 + rng.random((a.n_rows, 2))
