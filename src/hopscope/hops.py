@@ -19,7 +19,8 @@ the sparse base advances it with one sparse-times-dense product: no nnz
 pass, no index sort. A sparse rung whose product is sure to pass that
 line takes the same route. Any other rung stays canonical CSR. The form
 is chosen anew at every rung, and a rung becomes a matrix only where it
-is read.
+is read. A boolean ladder whose rung repeats the one before it has
+reached a fixed point and makes no further product.
 
 On top of the powers sit the structural checks: inclusion of the k-step
 pattern into later patterns for graphs with self-loops, symmetric edges,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import comb
 
 import numpy as np
@@ -198,6 +199,19 @@ def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
     return int(np.maximum.reduceat(picked, starts).sum()) if picked.size else 0
 
 
+def _same_rung(p, q) -> bool:
+    """Whether two boolean rungs, each in its :func:`_rung_form`, hold one pattern.
+
+    The form follows from the pattern, and a canonical CSR rung stores only
+    ``True``, so its index arrays are its pattern.
+    """
+    if sp.issparse(p) != sp.issparse(q):
+        return False
+    if sp.issparse(p):
+        return np.array_equal(p.indptr, q.indptr) and np.array_equal(p.indices, q.indices)
+    return np.array_equal(p, q)
+
+
 def _rungs(base: sp.csr_matrix, product) -> Iterator:
     """Yield ``B^1, B^2, ...`` of the positive CSR ``base`` unconverted, each in its :func:`_rung_form`.
 
@@ -205,7 +219,10 @@ def _rungs(base: sp.csr_matrix, product) -> Iterator:
     from the left, so a dense rung advances with one sparse-times-dense
     product. A sparse rung goes dense before its product when
     :func:`_product_nnz_floor` already passes the dense line, so a product
-    that is sure to be dense never builds and sorts a CSR first.
+    that is sure to be dense never builds and sorts a CSR first. A boolean
+    rung equal to the one before it is a fixed point of ``P ↦ support(B·P)``:
+    every later rung equals it, so it is yielded again with no further
+    product. A counting ladder never stops early.
     """
     if base.shape[0] != base.shape[1]:
         raise InputError("matrix power requires a square matrix")
@@ -213,9 +230,11 @@ def _rungs(base: sp.csr_matrix, product) -> Iterator:
     cur = _rung_form(base)
     while True:
         yield cur
-        if sp.issparse(cur) and cells and 3 * _product_nnz_floor(base, cur) >= 2 * cells:
-            cur = cur.toarray()
-        cur = _rung_form(product(base, cur))
+        step = cur.toarray() if sp.issparse(cur) and cells and 3 * _product_nnz_floor(base, cur) >= 2 * cells else cur
+        nxt = _rung_form(product(base, step))
+        if base.dtype == bool and _same_rung(nxt, cur):
+            yield from repeat(cur)
+        cur = nxt
 
 
 def _powers(rungs: Iterator, ks, cls) -> Iterator:

@@ -28,16 +28,25 @@ hands both straight to scipy's compiled CSR and CSC kernels (``Âᵀ`` is a
 CSC view; ``normalization._spmm`` skips scipy's per-call
 dispatch and keeps its bits), and a :class:`PowerAggregation` applies its
 k-th power by k sparse products and is never built. ``model_backward``
-reruns the forward. The trainer computes layer 0's ``Â X`` once per run
-(it depends on no parameter, and dropout masks only layer outputs), and
-calls ``_forward_pass`` and ``_backward_pass`` (a reverse sweep over the
-forward's caches) directly, on records whose arrays are views into one
-flat float64 vector in ``_FIELDS`` order (``_packed``). The backward
-writes its gradients with ``out=`` into views of a second flat vector
-that the run allocates once, so Adam, its snapshots and the finite
-differences work on whole vectors and no epoch builds a record. A layer's
-finite check is one sum; only a non-finite sum runs the elementwise test.
-Shapes are checked once per call.
+reruns the forward. The trainer computes Â, Âᵀ and layer 0's ``Â X``
+once per run of all of a cell's splits (``Â X`` depends on no
+parameter, and dropout masks only layer outputs), and calls
+``_forward_pass`` and ``_backward_pass`` (a reverse sweep over the
+forward's caches) directly, once per epoch each for all S splits: its
+records are stacked (``_views`` of an (S, P) array, one split a row in
+``_FIELDS`` order), hidden states are (n, S·d), so one sparse product
+per layer serves every split, and each matrix product runs on (S, n, d)
+views of those buffers (``_split_view``); one split trains on 2-D
+records. Every buffer and view is built once per run (a
+:class:`_Workspace`), and the backward writes its gradients with
+``out=`` into views of the run's one gradient array, so Adam, its
+snapshots and the finite differences work on whole arrays and no epoch
+builds a record. The caches keep each layer's ``z`` and an aggregation
+layer's ``Â H``; the backward rebuilds a linear or SAGE layer's input
+from the layer below, bit for bit. A layer's finite check is one sum
+over all splits; only a non-finite sum runs the elementwise test, which
+names the splits at fault. numpy's floating-point warnings are silenced
+once per forward. Shapes are checked once per call.
 """
 
 from __future__ import annotations
@@ -176,39 +185,65 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) if name == "relu" else z
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _check_finite(h: np.ndarray, where: str, *args):
+class _NonFinite(NumericError):
+    """A layer output with a non-finite entry; ``splits`` lists the column blocks (splits) that hold one."""
+
+    def __init__(self, message: str, splits: list[int]):
+        super().__init__(message)
+        self.splits = splits
+
+
+def _check_finite(h: np.ndarray, where: str, *args, splits: int = 1):
     """Raise :class:`NumericError` naming ``where.format(*args)`` if an entry of ``h`` is not finite.
 
-    A finite sum proves every entry finite, so the elementwise test and the
-    message run only when the one sum is not (an entry is, or the sum overflowed).
+    ``h`` is ``splits`` column blocks side by side, one per split of a
+    stacked forward, and the error names the blocks that hold such an
+    entry. A finite sum proves every entry finite, so the elementwise test
+    and the message run only when the one sum is not (an entry is, or the
+    sum overflowed). The caller silences numpy's overflow and invalid-value
+    warnings.
     """
-    if not math.isfinite(np.add.reduce(h, axis=None)) and not np.isfinite(h).all():
-        raise NumericError(f"non-finite values in {where.format(*args)}")
+    if math.isfinite(np.add.reduce(h, axis=None)):
+        return
+    bad = ~np.isfinite(h.reshape(len(h), splits, -1)).all(axis=(0, 2))
+    if bad.any():
+        raise _NonFinite(f"non-finite values in {where.format(*args)}", np.flatnonzero(bad).tolist())
 
 
-def _layer(ahat, h: np.ndarray, p: LayerParams, kind: str, m=None):
-    """The one layer kernel: ``(Â H, Â H W + H W0 + b)`` before the activation.
+def _split_view(a: np.ndarray, splits: int) -> np.ndarray:
+    """``a``, S = ``splits`` column blocks of width d side by side, as an (S, n, d) view; ``a`` itself when S = 1."""
+    return a if splits == 1 else a.reshape(len(a), splits, -1).swapaxes(0, 1)
 
-    A ``linear`` layer skips the aggregation (``Â H`` is None and ``W``
-    acts on ``H``); ``H W0`` enters only for SAGE layers. ``m`` is a
-    precomputed ``Â H``, if the caller has one.
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in ``a`` (its last two axes)."""
+    return a.swapaxes(-1, -2)
+
+
+def _layer(p: LayerParams, kind: str, h: np.ndarray, m: np.ndarray | None, z: np.ndarray):
+    """The one layer kernel: writes ``M W + H W0 + b``, before the activation, into ``z``.
+
+    ``M`` is ``m`` (``Â H``) for an aggregation layer and ``H`` for a
+    ``linear`` one (``m`` is None); ``H W0`` enters only for SAGE layers.
+    Arrays are split views (:func:`_split_view`) and ``p`` is a 2-D or a
+    stacked record, so one call serves every split; ``H`` and ``M`` may
+    also be 2-D arrays shared by all of them.
     """
     if (kind == "sage") != (p.W0 is not None):
         raise InputError(f"{kind} layer {'without' if p.W0 is None else 'with'} a self weight W0")
-    if m is None and kind != "linear":
-        m = ahat @ h
-    z = (h if m is None else m) @ p.W
+    np.matmul(h if m is None else m, p.W, out=z)
     if p.W0 is not None:
-        z += h @ p.W0
+        z += np.matmul(h, p.W0)
     z += p.b
-    return m, z
 
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     h = _features(ahat, h, [p])
-    out = _act(act, _layer(ahat, h, p, kind)[1])
-    _check_finite(out, "{} layer output", kind)
+    z = np.empty((len(h), p.W.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _layer(p, kind, h, ahat @ h, z)
+        out = _act(act, z)
+        _check_finite(out, "{} layer output", kind)
     return out
 
 
@@ -287,42 +322,87 @@ def _resolve_ahat(spec: ModelSpec, a) -> WeightedAdjacency | PowerAggregation:
     return a if isinstance(a, (WeightedAdjacency, PowerAggregation)) else build_aggregation(spec, a)
 
 
-def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None):
+class _Workspace(list):
+    """The per-layer caches of a forward of S splits on n nodes, and every buffer a forward and
+    backward write: built once, reused by every pass on the same shapes.
+
+    Each buffer is (n, S·d), split s in columns ``s·d:(s+1)·d``, so one
+    sparse product serves every split, and comes with its split view. A
+    layer's cache holds its ``z`` (also for c07 and :func:`relu_kink_risk`),
+    its ``Â H`` as ``m`` (None in a linear layer) and its dropout ``mask``.
+    """
+
+    def __init__(self, params, n: int):
+        self.splits = params[0].W.shape[0] if params[0].W.ndim == 3 else 1
+        self._scratch = {}
+        last = len(params) - 1
+        super().__init__(dict(zip(("z", "z3"), self._buffer(n, p.W.shape[-1])), last=i == last)
+                         for i, p in enumerate(params))
+
+    def _buffer(self, n: int, d: int):
+        a = np.empty((n, self.splits * d))
+        return a, _split_view(a, self.splits)
+
+    def scratch(self, key, d: int):
+        """A buffer of width d and its split view, made on first use; ``key`` keeps apart buffers in use at once."""
+        if (key, d) not in self._scratch:
+            self._scratch[key, d] = self._buffer(len(self[0]["z"]), d)
+        return self._scratch[key, d]
+
+    def output(self, c: dict, activation: str):
+        """``act(z) * mask`` of layer cache ``c`` and its split view: in a scratch buffer, or ``z`` when there is nothing to apply."""
+        if c["last"] or (activation != "relu" and c["mask"] is None):
+            return c["z"], c["z3"]
+        act = self.scratch("act", c["z3"].shape[-1])
+        out = np.maximum(c["z"], 0.0, out=act[0]) if activation == "relu" else c["z"]
+        if c["mask"] is not None:
+            np.multiply(out, c["mask"], out=act[0])
+        return act
+
+
+def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None, work=None):
     """Shared forward; returns logits plus per-layer caches for backward.
 
-    ``ax`` is layer 0's ``Â X``, which no parameter touches: a caller
-    that runs many forwards on the same ``X`` computes it once.
+    ``params`` are 2-D layer records, or stacked ones (see :func:`_views`)
+    of S splits that share ``ahat`` and ``x``: the logits, every cache and
+    each hidden mask are then (n, S·d), split s in columns ``s·d:(s+1)·d``.
+    The caches are ``work`` (a :class:`_Workspace` for these shapes, built
+    once by a caller that runs many passes; a new one if None). ``ax`` is
+    layer 0's ``Â X``, which no parameter touches: a caller that runs many
+    forwards on the same ``X`` computes it once. A non-finite layer output
+    raises :class:`NumericError`, naming the splits that hold it.
     """
     kinds = spec.layer_kinds()
     if len(params) != len(kinds):
         raise InputError(f"{spec.arch} with k={spec.k} needs {len(kinds)} layers, got {len(params)}")
-    h = x
-    caches = []
-    n_layers = len(kinds)
-    for i, (kind, p) in enumerate(zip(kinds, params)):
-        last = i == n_layers - 1
-        m, z = _layer(ahat, h, p, kind, ax if i == 0 else None)
-        out = z if last else _act(spec.activation, z)
-        mask = None
-        if not last and hidden_masks is not None and hidden_masks[i] is not None:
-            mask = hidden_masks[i]
-            out = out * mask
-        _check_finite(out, "layer {} output", i)
-        caches.append({"kind": kind, "h": h, "m": m, "z": z, "mask": mask, "last": last})
-        h = out
-    return h, caches
+    if work is None:
+        work = _Workspace(params, len(x))
+    splits = work.splits
+    h = h3 = work.x = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (kind, p, c) in enumerate(zip(kinds, params, work)):
+            m = None
+            if kind != "linear":
+                m = (ahat @ x if ax is None else ax) if i == 0 else _split_view(ahat @ h, splits)
+            _layer(p, kind, h3, m, c["z3"])
+            c["m"] = m
+            c["mask"] = None if c["last"] or hidden_masks is None else hidden_masks[i]
+            h, h3 = work.output(c, spec.activation)
+            _check_finite(h, "layer {} output", i, splits=splits)
+    return h, work
 
 
 def _features(ahat: WeightedAdjacency, x, params=()) -> np.ndarray:
     """``x`` as float64 with one row per node of ``ahat``; layer by layer,
-    ``W`` and ``W0`` must be ``(width in, width out)`` and ``b`` ``(width out,)``."""
+    ``W`` and ``W0`` must be ``(width in, width out)`` and ``b`` ``(width out,)``
+    (after the split axis of a stacked record)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != ahat.n_cols:
         raise InputError(f"feature matrix must be ({ahat.n_cols}, d), got {x.shape}")
     width = x.shape[1]
     for i, p in enumerate(params):
         shape = (width, p.W.shape[-1])
-        if p.W.shape != shape or p.b.shape != shape[1:] or p.W0 is not None and p.W0.shape != shape:
+        if p.W.shape[-2:] != shape or p.b.shape[-1:] != shape[1:] or p.W0 is not None and p.W0.shape[-2:] != shape:
             raise InputError(f"shape mismatch: layer {i} takes {width} cols, got W {p.W.shape} and b {p.b.shape}")
         width = shape[1]
     return x
@@ -330,7 +410,9 @@ def _features(ahat: WeightedAdjacency, x, params=()) -> np.ndarray:
 
 def model_forward(spec: ModelSpec, a, x: np.ndarray, params, hidden_masks=None) -> np.ndarray:
     """Logits of the whole model; ``a`` is a raw count matrix or a
-    prebuilt aggregation from :func:`build_aggregation`."""
+    prebuilt aggregation from :func:`build_aggregation`. Stacked
+    ``params`` of S >= 2 splits (see :func:`_views`) give (n, S·classes)
+    logits, split s in columns ``s·classes:(s+1)·classes``."""
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
     logits, _ = _forward_pass(spec, ahat, x, params, hidden_masks)
@@ -358,32 +440,46 @@ def _backward_pass(spec, ahat_t, params, caches, upstream, grads=None):
     """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``.
 
     Every gradient is written with ``out=`` into ``grads``: records shaped
-    like ``params`` whose arrays view one flat vector (new ones if None).
-    A layer's norm sums one ``np.add.reduce(a ** 2)`` per array in ``_FIELDS`` order.
+    like ``params`` (new ones if None). A linear or SAGE layer's input is
+    rebuilt from the layer below's cache, bit for bit as the forward made
+    it. A layer's norm sums one ``np.add.reduce(a ** 2)`` per array in
+    ``_FIELDS`` order: ``norms`` is a list for 2-D records, and an
+    (S, layers) array for stacked ones.
     """
     if grads is None:
-        grads = _views(np.empty(sum(getattr(p, n).size for p in params for n in p.fields)), params)
-    norms = [0.0] * len(params)
+        grads = [replace(p, **{n: np.empty_like(getattr(p, n)) for n in p.fields}) for p in params]
+    work, splits = caches, caches.splits
+    axes = (-2, -1) if params[0].W.ndim == 3 else None  # one sum per split, over each array of a layer
+    sums = np.empty((len(params), splits))
     g = upstream
     for i in range(len(params) - 1, -1, -1):
-        c, p, d = caches[i], params[i], grads[i]
+        c, p, d = work[i], params[i], grads[i]
         if c["mask"] is not None:
-            g = g * c["mask"]
-        gz = g * (c["z"] > 0) if spec.activation == "relu" and not c["last"] else g
-        src = c["h"] if c["m"] is None else c["m"]
+            g = np.multiply(g, c["mask"], out=g)  # g is a buffer of this sweep: the output layer is never masked
+        if spec.activation == "relu" and not c["last"]:
+            g = np.multiply(g, c["z"] > 0, out=g)
+        gz = _split_view(g, splits)
+        h = None
+        if c["m"] is None or p.W0 is not None:
+            h = work.x if i == 0 else work.output(work[i - 1], spec.activation)[1]
         if p.W0 is not None:
-            np.matmul(c["h"].T, gz, out=d.W0)
-        np.matmul(src.T, gz, out=d.W)
-        np.add.reduce(gz, axis=0, out=d.b)
-        norms[i] = math.sqrt(sum(np.add.reduce(getattr(d, n) ** 2, axis=None) for n in d.fields))
+            np.matmul(_mT(h), gz, out=d.W0)
+        np.matmul(_mT(h if c["m"] is None else c["m"]), gz, out=d.W)
+        np.add.reduce(gz, axis=-2, out=d.b, keepdims=d.b.ndim > 1)
+        norm2 = np.add.reduce(np.square(d.W), axis=axes)
+        if p.W0 is not None:
+            norm2 = np.add.reduce(np.square(d.W0), axis=axes) + norm2
+        sums[i] = norm2 + np.add.reduce(np.square(d.b), axis=axes)
         if i == 0:
             break
-        g = gz @ p.W.T
+        g, gw = work.scratch(i % 2, p.W.shape[-2])  # not the buffer that holds gz
+        np.matmul(gz, _mT(p.W), out=gw)
         if c["m"] is not None:
             g = ahat_t @ g
         if p.W0 is not None:
-            g += gz @ p.W0.T
-    return grads, norms
+            _split_view(g, splits)[...] += np.matmul(gz, _mT(p.W0))
+    norms = np.sqrt(sums.T)
+    return grads, (norms if params[0].W.ndim == 3 else norms[0].tolist())
 
 
 def collapse_linear(a: SparseCountMatrix, x: np.ndarray, params, k: int) -> np.ndarray:
@@ -436,9 +532,20 @@ def _packed(params):
 
 
 def _views(flat: np.ndarray, like):
-    """Records shaped like ``like`` whose arrays are reshaped views into ``flat``."""
-    parts = iter(np.split(flat, np.cumsum([getattr(p, n).size for p in like for n in p.fields])[:-1]))
-    return [replace(p, **{n: next(parts).reshape(getattr(p, n).shape) for n in p.fields}) for p in like]
+    """Records shaped like the 2-D records ``like`` whose arrays are reshaped views into ``flat``.
+
+    An (S, P) ``flat``, one split a row and S >= 2 (a lone split trains on
+    2-D records), gives stacked records: each array leads with the split
+    axis, and a bias is (S, 1, width out), so that it broadcasts over the
+    nodes.
+    """
+    lead = flat.shape[:-1]
+    parts = iter(np.split(flat, np.cumsum([getattr(p, n).size for p in like for n in p.fields])[:-1], axis=-1))
+
+    def shape(p, n):
+        return lead + ((1,) if lead and n == "b" else ()) + getattr(p, n).shape
+
+    return [replace(p, **{n: next(parts).reshape(shape(p, n)) for n in p.fields}) for p in like]
 
 
 def max_relative_error(got, want) -> float:

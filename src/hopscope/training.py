@@ -5,6 +5,18 @@ stopping with best-parameter restore, and plateau-halving of the learning
 rate. Every run is a pure function of (model spec, data, split, config):
 the same seed reproduces the same metrics bit for bit.
 
+Who recomputes what: :func:`train_splits` trains all of a cell's splits
+in lockstep, as one stacked model (``_Lockstep``), and :func:`train_model`
+is its one-split case. Â, Âᵀ and layer 0's ``Â X`` are built once for
+all splits; each epoch makes one forward, one backward and one Adam step
+for every split still training, with per-split rows for the parameters,
+Adam's moments, the learning rate, the patience counters and the best
+snapshot, and with each split's dropout masks drawn from its own
+generator. The loss, its gradient and the accuracies are gathered over
+the concatenated node sets of all splits. A split that stops early or
+diverges leaves the batch, and the rest carry on; a split's Metrics are
+bit for bit those of a lone run.
+
 The module also ships three synthetic dataset families sized for desk
 experiments: a structure-only task whose labels derive from in-degree
 mass, a structure-feature hybrid on a sparse directed graph with long
@@ -25,10 +37,13 @@ from .models import (
     _backward_pass,
     _features,
     _forward_pass,
-    _packed,
+    _layer_dims,
+    _NonFinite,
     _reach_adjacency,
     _resolve_ahat,
     _views,
+    _Workspace,
+    flat_gradients,
     init_params,
     model_forward,
     uniform_features,
@@ -178,18 +193,235 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(y)), y]))
-
-
 def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
     pred = logits[idx].argmax(axis=1)
     return float(np.mean(pred == labels[idx]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class _Nodes:
+    """One node set (``train`` or ``val``) of each of B splits, as rows of the (n·B, classes) view
+    of (n, B·classes) logits: node i of split b is row ``i·B + b``."""
+
+    def __init__(self, splits: list[SplitSpec], name: str, labels: np.ndarray):
+        nodes = [getattr(split, name) for split in splits]
+        self.sizes = np.array([len(a) for a in nodes])
+        self.split = np.repeat(np.arange(len(nodes)), self.sizes)
+        self.rows = np.concatenate(nodes) * len(nodes) + self.split
+        self.labels = labels[np.concatenate(nodes)]
+        self.order = np.arange(len(self.rows))
+        ends = np.cumsum(self.sizes).tolist()
+        self.parts = list(zip([0] + ends[:-1], ends))  # each split's rows, in its node order
+
+    def accuracies(self, logits: np.ndarray) -> np.ndarray:
+        """Each split's accuracy, as :func:`_accuracy` gives it (an exact count over the set size)."""
+        hits = logits[self.rows].argmax(axis=1) == self.labels
+        return np.bincount(self.split, weights=hits, minlength=len(self.sizes)) / self.sizes
+
+
+class _Lockstep:
+    """The runs of a cell's splits, trained in lockstep as one stacked model.
+
+    Row r of every per-split array (``theta``, Adam's ``m`` and ``v``,
+    ``lr``, the snapshot ``best``, the patience counters and the epoch's
+    dropout ``draws``) belongs to split ``ids[r]``, and each epoch makes one
+    stacked forward, backward and Adam step for every row (2-D records when
+    one split is left). Â, ``X`` and layer 0's ``Â X`` are shared. A split
+    that stops early or fails leaves the batch (:meth:`_leave`), and the
+    views, buffers and node indices are rebuilt for the rest.
+    """
+
+    _ROWS = ("ids", "rngs", "traces", "best_val", "best_epoch", "no_improve", "sched",
+             "theta", "m", "v", "best", "lr", "draws")
+
+    def __init__(self, spec: ModelSpec, ahat, x, labels, splits: list[SplitSpec], seeds: list[int], cfg: TrainConfig):
+        self.spec, self.ahat, self.splits, self.cfg = spec, ahat, splits, cfg
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.x = _features(ahat, x)
+        self.ahat_t = ahat.T  # a CSC view over Â's arrays, or the transposed power operator: no copy
+        self.ax = ahat @ self.x  # layer 0 always aggregates, and Â X is the same in every forward of every split
+        self.rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+        self.n_classes = int(self.labels.max()) + 1
+        inits = [init_params(spec, self.x.shape[1], self.n_classes, rng) for rng in self.rngs]
+        self.template = inits[0]
+        self.weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in self.template for n in p.fields])
+        self.theta = np.stack([flat_gradients(p) for p in inits])
+        self.m, self.v = np.zeros_like(self.theta), np.zeros_like(self.theta)
+        self.best = self.theta.copy()
+        self.lr = np.full((len(splits), 1), cfg.lr)
+        self.ids = list(range(len(splits)))
+        self.traces = [[] for _ in splits]
+        self.best_val, self.best_epoch = [-1.0] * len(splits), [0] * len(splits)
+        self.no_improve, self.sched = [0] * len(splits), [0] * len(splits)
+        n_masks = len(self.template) - 1 if cfg.dropout > 0.0 else 0  # the output layer is never masked
+        self.draws = np.zeros((len(splits), n_masks, len(self.x), self.template[0].W.shape[1]))
+        self.done, self.failed = {}, {}
+        self.epoch = 0
+        self._build()
+
+    def _build(self):
+        """The views, buffers and node indices of the current rows; every forward and backward reuses them."""
+        self.evaluated = None  # (logits, caches) of the current parameters without masks
+        b, n = len(self.ids), len(self.x)
+        if not b:
+            self.work = None
+            return
+        self.params = _views(self.theta[0] if b == 1 else self.theta, self.template)
+        self.grad = np.empty_like(self.theta)
+        self.grads = _views(self.grad[0] if b == 1 else self.grad, self.template)
+        self.work = _Workspace(self.params, n)
+        splits = [self.splits[i] for i in self.ids]
+        self.train, self.val = _Nodes(splits, "train", self.labels), _Nodes(splits, "val", self.labels)
+        self.upstream = np.zeros((n, b * self.n_classes))
+        self.masks = [np.empty((n, b * self.draws.shape[3])) for _ in range(self.draws.shape[1])]
+        self._fill_masks()
+
+    def _leave(self, rows, error: str | None = None):
+        """Rows ``rows`` leave the batch at this epoch, finished or failed with ``error``; the rest are rebuilt."""
+        for r in rows:
+            if error is None:
+                self.done[self.ids[r]] = (self.best[r], self.epoch, self.best_epoch[r], self.traces[r])
+            else:
+                self.failed[self.ids[r]] = NumericError(error, epoch=self.epoch)
+        keep = [r for r in range(len(self.ids)) if r not in rows]
+        for name in self._ROWS:
+            a = getattr(self, name)
+            setattr(self, name, a[keep] if isinstance(a, np.ndarray) else [a[r] for r in keep])
+        self._build()
+
+    def _fill_masks(self):
+        """Each row's dropout masks from its draws, in the (n, B·width) layout of the hidden states."""
+        keep, b = 1.0 - self.cfg.dropout, len(self.ids)
+        for layer, mask in enumerate(self.masks):
+            np.divide(self.draws[:, layer] < keep, keep, out=mask.reshape(len(mask), b, -1).swapaxes(0, 1))
+
+    def _draw(self):
+        """The epoch's masks: each split draws from its own generator, layer by layer."""
+        for layer in range(self.draws.shape[1]):
+            for rng, draw in zip(self.rngs, self.draws[:, layer]):
+                rng.random(out=draw)
+        self._fill_masks()
+        self.evaluated = None
+
+    def _forward(self, dropout: bool):
+        """The batch's forward; a split whose output turns non-finite fails, and the rest run again."""
+        while self.ids:
+            try:
+                masks = self.masks if dropout and self.masks else None
+                return _forward_pass(self.spec, self.ahat, self.x, self.params, masks, ax=self.ax, work=self.work)
+            except _NonFinite as exc:
+                self._leave(exc.splits, str(exc))
+        return None
+
+    def _loss(self, logits: np.ndarray) -> list[int]:
+        """The rows whose training loss is not finite; if none, the upstream gradient of every row's loss.
+
+        The loss is the mean cross-entropy over a split's training nodes
+        (plus the weights-only l2 term), summed node by node in its own
+        order, as a lone run would; only its finiteness is used.
+        """
+        t = self.train
+        picked = logits.reshape(-1, self.n_classes)[t.rows]
+        z = picked - picked.max(axis=1, keepdims=True)
+        terms = np.log(np.exp(z).sum(axis=1)) - z[t.order, t.labels]
+        loss = np.array([np.add.reduce(terms[a:b]) for a, b in t.parts]) / t.sizes
+        if self.cfg.l2 > 0:
+            loss += 0.5 * self.cfg.l2 * np.add.reduce(np.square(self.theta[:, self.weights]), axis=1)
+        bad = np.flatnonzero(~np.isfinite(loss)).tolist()
+        if not bad:
+            probs = _softmax(picked)
+            probs[t.order, t.labels] -= 1.0
+            self.upstream.reshape(-1, self.n_classes)[t.rows] = probs / t.sizes[t.split, None]
+        return bad
+
+    def _adam(self):
+        beta1, beta2, eps, epoch = 0.9, 0.999, 1e-8, self.epoch
+        grad, theta = self.grad, self.theta
+        if self.cfg.l2 > 0:
+            grad[:, self.weights] += self.cfg.l2 * theta[:, self.weights]
+        self.m *= beta1
+        self.m += (1 - beta1) * grad
+        self.v *= beta2
+        self.v += (1 - beta2) * grad * grad
+        m_hat = self.m / (1 - beta1**epoch)
+        v_hat = self.v / (1 - beta2**epoch)
+        theta -= self.lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
+
+    def _track(self, val_acc: np.ndarray):
+        """Best snapshots, plateau halving of lr and early stopping, split by split."""
+        stopped = []
+        for r, acc in enumerate(val_acc.tolist()):
+            if acc > self.best_val[r]:
+                self.best_val[r], self.best_epoch[r] = acc, self.epoch
+                self.best[r] = self.theta[r]
+                self.no_improve[r] = self.sched[r] = 0
+                continue
+            self.no_improve[r] += 1
+            self.sched[r] += 1
+            if self.sched[r] >= self.cfg.lr_sched_patience:
+                self.lr[r] *= 0.5
+                self.sched[r] = 0
+            if self.no_improve[r] >= self.cfg.early_stop_patience:
+                stopped.append(r)
+        if stopped:
+            self._leave(stopped)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def run(self):
+        """Train every split; returns ``(runs, failed)`` in split order, as :func:`train_splits` does.
+
+        numpy's overflow and invalid-value warnings are off: every forward's
+        finite check and the loss check catch each non-finite value they lead to.
+        """
+        for self.epoch in range(1, self.cfg.max_epochs + 1):
+            if not self.ids:
+                break
+            if self.masks:
+                self._draw()
+            while self.ids:  # the training forward: a split whose loss diverges leaves, and the rest run again
+                self.evaluated = self.evaluated or self._forward(dropout=True)
+                bad = self._loss(self.evaluated[0]) if self.ids else []
+                if not bad:
+                    break
+                self._leave(bad, "training loss diverged")
+            if not self.ids:
+                break
+            _, norms = _backward_pass(self.spec, self.ahat_t, self.params, self.evaluated[1], self.upstream, self.grads)
+            for trace, row in zip(self.traces, np.atleast_2d(norms).tolist()):
+                trace.append(tuple(row))
+            self._adam()
+            self.evaluated = None
+            self.evaluated = self._forward(dropout=False)
+            if self.ids:
+                self._track(self.val.accuracies(self.evaluated[0].reshape(-1, self.n_classes)))
+        self._leave(range(len(self.ids)))  # the budget ran out
+        return self._results()
+
+    def _results(self):
+        """Each finished split's Metrics; its test accuracy comes from one forward of every best snapshot."""
+        runs = []
+        while self.done and not runs:
+            ids = sorted(self.done)
+            best = np.stack([self.done[i][0] for i in ids])
+            try:
+                logits = model_forward(self.spec, self.ahat, self.x, _views(best[0] if len(ids) == 1 else best, self.template))
+            except _NonFinite as exc:  # a snapshot that no eval forward checked: its split never improved
+                for r in exc.splits:
+                    self.failed[ids[r]] = NumericError(str(exc))
+                    del self.done[ids[r]]
+                continue
+            for r, i in enumerate(ids):
+                _, epochs, best_epoch, trace = self.done[i]
+                split, cols = self.splits[i], slice(r * self.n_classes, (r + 1) * self.n_classes)
+                runs.append(Metrics(
+                    accuracies=(_accuracy(logits[:, cols], self.labels, split.test),),
+                    majority_baselines=(majority_baseline(self.labels, split),),
+                    epochs_run=(epochs,),
+                    best_epochs=(best_epoch,),
+                    grad_norm_traces=(tuple(trace),),
+                ))
+        return runs, sorted(self.failed.items())
+
+
 def train_model(
     spec: ModelSpec,
     graph: SparseCountMatrix | WeightedAdjacency | PowerAggregation,
@@ -200,140 +432,64 @@ def train_model(
 ) -> Metrics:
     """One deterministic training run; returns single-run Metrics.
 
-    ``graph`` is a raw count matrix or a prebuilt aggregation. Â and layer
-    0's ``Â X`` are built once per run (a power architecture's by k sparse
-    products, and its Â never as a matrix); the backward reuses the
-    caches of the epoch's forward, and an epoch that draws no dropout
-    masks reuses the previous eval forward: one forward per epoch without
-    dropout, two with.
+    The lockstep trainer of :func:`train_splits` with one split, seeded by
+    ``cfg.seed``. ``graph`` is a raw count matrix or a prebuilt
+    aggregation. Â and layer 0's ``Â X`` are built once per run (a power
+    architecture's by k sparse products, and its Â never as a matrix);
+    the backward reuses the caches of the epoch's forward, and an epoch
+    that draws no dropout masks reuses the previous eval forward: one
+    forward per epoch without dropout, two with, and one
+    :func:`model_forward` of the best snapshot at the end.
 
     The layer records view one flat vector ``theta`` (the layout of
     ``flat_gradients``), and the backward writes every gradient into views
     of one flat vector ``grad`` of the same layout, both allocated once per
     run: Adam's ``m``/``v``, the weights-only l2 term and the update are
     elementwise and in place on whole vectors, the same bits as a per-array
-    loop, and a snapshot is ``theta.copy()``.
+    loop, and a snapshot is a copy of ``theta``.
 
     Divergence (non-finite loss or activations) raises
-    :class:`NumericError` carrying the epoch at which it happened. numpy's
-    overflow and invalid-value warnings are off: every forward's finite
-    check and the loss check catch each non-finite value they lead to.
+    :class:`NumericError` carrying the epoch at which it happened.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    ahat = _resolve_ahat(spec, graph)
-    x = _features(ahat, x)
-    ahat_t = ahat.T  # a CSC view over Â's arrays, or the transposed power operator: no copy
-    ax = ahat @ x  # layer 0 always aggregates, and Â X is the same in every forward
-    theta, params = _packed(init_params(spec, x.shape[1], n_classes, rng))
-    grad = np.zeros_like(theta)
-    grads = _views(grad, params)
-    weights = np.concatenate([np.full(getattr(p, n).size, n != "b") for p in params for n in p.fields])
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lr = cfg.lr
-
-    hidden_shapes = [(x.shape[0], p.W.shape[1]) for p in params[:-1]]
-    best_val, best_epoch, best_theta = -1.0, 0, theta.copy()
-    no_improve = 0
-    sched_no_improve = 0
-    traces = []
-    epoch = 0
-    y_train = labels[split.train]
-    evaluated = None  # (logits, caches) of the current params without masks
-
-    def forward(masks):
-        try:
-            return _forward_pass(spec, ahat, x, params, masks, ax=ax)
-        except NumericError as exc:
-            raise NumericError(str(exc), epoch=epoch) from exc
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        masks = None
-        if cfg.dropout > 0.0 and hidden_shapes:
-            keep = 1.0 - cfg.dropout
-            masks = [
-                (rng.random(shape) < keep).astype(np.float64) / keep for shape in hidden_shapes
-            ] + [None]  # output layer never masked
-        if masks is not None or evaluated is None:
-            evaluated = None  # one set of caches alive at a time, as in a lone forward
-            evaluated = forward(masks)
-        logits, caches = evaluated
-        loss = _cross_entropy(logits[split.train], y_train)
-        if cfg.l2 > 0:
-            loss += 0.5 * cfg.l2 * float(np.sum(theta[weights] ** 2))
-        if not np.isfinite(loss):
-            raise NumericError("training loss diverged", epoch=epoch)
-
-        upstream = np.zeros_like(logits)
-        probs = _softmax(logits[split.train])
-        probs[np.arange(len(y_train)), y_train] -= 1.0
-        upstream[split.train] = probs / len(y_train)
-
-        _, norms = _backward_pass(spec, ahat_t, params, caches, upstream, grads)
-        traces.append(tuple(norms))
-
-        if cfg.l2 > 0:
-            grad[weights] += cfg.l2 * theta[weights]
-        m *= beta1
-        m += (1 - beta1) * grad
-        v *= beta2
-        v += (1 - beta2) * grad * grad
-        m_hat = m / (1 - beta1**epoch)
-        v_hat = v / (1 - beta2**epoch)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)  # in place: the records see it
-
-        evaluated = caches = None
-        evaluated = forward(None)
-        val_acc = _accuracy(evaluated[0], labels, split.val)
-        if val_acc > best_val:
-            best_val, best_epoch, best_theta = val_acc, epoch, theta.copy()
-            no_improve = 0
-            sched_no_improve = 0
-        else:
-            no_improve += 1
-            sched_no_improve += 1
-            if sched_no_improve >= cfg.lr_sched_patience:
-                lr *= 0.5
-                sched_no_improve = 0
-            if no_improve >= cfg.early_stop_patience:
-                break
-
-    evaluated = ax = None  # freed before the final forward
-    final_logits = model_forward(spec, ahat, x, _views(best_theta, params))
-    test_acc = _accuracy(final_logits, labels, split.test)
-    return Metrics(
-        accuracies=(test_acc,),
-        majority_baselines=(majority_baseline(labels, split),),
-        epochs_run=(epoch,),
-        best_epochs=(best_epoch,),
-        grad_norm_traces=(tuple(traces),),
-    )
+    runs, failed = _Lockstep(spec, _resolve_ahat(spec, graph), x, labels, [split], [cfg.seed], cfg).run()
+    if failed:
+        raise failed[0][1]
+    return runs[0]
 
 
 def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
-    """One :func:`train_model` run per split, seeded by ``spawn_key=(si, 17)``.
+    """One run per split, seeded by ``spawn_key=(si, 17)``, all trained in lockstep.
 
-    The aggregation is built once (a power's as an operator, never as a
-    matrix) and shared by every split. Returns ``(runs, failed)``: the
-    finished runs' Metrics, and a ``(split index, error)`` pair for each
-    run that raised :class:`NumericError`. When the aggregation itself
-    fails (a power whose degrees leave float64 range, or a
-    :class:`CountOverflowError` from symmetrizing or adding self-loops),
-    every split fails with that error. :class:`InputError` propagates.
+    The splits share one aggregation, built once (a power's as an
+    operator, never as a matrix), and one stacked model: every epoch is one
+    forward, one backward and one Adam step for every split still
+    training, and split s's Metrics are bit for bit those of a lone
+    :func:`train_model` run with its seed. A split that stops early
+    leaves the batch; one that diverges fails alone, with its own epoch.
+    Returns ``(runs, failed)``: the finished runs' Metrics, and a
+    ``(split index, error)`` pair for each run that raised
+    :class:`NumericError`. When the aggregation itself fails (a power
+    whose degrees leave float64 range, or a :class:`CountOverflowError`
+    from symmetrizing or adding self-loops), every split fails with that
+    error. :class:`InputError` propagates.
     """
-    runs, failed = [], []
     try:
         ahat = _resolve_ahat(spec, graph)
     except (NumericError, CountOverflowError) as exc:
-        return runs, [(si, exc) for si in range(len(splits))]
-    for si, split in enumerate(splits):
-        run_seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
-        try:
-            runs.append(train_model(spec, ahat, x, labels, split, replace(cfg, seed=run_seed)))
-        except NumericError as exc:
-            failed.append((si, exc))
+        return [], [(si, exc) for si in range(len(splits))]
+    if not splits:
+        return [], []
+    seeds = [int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
+             for si in range(len(splits))]
+    # numpy sums the bias and 1x1 weight gradients of a one-column layer in another
+    # order when other splits' columns sit beside it, so such a model trains split by split
+    alone = 1 in [d_out for _, d_out in _layer_dims(spec, 1, int(np.max(labels)) + 1)]
+    groups = [[si] for si in range(len(splits))] if alone else [list(range(len(splits)))]
+    runs, failed = [], []
+    for group in groups:
+        got, lost = _Lockstep(spec, ahat, x, labels, [splits[i] for i in group], [seeds[i] for i in group], cfg).run()
+        runs += got
+        failed += [(group[i], exc) for i, exc in lost]
     return runs, failed
 
 

@@ -330,6 +330,20 @@ def test_gradcheck_every_architecture(arch):
     assert gradient_check(spec, g, x, params, upstream) < 1e-4
 
 
+@pytest.mark.parametrize("arch", ["k_layer_gcn", "graphsage"])
+def test_hidden_layers_of_unequal_widths_run_and_check(arch):
+    # the spec's hidden width does not bind hand-made records: widths 5 and 3 share no buffer
+    rng = np.random.default_rng(21)
+    spec = ModelSpec(arch=arch, k=3, hidden_width=4, norm="sym")
+    g = random_digraph(rng, 7)
+    dims = [(2, 5), (5, 3), (3, 2)]
+    params = [LayerParams(W=rng.standard_normal(d), b=rng.standard_normal(d[1]),
+                          W0=rng.standard_normal(d) if arch == "graphsage" else None) for d in dims]
+    x = rng.standard_normal((7, 2))
+    assert model_forward(spec, g, x, params).shape == (7, 2)
+    assert gradient_check(spec, g, x, params, rng.standard_normal((7, 2))) < 1e-4
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_gradcheck_identity_activation(arch):
     rng = np.random.default_rng(zlib.crc32(arch.encode()) + 1)

@@ -11,7 +11,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -130,6 +130,29 @@ def _dense_reach(a, k_max):
     for _ in range(k_max):
         out.append((out[-1].astype(np.int64) @ adj.astype(np.int64)) > 0)
     return out
+
+
+def _ring(n, loops=False):
+    return from_edge_list([(i, (i + 1) % n) for i in range(n)] + [(i, i) for i in range(n) if loops], n)
+
+
+@given(st.one_of(digraphs(), digraphs().map(add_self_loops), digraphs_with_cycle().map(lambda case: case[0])),
+       st.integers(min_value=1, max_value=12))
+@example(_ring(3), 12)  # periodic: its rungs never repeat in a row, so every step takes a product
+@example(_ring(20, loops=True), 25)  # saturates: rung 19 is full, and rung 20 repeats it
+@example(from_edge_list([(0, 1), (1, 2)], 3), 6)  # nilpotent: rung 4 repeats the empty rung 3
+@settings(max_examples=150, deadline=None)
+def test_boolean_ladder_stops_exactly_at_its_first_fixed_point(a, k_max):
+    reach = _dense_reach(a, k_max)
+    made = []
+    real = hops._bool_matmul
+    with patch.object(hops, "_bool_matmul", lambda x, y: made.append(1) or real(x, y)):
+        rungs = list(islice(power_ladder(a), k_max))
+    assert len(rungs) == k_max and all(np.array_equal(rung.to_dense(), r) for rung, r in zip(rungs, reach[1:]))
+    # one product per rung after the first, up to the first rung equal to the one before it
+    fixed = next((k for k in range(1, k_max) if np.array_equal(reach[k + 1], reach[k])), k_max - 1)
+    event("stopped early" if fixed < k_max - 1 else "walked every rung")
+    assert len(made) == fixed
 
 
 @given(digraphs_with_cycle(), st.integers(min_value=1, max_value=5))
@@ -282,10 +305,10 @@ _BIG = np.finfo(np.float64).max
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
                   elements=st.one_of(st.floats(), st.sampled_from([_BIG, -_BIG, _BIG / 2, np.inf, -np.inf, np.nan]))))
 @settings(max_examples=300, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")  # its callers silence numpy's warnings, as the forward does
 def test_check_finite_raises_exactly_on_a_non_finite_entry(h):
     finite = bool(np.all(np.isfinite(h)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        event("not finite" if not finite else "finite, sum overflows" if not np.isfinite(h.sum()) else "finite")
+    event("not finite" if not finite else "finite, sum overflows" if not np.isfinite(h.sum()) else "finite")
     if finite:
         _check_finite(h, "layer {} output", 7)
     else:
@@ -293,6 +316,24 @@ def test_check_finite_raises_exactly_on_a_non_finite_entry(h):
             _check_finite(h, "layer {} output", 7)
 
 
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")
+def test_check_finite_names_the_splits_that_hold_a_non_finite_entry(n, width, splits, data):
+    # a stacked layer output: split s in columns s*width:(s+1)*width
+    h = data.draw(hnp.arrays(np.float64, (n, splits * width), elements=st.one_of(
+        st.floats(-10, 10), st.sampled_from([_BIG, -_BIG, np.inf, -np.inf, np.nan]))))
+    bad = [s for s in range(splits) if not np.isfinite(h[:, s * width:(s + 1) * width]).all()]
+    event(f"{len(bad)} of {splits} splits non-finite")
+    if not bad:
+        _check_finite(h, "layer {} output", 3, splits=splits)
+    else:
+        with pytest.raises(NumericError, match=r"^non-finite values in layer 3 output$") as err:
+            _check_finite(h, "layer {} output", 3, splits=splits)
+        assert err.value.splits == bad
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def test_check_finite_passes_a_finite_array_whose_sum_overflows():
     _check_finite(np.array([[1e308, 1e308]]), "layer {} output", 0)
     _check_finite(np.array([_BIG, _BIG, -_BIG]), "layer {} output", 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hopscope import (
+    ARCHITECTURES,
     InputError,
     Metrics,
     ModelSpec,
@@ -22,7 +23,7 @@ from hopscope import hops, models, training
 from hopscope.errors import CountOverflowError, NumericError
 from hopscope.models import build_aggregation, init_params, model_backward, model_forward
 from hopscope.normalization import PowerAggregation
-from hopscope.training import train_splits
+from hopscope.training import SplitSpec, train_splits
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +314,78 @@ def test_forward_passes_per_run(tiny_structure_ds, monkeypatch, dropout, forward
     calls = _count_calls(monkeypatch, models._forward_pass, models, training)
     m = train_model(spec, graph, x, labels, split, cfg)
     assert len(calls) == forwards(m.epochs_run[0])
+
+
+def one_train_model_per_split(spec, graph, x, labels, splits, cfg):
+    """The oracle of lockstep training: one lone train_model run per split, seeded by spawn_key (si, 17)."""
+    runs, failed = [], []
+    for si, split in enumerate(splits):
+        seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
+        try:
+            runs.append(train_model(spec, graph, x, labels, split, replace(cfg, seed=seed)))
+        except NumericError as exc:
+            failed.append((si, exc))
+    return runs, failed
+
+
+def outcomes(result):
+    """Every field of every finished run, and each failure's split, type, message and epoch."""
+    runs, failed = result
+    return runs, [(si, type(exc), str(exc), exc.epoch) for si, exc in failed]
+
+
+@pytest.fixture(scope="module")
+def hybrid_ds():
+    return synthesize_dataset("hybrid", n=200, seed=3, feature_signal=0.6)  # 12 features
+
+
+def unequal_splits(labels):
+    """Hand-built splits of 8, 13 and 21 training nodes, with validation and test sets of unequal sizes too."""
+    idx = np.random.default_rng(5).permutation(len(labels))
+    return [SplitSpec(train=idx[a:a + t], val=idx[a + t:a + t + v], test=idx[a + t + v:a + 60], seed=0)
+            for a, t, v in ((0, 8, 30), (60, 13, 17), (120, 21, 24))]
+
+
+LOCKSTEP_CASES = {  # model and config overrides
+    "dropout_l2": (dict(), dict(dropout=0.3, l2=5e-4)),
+    "early_stop": (dict(), dict(early_stop_patience=5, lr_sched_patience=3)),
+    "unequal_splits": (dict(), dict(dropout=0.2)),
+    "one_column": (dict(hidden_width=1), dict(dropout=0.2, l2=1e-3)),  # trains split by split
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_lockstep_splits_equal_one_train_model_per_split(hybrid_ds, arch, case):
+    graph, x, labels = hybrid_ds
+    model, config = LOCKSTEP_CASES[case]
+    spec = ModelSpec(**{**dict(arch=arch, k=3, hidden_width=6, norm="sym", propagation="forward"), **model})
+    cfg = TrainConfig(**{**dict(lr=0.05, max_epochs=24, early_stop_patience=8, lr_sched_patience=4, seed=2), **config})
+    splits = unequal_splits(labels) if case == "unequal_splits" else make_splits(
+        labels, per_class_train=8, per_class_val=10, n_splits=3, seed=1)
+    got = train_splits(spec, graph, x, labels, splits, cfg)
+    assert outcomes(got) == outcomes(one_train_model_per_split(spec, graph, x, labels, splits, cfg))
+    runs, failed = got
+    assert failed == [] and len(runs) == 3
+    if case == "early_stop":  # early stopping fires, and at different epochs in different splits
+        epochs = [m.epochs_run[0] for m in runs]
+        assert min(epochs) < cfg.max_epochs and len(set(epochs)) > 1
+
+
+def test_a_diverging_split_fails_alone_and_the_rest_train_on(hybrid_ds):
+    # lr=1e51 on a 6-layer linear stack: two splits' forwards overflow at epoch 1, a third split's
+    # loss diverges at epoch 2, and the last one stops early at epoch 3
+    graph, x, labels = hybrid_ds
+    spec = ModelSpec(arch="k_layer_gcn", k=6, hidden_width=4, activation="identity", norm="row", propagation="forward")
+    cfg = TrainConfig(lr=1e51, max_epochs=12, early_stop_patience=2, lr_sched_patience=5, seed=0)
+    splits = make_splits(labels, per_class_train=5, per_class_val=10, n_splits=4, seed=0)
+    got = train_splits(spec, graph, x, labels, splits, cfg)
+    assert outcomes(got) == outcomes(one_train_model_per_split(spec, graph, x, labels, splits, cfg))
+    runs, failed = outcomes(got)
+    assert [m.epochs_run for m in runs] == [(3,)]
+    assert failed == [(1, NumericError, "non-finite values in layer 5 output", 1),
+                      (2, NumericError, "training loss diverged", 2),
+                      (3, NumericError, "non-finite values in layer 5 output", 1)]
 
 
 def test_train_splits_builds_one_aggregation(tiny_structure_ds, monkeypatch):

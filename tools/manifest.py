@@ -20,7 +20,10 @@ their precedence), the library's ``normalize`` of large exact walk counts
 architecture on the same graph, up to k = 50, the ``edges.tsv`` and
 ``labels.tsv`` bytes of a library ``save_dataset`` of a multigraph with
 negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
-arrays) of ``load_dataset`` on that directory and on a headerless copy.
+arrays) of ``load_dataset`` on that directory and on a headerless copy,
+and the ``repr`` (with gradient-norm traces) of each split's Metrics from
+``train_splits`` of two architectures over three splits, with dropout, l2
+and early stopping that ends every run.
 Uses only the standard library and hopscope; BLAS is pinned to one thread
 before numpy loads. Runs in about 4 s on 2 cores.
 """
@@ -85,6 +88,7 @@ def main() -> int:
                           make_splits, normalize, read_edge_list, run_sweep, save_dataset, symmetrize,
                           synthesize_dataset, train_model)
     from hopscope.cli import main as cli
+    from hopscope.training import train_splits
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temporary directory out of every output
@@ -177,6 +181,14 @@ def main() -> int:
                                                                   lr_sched_patience=10, dropout=0.2, seed=5))
         _emit(f"library train_model {arch} k={k}", repr((m.accuracies, m.epochs_run, m.best_epochs,
                                                          m.grad_norm_traces)).encode())
+    # three splits trained together; early stopping ends every run, at different epochs
+    splits = make_splits(labels, per_class_train=10, per_class_val=15, n_splits=3, seed=5)
+    cfg = TrainConfig(lr=0.05, l2=1e-3, dropout=0.3, max_epochs=40, early_stop_patience=6, lr_sched_patience=3, seed=5)
+    for arch in ("k_layer_gcn", "graphsage"):
+        runs, failed = train_splits(ModelSpec(arch=arch, k=3, norm="row"), graph, x, labels, splits, cfg)
+        for si, m in enumerate(runs):
+            _emit(f"library train_splits {arch} split {si}", repr((m, m.grad_norm_traces)).encode())
+        _emit(f"library train_splits {arch} failed", repr([(si, str(exc), exc.epoch) for si, exc in failed]).encode())
     return 0
 
 
