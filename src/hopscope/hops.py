@@ -55,6 +55,7 @@ __all__ = [
     "mat_power_support",
     "power_ladder",
     "support_powers",
+    "support_nnz",
     "support_subset",
     "support_equal",
     "verify_loop_lemma",
@@ -237,12 +238,17 @@ def _rungs(base: sp.csr_matrix, product) -> Iterator:
         cur = nxt
 
 
-def _powers(rungs: Iterator, ks, cls) -> Iterator:
-    """Yield rung k of ``rungs`` as a ``cls`` for each k of the ascending ``ks`` (all >= 1);
+def _powers(rungs: Iterator, ks, convert) -> Iterator:
+    """Yield ``convert(rung k)`` of ``rungs`` for each k of the ascending ``ks`` (all >= 1);
     only those rungs are converted."""
     rungs = enumerate(rungs, start=1)
     for k in ks:
-        yield next(cls._of(r) for j, r in rungs if j == k)
+        yield next(convert(r) for j, r in rungs if j == k)
+
+
+def _rung_nnz(rung) -> int:
+    """The entries of a rung in its :func:`_rung_form`: a canonical CSR rung stores no zero."""
+    return int(rung.nnz) if sp.issparse(rung) else int(np.count_nonzero(rung))
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -252,12 +258,18 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     ladder, and ``A^K`` costs ``K - 1`` products. Advancing to the first
     rung with an entry outside int64 raises :class:`CountOverflowError`.
     """
-    return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix)
+    return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix._of)
 
 
 def support_powers(a: SparseCountMatrix, ks) -> Iterator[SupportPattern]:
     """Yield ``support(A^k)`` for each k of the ascending ``ks`` (all >= 1), converting only those rungs."""
-    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, SupportPattern)
+    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, SupportPattern._of)
+
+
+def support_nnz(a: SparseCountMatrix, ks) -> Iterator[int]:
+    """Yield ``nnz(support(A^k))`` for each k of the ascending ``ks`` (all >= 1), counted off the rungs:
+    no rung becomes a pattern."""
+    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, _rung_nnz)
 
 
 def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
@@ -273,7 +285,7 @@ def _power(a: SparseCountMatrix, k: int, base: sp.csr_matrix, product, cls):
         raise InputError("power must be non-negative")
     if k == 0:
         return cls._of(sp.identity(a.n_rows, dtype=cls._dtype, format="csr"))
-    return next(_powers(_rungs(base, product), [k], cls))
+    return next(_powers(_rungs(base, product), [k], cls._of))
 
 
 def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:

@@ -39,26 +39,35 @@ per layer serves every split, and each matrix product runs on (S, n, d)
 views of those buffers (``_split_view``); one split trains on 2-D
 records. Every buffer and view is built once per run (a
 :class:`_Workspace`), and the backward writes its gradients with
-``out=`` into views of the run's one gradient array, so Adam, its
-snapshots and the finite differences work on whole arrays and no epoch
-builds a record. The caches keep each layer's ``z`` and an aggregation
-layer's ``Â H``; the backward rebuilds a linear or SAGE layer's input
-from the layer below, bit for bit. A layer's finite check is one sum
-over all splits; only a non-finite sum runs the elementwise test, which
-names the splits at fault. numpy's floating-point warnings are silenced
-once per forward. Shapes are checked once per call.
+``out=`` into views of the workspace's one flat gradient vector, so
+Adam, its snapshots and the finite differences work on whole arrays and
+no epoch builds a record. A layer's bias gradient is one call of scipy's
+compiled ``csr_matvecs``: the all-ones row times the (n, S·d) gradient
+buffer, the column sums of every split at once, added in node order as
+numpy's column reduce adds them (a one-column buffer keeps numpy's
+reduce, which sums a lone column pairwise). The layer norms come once
+per backward from the flat vector: one square, then one sum per array
+and run of equally shaped layers (48 of c09's 50), each the same
+pairwise sum over the same contiguous entries as a sum over the array
+alone. The caches keep each layer's ``z`` and an aggregation layer's
+``Â H``; the backward rebuilds a linear or SAGE layer's input from the
+layer below, bit for bit. A layer's finite check is one sum over all
+splits; only a non-finite sum runs the elementwise test, which names the
+splits at fault. numpy's floating-point warnings are silenced once per
+forward. Shapes are checked once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NumericError
 from .graphs import SparseCountMatrix, add_self_loops, degrees, symmetrize, transpose
-from .normalization import NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
+from .normalization import _KERNELS, NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
 
 __all__ = [
     "ARCHITECTURES",
@@ -100,6 +109,9 @@ ACTIVATIONS = ("relu", "identity")
 # gradients and optimizer state. Norms and the l2 term sum in this order,
 # so reordering it changes their last bits.
 _FIELDS = ("W0", "W", "b")
+
+# scipy's compiled product of a CSR matrix and a dense block of vectors (see normalization._spmm)
+_MATVECS = _KERNELS["csr"][1]
 
 
 @dataclass(frozen=True)
@@ -330,10 +342,13 @@ class _Workspace(list):
     sparse product serves every split, and comes with its split view. A
     layer's cache holds its ``z`` (also for c07 and :func:`relu_kink_risk`),
     its ``Â H`` as ``m`` (None in a linear layer) and its dropout ``mask``.
+    What only a backward needs (the gradient vector, the all-ones row, the
+    norm runs) is made on its first use.
     """
 
     def __init__(self, params, n: int):
         self.splits = params[0].W.shape[0] if params[0].W.ndim == 3 else 1
+        self._like = params
         self._scratch = {}
         last = len(params) - 1
         super().__init__(dict(zip(("z", "z3"), self._buffer(n, p.W.shape[-1])), last=i == last)
@@ -358,6 +373,72 @@ class _Workspace(list):
         if c["mask"] is not None:
             np.multiply(out, c["mask"], out=act[0])
         return act
+
+    @cached_property
+    def gradient(self):
+        """``(grad, records)``: the flat gradient vector, (P,) or (S, P) in the layout of
+        :func:`flat_gradients`, and records viewing it; every backward on this workspace overwrites them."""
+        lead = (self.splits,) if self._like[0].W.ndim == 3 else ()
+        grad = np.empty(lead + (sum(math.prod(_split_shape(p, n)) for p in self._like for n in p.fields),))
+        return grad, _views(grad, self._like)
+
+    @cached_property
+    def _ones(self):
+        """The index and value arrays of the 1×n all-ones CSR matrix."""
+        n = len(self[0]["z"])
+        return np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n)
+
+    def column_sums(self, g: np.ndarray) -> np.ndarray:
+        """The column sums of an (n, w) buffer ``g``, w >= 2, as a new (w,) array.
+
+        One call of scipy's compiled ``csr_matvecs`` multiplies the all-ones
+        row by ``g`` into zeros: it adds the rows in node order, which is
+        the order of numpy's column reduce for any width >= 2 (numpy sums a
+        lone contiguous column pairwise instead). Where two NaNs meet, the
+        kernel keeps the incoming one and numpy the running sum, so only the
+        sign of a NaN may differ from numpy's.
+        """
+        n, w = g.shape
+        out = np.zeros(w)
+        _MATVECS(1, n, w, *self._ones, g, out)
+        return out
+
+    @cached_property
+    def _norm_runs(self):
+        """Runs of consecutive layers whose arrays have the same shapes, as ``(first layer, layers,
+        start, block, spans)``: the run takes ``layers`` blocks of ``block`` entries of the flat
+        gradient from ``start`` on, and ``spans`` are the ``(begin, end)`` of each array in a block,
+        in ``_FIELDS`` order."""
+        runs, start, prev = [], 0, None
+        for i, p in enumerate(self._like):
+            shapes = [(n, _split_shape(p, n)) for n in p.fields]
+            ends = np.cumsum([0] + [math.prod(s) for _, s in shapes]).tolist()
+            if shapes == prev:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, 1, start, ends[-1], list(zip(ends[:-1], ends[1:]))])
+            prev, start = shapes, start + ends[-1]
+        return runs
+
+    def norms(self, grad: np.ndarray) -> np.ndarray:
+        """Each layer's gradient norm, (layers,) or (S, layers), from the flat ``grad``.
+
+        ``grad`` is squared once; each array of a run of equal layers is
+        one sum over its contiguous entries per layer and split, the same
+        pairwise sum as over the array alone, and a layer adds its arrays
+        in ``_FIELDS`` order.
+        """
+        sq = np.square(grad)
+        lead = grad.shape[:-1]
+        sums = np.empty(lead + (len(self),))
+        for first, layers, start, block, spans in self._norm_runs:
+            v = sq[..., start:start + layers * block].reshape(lead + (layers, block))
+            out = sums[..., first:first + layers]
+            (a, b), *rest = spans
+            np.add.reduce(v[..., a:b], axis=-1, out=out)
+            for a, b in rest:
+                out += np.add.reduce(v[..., a:b], axis=-1)
+        return np.sqrt(sums, out=sums)
 
 
 def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None, work=None):
@@ -436,21 +517,25 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     return _backward_pass(spec, ahat.T, params, caches, upstream_grad)
 
 
-def _backward_pass(spec, ahat_t, params, caches, upstream, grads=None):
+def _backward_pass(spec, ahat_t, params, caches, upstream):
     """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``.
 
-    Every gradient is written with ``out=`` into ``grads``: records shaped
-    like ``params`` (new ones if None). A linear or SAGE layer's input is
-    rebuilt from the layer below's cache, bit for bit as the forward made
-    it. A layer's norm sums one ``np.add.reduce(a ** 2)`` per array in
-    ``_FIELDS`` order: ``norms`` is a list for 2-D records, and an
-    (S, layers) array for stacked ones.
+    Every gradient is written with ``out=`` into ``grads``, the records of
+    the workspace's flat gradient vector (``caches.gradient``), which the
+    next backward on the same caches overwrites. A linear or SAGE layer's
+    input is rebuilt from the layer below's cache, bit for bit as the
+    forward made it. A layer's bias gradient is the column sums of its
+    (n, S·d) gradient buffer for every split at once
+    (:meth:`_Workspace.column_sums`), the bits of numpy's column reduce
+    (where two NaNs meet, the sign of the NaN may differ); a one-column
+    buffer keeps ``np.add.reduce``, since numpy sums a lone contiguous
+    column pairwise. The norms come from the flat vector once the sweep is
+    done (:meth:`_Workspace.norms`), bit for bit the per-array
+    ``sqrt((sum(W0²) + sum(W²)) + sum(b²))``: a list for 2-D records, and
+    an (S, layers) array for stacked ones.
     """
-    if grads is None:
-        grads = [replace(p, **{n: np.empty_like(getattr(p, n)) for n in p.fields}) for p in params]
     work, splits = caches, caches.splits
-    axes = (-2, -1) if params[0].W.ndim == 3 else None  # one sum per split, over each array of a layer
-    sums = np.empty((len(params), splits))
+    grad, grads = work.gradient
     g = upstream
     for i in range(len(params) - 1, -1, -1):
         c, p, d = work[i], params[i], grads[i]
@@ -465,11 +550,10 @@ def _backward_pass(spec, ahat_t, params, caches, upstream, grads=None):
         if p.W0 is not None:
             np.matmul(_mT(h), gz, out=d.W0)
         np.matmul(_mT(h if c["m"] is None else c["m"]), gz, out=d.W)
-        np.add.reduce(gz, axis=-2, out=d.b, keepdims=d.b.ndim > 1)
-        norm2 = np.add.reduce(np.square(d.W), axis=axes)
-        if p.W0 is not None:
-            norm2 = np.add.reduce(np.square(d.W0), axis=axes) + norm2
-        sums[i] = norm2 + np.add.reduce(np.square(d.b), axis=axes)
+        if g.shape[1] == 1:
+            np.add.reduce(gz, axis=-2, out=d.b, keepdims=d.b.ndim > 1)
+        else:
+            d.b[...] = work.column_sums(g).reshape(d.b.shape)
         if i == 0:
             break
         g, gw = work.scratch(i % 2, p.W.shape[-2])  # not the buffer that holds gz
@@ -478,8 +562,8 @@ def _backward_pass(spec, ahat_t, params, caches, upstream, grads=None):
             g = ahat_t @ g
         if p.W0 is not None:
             _split_view(g, splits)[...] += np.matmul(gz, _mT(p.W0))
-    norms = np.sqrt(sums.T)
-    return grads, (norms if params[0].W.ndim == 3 else norms[0].tolist())
+    norms = work.norms(grad)
+    return grads, (norms if grad.ndim == 2 else norms.tolist())
 
 
 def collapse_linear(a: SparseCountMatrix, x: np.ndarray, params, k: int) -> np.ndarray:
@@ -531,8 +615,14 @@ def _packed(params):
     return theta, _views(theta, params)
 
 
+def _split_shape(p, n: str) -> tuple:
+    """The shape of one split's array ``n`` of a 2-D or a stacked record ``p`` (a stacked bias is (S, 1, width out))."""
+    shape = getattr(p, n).shape
+    return shape if p.W.ndim == 2 else shape[2 if n == "b" else 1:]
+
+
 def _views(flat: np.ndarray, like):
-    """Records shaped like the 2-D records ``like`` whose arrays are reshaped views into ``flat``.
+    """Records shaped like the records ``like`` (2-D or stacked) whose arrays are reshaped views into ``flat``.
 
     An (S, P) ``flat``, one split a row and S >= 2 (a lone split trains on
     2-D records), gives stacked records: each array leads with the split
@@ -540,10 +630,11 @@ def _views(flat: np.ndarray, like):
     nodes.
     """
     lead = flat.shape[:-1]
-    parts = iter(np.split(flat, np.cumsum([getattr(p, n).size for p in like for n in p.fields])[:-1], axis=-1))
+    parts = iter(np.split(flat, np.cumsum([math.prod(_split_shape(p, n)) for p in like for n in p.fields])[:-1],
+                          axis=-1))
 
     def shape(p, n):
-        return lead + ((1,) if lead and n == "b" else ()) + getattr(p, n).shape
+        return lead + ((1,) if lead and n == "b" else ()) + _split_shape(p, n)
 
     return [replace(p, **{n: next(parts).reshape(shape(p, n)) for n in p.fields}) for p in like]
 

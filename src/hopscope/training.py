@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CountOverflowError, InputError, NumericError
 from .graphs import SparseCountMatrix, from_edge_list
-from .hops import density, support_powers
+from .hops import support_nnz
 from .models import (
     ModelSpec,
     _backward_pass,
@@ -266,9 +266,8 @@ class _Lockstep:
             self.work = None
             return
         self.params = _views(self.theta[0] if b == 1 else self.theta, self.template)
-        self.grad = np.empty_like(self.theta)
-        self.grads = _views(self.grad[0] if b == 1 else self.grad, self.template)
         self.work = _Workspace(self.params, n)
+        self.grad = self.work.gradient[0].reshape(b, -1)  # the vector every backward writes, one row per split
         splits = [self.splits[i] for i in self.ids]
         self.train, self.val = _Nodes(splits, "train", self.labels), _Nodes(splits, "val", self.labels)
         self.upstream = np.zeros((n, b * self.n_classes))
@@ -385,7 +384,7 @@ class _Lockstep:
                 self._leave(bad, "training loss diverged")
             if not self.ids:
                 break
-            _, norms = _backward_pass(self.spec, self.ahat_t, self.params, self.evaluated[1], self.upstream, self.grads)
+            _, norms = _backward_pass(self.spec, self.ahat_t, self.params, self.evaluated[1], self.upstream)
             for trace, row in zip(self.traces, np.atleast_2d(norms).tolist()):
                 trace.append(tuple(row))
             self._adam()
@@ -481,8 +480,9 @@ def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
         return [], []
     seeds = [int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
              for si in range(len(splits))]
-    # numpy sums the bias and 1x1 weight gradients of a one-column layer in another
-    # order when other splits' columns sit beside it, so such a model trains split by split
+    # a one-column layer's bias and 1x1 weight gradients come out in another order when other
+    # splits' columns sit beside it (numpy sums a lone column pairwise, while the stacked bias is
+    # a column sum in node order), so such a model trains split by split
     alone = 1 in [d_out for _, d_out in _layer_dims(spec, 1, int(np.max(labels)) + 1)]
     groups = [[si] for si in range(len(splits))] if alone else [list(range(len(splits)))]
     runs, failed = [], []
@@ -512,15 +512,17 @@ class SweepRow:
 def _sweep_densities(template: ModelSpec, graph: SparseCountMatrix, ks: list[int]) -> list[float]:
     """The density of ``support(M^k)`` for each k of the ascending ``ks``, ``M`` the template's reach.
 
-    One boolean ladder gives them all and converts only the rungs in
-    ``ks``. A reach that raises :class:`CountOverflowError` gives NaN for
-    every k; :func:`train_splits` fails each of its cells with that error.
+    One boolean ladder gives them all, each counted straight off its rung
+    (:func:`~hopscope.hops.support_nnz`), as :func:`~hopscope.hops.density`
+    counts a pattern. A reach that raises :class:`CountOverflowError` gives
+    NaN for every k; :func:`train_splits` fails each of its cells with that error.
     """
     try:
         reach = _reach_adjacency(template, graph)
     except CountOverflowError:
         return [float("nan")] * len(ks)
-    return [density(p) for p in support_powers(reach, ks)]
+    cells = reach.n_rows * reach.n_cols
+    return [nnz / cells if cells else 0.0 for nnz in support_nnz(reach, ks)]
 
 
 def run_sweep(

@@ -12,6 +12,7 @@ import pytest
 
 import hopscope as hs
 from hopscope.models import relu_kink_risk
+from hopscope.training import train_splits
 
 
 def _report(name: str, detail: str = ""):
@@ -29,18 +30,13 @@ def random_digraph(rng, n, p=0.3, max_mult=1, ensure_cycle=False):
     return hs.from_edge_list(edges, n)
 
 
-def _run_seed(root: int, idx: int) -> int:
-    return int(np.random.SeedSequence(entropy=root, spawn_key=(idx, 17)).generate_state(1)[0])
-
-
 def _train_over_splits(spec, dataset, splits, cfg):
+    """Test accuracies and majority baselines of every split, trained in lockstep; a failed split fails the test."""
     graph, x, labels = dataset
-    accs, bases = [], []
-    for si, split in enumerate(splits):
-        m = hs.train_model(spec, graph, x, labels, split, replace(cfg, seed=_run_seed(cfg.seed, si)))
-        accs.append(m.accuracies[0])
-        bases.append(m.majority_baselines[0])
-    return np.array(accs), np.array(bases)
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    if failed:
+        raise failed[0][1]
+    return np.array([m.accuracies[0] for m in runs]), np.array([m.majority_baselines[0] for m in runs])
 
 
 # ---------------------------------------------------------------------------

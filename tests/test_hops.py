@@ -361,8 +361,8 @@ def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
     run_sweep([ModelSpec(arch="one_layer_power_k", k=1, hidden_width=4)], [2, 5], data, cfg,
               n_splits=1, per_class_train=2, per_class_val=2)
     monkeypatch.undo()
-    # support_of(A) starts the ladder; then only rungs 2 and 5 become patterns
-    assert converted == [support_of(data[0]), mat_power_support(data[0], 2), mat_power_support(data[0], 5)]
+    # support_of(A) starts the ladder; rungs 2 and 5 are counted as they stand, and no rung becomes a pattern
+    assert converted == [support_of(data[0])]
 
 
 def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):

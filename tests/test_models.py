@@ -426,11 +426,11 @@ def test_backward_into_a_reused_buffer_is_bit_equal_to_the_allocating_call(arch)
     ahat = build_aggregation(spec, g)
     masks = [(rng.random((12, 5)) < 0.6) / 0.6 for _ in params[:-1]] + [None]
     _, caches = models._forward_pass(spec, ahat, x, params, masks)
-    flat = np.full(models.flat_gradients(params).size, np.nan)
-    buffer = models._views(flat, params)
+    flat, buffer = caches.gradient  # the workspace's gradient vector, which every backward on it reuses
+    flat.fill(np.nan)
     for _ in range(2):  # a second upstream must overwrite every entry the first one wrote
         upstream = rng.standard_normal((12, 3))
-        want, want_norms = models._backward_pass(spec, ahat.T, params, caches, upstream)
-        got, norms = models._backward_pass(spec, ahat.T, params, caches, upstream, buffer)
+        want, want_norms = model_backward(spec, ahat, x, params, upstream, hidden_masks=masks)
+        got, norms = models._backward_pass(spec, ahat.T, params, caches, upstream)
         assert got is buffer and norms == want_norms
         assert flat.tobytes() == models.flat_gradients(want).tobytes()

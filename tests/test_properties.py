@@ -49,7 +49,7 @@ from hopscope import (
     synthesize_dataset,
     transpose,
 )
-from hopscope import cli, datasets, graphs, hops
+from hopscope import LayerParams, cli, datasets, graphs, hops, model_backward, models
 from hopscope.models import (
     ACTIVATIONS,
     PROPAGATIONS,
@@ -339,6 +339,111 @@ def test_check_finite_passes_a_finite_array_whose_sum_overflows():
     _check_finite(np.array([_BIG, _BIG, -_BIG]), "layer {} output", 0)
     with pytest.raises(NumericError, match="in graphsage layer output"):
         _check_finite(np.array([[np.inf, -np.inf]]), "{} layer output", "graphsage")
+
+
+# values at every edge of float64: signed zeros, subnormals, the extremes, infinities and NaN
+_EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+                                                       _BIG, -_BIG, np.inf, -np.inf, np.nan]))
+
+
+def _workspace(n: int, width: int):
+    return models._Workspace([LayerParams(W=np.empty((1, width)), b=np.empty(width))], n)
+
+
+def _same_sums(got, want) -> bool:
+    """Bit for bit, except that a NaN need only meet a NaN: where two NaNs meet, the kernel keeps the
+    incoming one and numpy the running sum, so the sign of a NaN may differ."""
+    nan = np.isnan(want)
+    return np.array_equal(nan, np.isnan(got)) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@given(st.integers(1, 40), st.integers(2, 9), st.data())
+@settings(max_examples=300, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")
+def test_kernel_column_sum_is_numpys_column_reduce(n, width, data):
+    # the backward's bias gradient: scipy's compiled product of the all-ones row, which adds the
+    # rows in node order, against numpy's column reduce, for every width of two or more
+    g = data.draw(hnp.arrays(np.float64, (n, width), elements=_EDGE_FLOATS))
+    assert _same_sums(_workspace(n, width).column_sums(g), np.add.reduce(g, axis=0))
+
+
+@given(st.integers(1, 40), st.integers(2, 5), st.integers(2, 4), st.data())
+@settings(max_examples=200, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")
+def test_stacked_column_sum_is_the_per_split_reduce(n, width, splits, data):
+    # one column sum of the (n, S·d) buffer gives every split's bias gradient, as a reduce over
+    # each split's (n, d) view does
+    g = data.draw(hnp.arrays(np.float64, (n, splits * width), elements=_EDGE_FLOATS))
+    want = np.add.reduce(models._split_view(g, splits), axis=-2).ravel()
+    assert _same_sums(_workspace(n, splits * width).column_sums(g), want)
+
+
+def test_one_column_bias_gradient_keeps_numpys_pairwise_sum():
+    # numpy sums a lone contiguous column pairwise, and node order would lose the small terms
+    # behind the leading 1.0: the bias gradient of a one-column buffer must stay numpy's sum
+    n = 40
+    upstream = np.full((n, 1), 2.0**-53)
+    upstream[0] = 1.0
+    spec = ModelSpec(arch="k_layer_gcn", k=1, activation="identity", norm="row")
+    params = [LayerParams(W=np.ones((1, 1)), b=np.zeros(1))]
+    grads, _ = model_backward(spec, from_edge_list([(i, (i + 1) % n) for i in range(n)], n), np.ones((n, 1)),
+                              params, upstream)
+    want = np.add.reduce(upstream, axis=0)
+    assert want[0] != sum(upstream[:, 0].tolist())  # the two orders differ here
+    assert grads[0].b.tobytes() == want.tobytes()
+
+
+@st.composite
+def backward_cases(draw):
+    """A model of any architecture with hand-made layer widths (unequal, and one column allowed), S = 1 or 3
+    splits of its records, and dropout masks for relu."""
+    arch = draw(st.sampled_from(ARCHITECTURES))
+    spec = ModelSpec(arch=arch, k=draw(st.integers(1, 4)), activation=draw(st.sampled_from(ACTIVATIONS)), norm="sym")
+    n = draw(st.integers(2, 12))
+    graph = from_edge_list(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)), n)
+    kinds = spec.layer_kinds()
+    widths = [draw(st.integers(1, 3))] + [draw(st.sampled_from([1, 2, 3, 5])) for _ in kinds]
+    splits = draw(st.sampled_from([1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = [[LayerParams(W=rng.standard_normal((d_in, d_out)), b=rng.standard_normal(d_out),
+                            W0=rng.standard_normal((d_in, d_out)) if kind == "sage" else None)
+                for kind, d_in, d_out in zip(kinds, widths, widths[1:])] for _ in range(splits)]
+    masks = None
+    if spec.activation == "relu" and draw(st.booleans()):
+        masks = [(rng.random((n, splits * d)) < 0.6) / 0.6 for d in widths[1:-1]] + [None]
+    x = rng.standard_normal((n, widths[0]))
+    upstream = rng.standard_normal((n, splits * widths[-1]))
+    return spec, graph, x, records, masks, upstream
+
+
+def _per_array_norm(d) -> float:
+    """The norm of one split's layer gradient, one array at a time: ``sqrt((W0² + W²) + b²)``."""
+    norm2 = np.add.reduce(np.square(d.W), axis=None)
+    if d.W0 is not None:
+        norm2 = np.add.reduce(np.square(d.W0), axis=None) + norm2
+    return float(np.sqrt(norm2 + np.add.reduce(np.square(d.b), axis=None)))
+
+
+@given(backward_cases())
+@settings(max_examples=200, deadline=None)
+def test_grouped_gradient_norms_are_the_per_array_norms(case):
+    spec, graph, x, records, masks, upstream = case
+    splits = len(records)
+    theta = np.stack([models.flat_gradients(r) for r in records])
+    params = models._views(theta[0] if splits == 1 else theta, records[0])
+    event(f"{spec.arch}, {splits} split(s){', masks' if masks else ''}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads, norms = model_backward(spec, graph, x, params, upstream, hidden_masks=masks)
+    flat = models.flat_gradients(grads) if splits == 1 else np.concatenate(
+        [getattr(d, n).reshape(splits, -1) for d in grads for n in d.fields], axis=1)
+    norms = np.atleast_2d(norms)
+    assert norms.shape == (splits, len(records[0]))
+    for s in range(splits):
+        per_split = models._views(flat.reshape(splits, -1)[s], records[0])
+        assert norms[s].tobytes() == np.array([_per_array_norm(d) for d in per_split]).tobytes()
+    # the output layer's bias gradient is each split's column sum of the upstream gradient
+    want = np.add.reduce(models._split_view(upstream, splits), axis=-2)
+    assert grads[-1].b.tobytes() == want.tobytes()
 
 
 @given(multigraphs(), st.integers(1, 7))

@@ -21,11 +21,14 @@ architecture on the same graph, up to k = 50, the ``edges.tsv`` and
 ``labels.tsv`` bytes of a library ``save_dataset`` of a multigraph with
 negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
 arrays) of ``load_dataset`` on that directory and on a headerless copy,
-and the ``repr`` (with gradient-norm traces) of each split's Metrics from
+the ``repr`` (with gradient-norm traces) of each split's Metrics from
 ``train_splits`` of two architectures over three splits, with dropout, l2
-and early stopping that ends every run.
-Uses only the standard library and hopscope; BLAS is pinned to one thread
-before numpy loads. Runs in about 4 s on 2 cores.
+and early stopping that ends every run, and the gradient bytes and layer
+norms of ``model_backward`` for every architecture (relu with dropout
+masks), a model one column wide and an upstream gradient with an all +0
+and an all -0 column.
+Uses only the standard library, numpy and hopscope; BLAS is pinned to one
+thread before numpy loads. Runs in about 4 s on 2 cores.
 """
 
 import os
@@ -84,10 +87,12 @@ def main() -> int:
                         help="directory holding the hopscope package to hash")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from hopscope import (ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features, load_dataset,
-                          make_splits, normalize, read_edge_list, run_sweep, save_dataset, symmetrize,
-                          synthesize_dataset, train_model)
+    import numpy as np
+    from hopscope import (ARCHITECTURES, ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features,
+                          init_params, load_dataset, make_splits, model_backward, normalize, read_edge_list,
+                          run_sweep, save_dataset, symmetrize, synthesize_dataset, train_model)
     from hopscope.cli import main as cli
+    from hopscope.models import flat_gradients
     from hopscope.training import train_splits
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,6 +194,22 @@ def main() -> int:
         for si, m in enumerate(runs):
             _emit(f"library train_splits {arch} split {si}", repr((m, m.grad_norm_traces)).encode())
         _emit(f"library train_splits {arch} failed", repr([(si, str(exc), exc.epoch) for si, exc in failed]).encode())
+
+    # one backward per architecture (relu, dropout masks), a model one column wide, and an
+    # upstream gradient with an all +0 and an all -0 column: gradient bytes and layer norms
+    graph, x, _ = synthesize_dataset("hybrid", n=200, seed=5)
+    cases = [(arch, ModelSpec(arch=arch, k=3, hidden_width=8, norm="sym"), 4) for arch in ARCHITECTURES]
+    cases.append(("k_layer_gcn one column", ModelSpec(arch="k_layer_gcn", k=3, hidden_width=1, norm="sym"), 1))
+    cases.append(("k_layer_gcn signed zero columns", ModelSpec(arch="k_layer_gcn", k=3, norm="row"), 4))
+    for label, spec, classes in cases:
+        rng = np.random.default_rng(5)
+        params = init_params(spec, x.shape[1], classes, rng)
+        masks = [(rng.random((len(x), spec.hidden_width)) < 0.7) / 0.7 for _ in params[1:]] + [None]
+        upstream = rng.standard_normal((len(x), classes))
+        if label.endswith("signed zero columns"):
+            upstream[:, 0], upstream[:, 1] = 0.0, -0.0
+        grads, norms = model_backward(spec, graph, x, params, upstream, hidden_masks=masks)
+        _emit(f"library model_backward {label}", flat_gradients(grads).tobytes() + repr(norms).encode())
     return 0
 
 
