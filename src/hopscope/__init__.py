@@ -6,8 +6,8 @@ the semiring powers and connectivity-pattern checks,
 :mod:`hopscope.normalization` the edge reweighting schemes,
 :mod:`hopscope.models` the dense forward/backward kernels,
 :mod:`hopscope.training` the experiment harness, and
-:mod:`hopscope.datasets` the file formats. ``hopscope.cli`` exposes the
-same workflows as a batch command line.
+:mod:`hopscope.datasets` the synthetic datasets and the file formats.
+``hopscope.cli`` exposes the same workflows as a batch command line.
 """
 
 from .errors import (
@@ -79,7 +79,6 @@ from .training import (
     majority_baseline,
     make_splits,
     run_sweep,
-    synthesize_dataset,
     train_model,
 )
 from .datasets import (
@@ -91,6 +90,7 @@ from .datasets import (
     save_dataset,
     save_matrix_csv,
     save_sweep_csv,
+    synthesize_dataset,
 )
 
 __version__ = "0.1.0"

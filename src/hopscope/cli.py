@@ -23,22 +23,19 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import (_plain_real, dataset_stats, fmt_real, load_dataset, resolve_dataset_dir, save_dataset,
-                       save_matrix_csv, save_sweep_csv)
+from .datasets import (SYNTH_KINDS, _plain_real, dataset_stats, fmt_real, load_dataset, resolve_dataset_dir,
+                       save_dataset, save_matrix_csv, save_sweep_csv, synthesize_dataset)
 from .errors import HopscopeError, InputError, LoopHypothesisError
 from .graphs import _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
-from .hops import dag_profile, power_ladder, verify_loop_lemma
+from .hops import dag_profile, support_nnz, verify_loop_lemma
 from .models import (ARCHITECTURES, ModelSpec, _propagated, gradient_check, init_params, relu_kink_risk,
                      uniform_features)
 from .normalization import NORM_SCHEMES, normalize
-from .training import Metrics, TrainConfig, make_splits, run_sweep, synthesize_dataset, train_splits
-
-SYNTH_KINDS = ("structure_only", "hybrid", "sparse_digraph_deep")
+from .training import Metrics, TrainConfig, make_splits, run_sweep, train_splits
 
 _CONFIG_KEYS = {
     "lr": float,
@@ -177,9 +174,9 @@ def cmd_analyze_loops(args) -> int:
 def _density_curve(graph, kmax: int, nnz=None) -> list[tuple[int, float, int]]:
     """``(k, density, nnz)`` of ``support(A^k)`` for k = 1..kmax.
 
-    The nnz are read off one power ladder unless a caller that walked one already passes them.
+    The nnz are counted off one boolean ladder's rungs unless a caller that walked one already passes them.
     """
-    nnz = [p.nnz for p in islice(power_ladder(graph), kmax)] if nnz is None else nnz
+    nnz = list(support_nnz(graph, range(1, kmax + 1))) if nnz is None else nnz
     n2 = graph.n_rows * graph.n_rows
     return [(k, c / n2 if n2 else 0.0, c) for k, c in enumerate(nnz, start=1)]
 

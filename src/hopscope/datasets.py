@@ -1,4 +1,10 @@
-"""Loading dataset directories and writing CSV artifacts.
+"""Every dataset hopscope uses: synthetic generators, dataset directories and CSV artifacts.
+
+:func:`synthesize_dataset` draws the synthetic kinds of ``SYNTH_KINDS``,
+desk-sized and deterministic: ``structure_only`` (labels from in-degree
+mass), ``hybrid`` (a sparse long-path digraph with class-informative
+features) and ``sparse_digraph_deep`` (a low-density digraph for very
+deep stacks).
 
 A dataset directory holds plain text files:
 
@@ -32,6 +38,7 @@ import numpy as np
 
 from .errors import DatasetError, InputError
 from .graphs import SparseCountMatrix, _exact_total, _int_table, _plain, content_lines, edge_array, from_edge_list
+from .models import uniform_features
 from .normalization import WeightedAdjacency
 
 __all__ = [
@@ -49,6 +56,9 @@ __all__ = [
 ]
 
 DATA_DIR_ENV = "HOPSCOPE_DATA_DIR"
+# The synthetic kinds; a kind's generator is seeded with spawn key (its position + 1), so
+# reordering them changes every synthetic dataset.
+SYNTH_KINDS = ("structure_only", "hybrid", "sparse_digraph_deep")
 _WRITE_BLOCK = 1 << 16  # edge lines formatted per write in save_dataset
 _POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)  # the digit-count steps of _int_lines
 
@@ -352,3 +362,144 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
             str(i) + "," + ",".join(fmt_real(v) for v in row) for i, row in enumerate(np.asarray(features))
         ]
         (out / "features.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# synthetic datasets
+
+
+def synthesize_dataset(kind: str, n: int, seed: int, noise: float = 0.0, feature_signal: float = 1.0):
+    """Deterministic desk-scale datasets: ``(graph, X, labels)``.
+
+    ``structure_only`` — uniform features; 4 labels are quantile bins of
+    an in-degree mass score (the total in-degree of a node's in-
+    neighbors), so structure alone decides the class. ``noise``
+    resamples that fraction of labels uniformly.
+
+    ``hybrid`` — sparse long-path digraph whose 4 classes are contiguous
+    rank bands, plus class-informative Gaussian features scaled by
+    ``feature_signal``.
+
+    ``sparse_digraph_deep`` — directed ring with sparse chords; the
+    pattern of A^k never dies out, so very deep stacks stay non-trivial.
+    """
+    if n < 50:
+        raise InputError("synthetic datasets need n >= 50")
+    if kind not in SYNTH_KINDS:
+        raise InputError(f"unknown synthetic kind {kind!r}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    if not 0.0 <= noise <= 1.0:
+        raise InputError(f"noise must be in [0, 1], got {noise}")
+    if not np.isfinite(feature_signal):
+        raise InputError(f"feature_signal must be finite, got {feature_signal}")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(SYNTH_KINDS.index(kind) + 1,)))
+    if kind == "structure_only":
+        return _synth_structure_only(n, rng, noise)
+    if kind == "hybrid":
+        return _synth_hybrid(n, rng, feature_signal)
+    return _synth_deep(n, rng, feature_signal)
+
+
+def _quantile_labels(score: np.ndarray, n_classes: int = 4) -> np.ndarray:
+    qs = np.quantile(score, np.arange(1, n_classes) / n_classes)
+    return np.searchsorted(qs, score, side="right").astype(np.int64)
+
+
+def _synth_structure_only(n: int, rng: np.random.Generator, noise: float):
+    """Labels are quantile bins of each node's aggregated in-degree mass.
+
+    A tenth of the nodes are feeders with conspicuously high in-degree;
+    every other node draws four in-edges, 0..3 of them from feeders, so
+    the total in-degree of its in-neighborhood clusters into four well
+    separated levels while its own in-degree stays flat. Two hub nodes
+    give everyone at least one in- and one out-edge without perturbing
+    the score (the out-hub has in-degree 1).
+    """
+    hub_in, hub_out = n - 2, n - 1
+    regular = np.arange(n - 2)
+    n_feed = max(4, n // 10)
+    perm = rng.permutation(regular)
+    feeders, nonfeeders = perm[:n_feed], perm[n_feed:]
+    m = len(nonfeeders)
+    top = max(0, n // 4 - n_feed - 2)  # feeders and hubs land in the top class
+    rest = m - top
+    base = rest // 3
+    counts = [base + (1 if i < rest - 3 * base else 0) for i in range(3)] + [top]
+    feeder_picks = np.concatenate([np.full(counts[c], c) for c in range(4)])
+    feeder_picks = feeder_picks[rng.permutation(m)]
+
+    edges = [(int(i), hub_in) for i in regular] + [(hub_out, int(i)) for i in regular]
+    edges += [(hub_in, hub_out), (hub_out, hub_in)]
+    for f in feeders:
+        for _ in range(int(rng.integers(10, 15)) + 4):
+            src = int(regular[rng.integers(0, len(regular))])
+            if src != f:
+                edges.append((src, int(f)))
+    for i, fv in zip(nonfeeders, feeder_picks):
+        for _ in range(int(fv)):
+            edges.append((int(feeders[rng.integers(0, n_feed)]), int(i)))
+        for _ in range(4 - int(fv)):
+            src = int(nonfeeders[rng.integers(0, m)])
+            if src != i:
+                edges.append((src, int(i)))
+    graph = from_edge_list(edges, n)
+    msp = graph.csr.astype(np.float64)
+    indeg = np.asarray(msp.sum(axis=0)).ravel()
+    score = msp.T @ indeg  # total in-degree of each node's in-neighbors
+    labels = _quantile_labels(score)
+    if noise > 0:
+        flip = rng.random(n) < noise
+        labels = labels.copy()
+        labels[flip] = rng.integers(0, 4, size=int(flip.sum()))
+    return graph, uniform_features(n), labels
+
+
+def _synth_hybrid(n: int, rng: np.random.Generator, feature_signal: float):
+    """Sparse directed lattice whose k-step reach respects class stripes.
+
+    Edges jump 50 positions (multiplicity 1-2) with occasional 250-jump
+    chords; class stripes are 50 wide with period 200, so a length-k
+    walk always lands a fixed number of stripes ahead: aggregated
+    features stay class-informative at every k. Gaussian class means
+    scaled by ``feature_signal`` supply the feature side of the task.
+    n is rounded up to a multiple of 200.
+    """
+    n = max(200, ((n + 199) // 200) * 200)
+    d = 12
+    edges = []
+    for i in range(n):
+        for _ in range(int(rng.integers(1, 3))):
+            edges.append((i, (i + 50) % n))
+    for _ in range(n // 6):
+        i = int(rng.integers(0, n))
+        edges.append((i, (i + 250) % n))
+    graph = from_edge_list(edges, n)
+    labels = ((np.arange(n) // 50) % 4).astype(np.int64)
+    mu = rng.standard_normal((4, d)) * feature_signal
+    x = mu[labels] + rng.standard_normal((n, d))
+    return graph, x, labels
+
+
+def _synth_deep(n: int, rng: np.random.Generator, feature_signal: float):
+    """Directed ring with long chords; class stripes of width 50.
+
+    Every edge displaces a node by 25 positions modulo 200 (lattice
+    steps jump 25, chords 225), and class stripes are 50 wide with
+    period 200, so a length-L walk always lands (25 L mod 200)
+    positions ahead: for any even depth that is a whole number of
+    stripes, and a depth-L stack faces a consistent class permutation
+    rather than blurred labels. The class signal is a single scalar
+    feature so it survives stacks that squash multi-dimensional
+    inputs. n is rounded up to a multiple of 200 so the stripes tile
+    the ring exactly.
+    """
+    n = max(200, ((n + 199) // 200) * 200)
+    edges = [(i, (i + 25) % n) for i in range(n)]
+    for _ in range(n // 6):
+        i = int(rng.integers(0, n))
+        edges.append((i, (i + 225) % n))
+    graph = from_edge_list(edges, n)
+    labels = ((np.arange(n) // 50) % 4).astype(np.int64)
+    x = (labels[:, None] + 1.0) * feature_signal + 0.15 * rng.standard_normal((n, 1))
+    return graph, x, labels

@@ -22,39 +22,20 @@ logits. Feature and hidden matrices are plain float64 ndarrays. All
 kernels are pure: dropout enters only through explicit mask arguments so
 a given (params, masks) pair always reproduces the same numbers.
 
-Who recomputes what: every kernel multiplies by Â through its ``@`` and
-the backward by its ``.T``, with no copy: a :class:`WeightedAdjacency`
-hands both straight to scipy's compiled CSR and CSC kernels (``Âᵀ`` is a
-CSC view; ``normalization._spmm`` skips scipy's per-call
-dispatch and keeps its bits), and a :class:`PowerAggregation` applies its
-k-th power by k sparse products and is never built. ``model_backward``
-reruns the forward. The trainer computes Â, Âᵀ and layer 0's ``Â X``
-once per run of all of a cell's splits (``Â X`` depends on no
-parameter, and dropout masks only layer outputs), and calls
-``_forward_pass`` and ``_backward_pass`` (a reverse sweep over the
-forward's caches) directly, once per epoch each for all S splits: its
-records are stacked (``_views`` of an (S, P) array, one split a row in
-``_FIELDS`` order), hidden states are (n, S·d), so one sparse product
-per layer serves every split, and each matrix product runs on (S, n, d)
-views of those buffers (``_split_view``); one split trains on 2-D
-records. Every buffer and view is built once per run (a
-:class:`_Workspace`), and the backward writes its gradients with
-``out=`` into views of the workspace's one flat gradient vector, so
-Adam, its snapshots and the finite differences work on whole arrays and
-no epoch builds a record. A layer's bias gradient is one call of scipy's
-compiled ``csr_matvecs``: the all-ones row times the (n, S·d) gradient
-buffer, the column sums of every split at once, added in node order as
-numpy's column reduce adds them (a one-column buffer keeps numpy's
-reduce, which sums a lone column pairwise). The layer norms come once
-per backward from the flat vector: one square, then one sum per array
-and run of equally shaped layers (48 of c09's 50), each the same
-pairwise sum over the same contiguous entries as a sum over the array
-alone. The caches keep each layer's ``z`` and an aggregation layer's
-``Â H``; the backward rebuilds a linear or SAGE layer's input from the
-layer below, bit for bit. A layer's finite check is one sum over all
-splits; only a non-finite sum runs the elementwise test, which names the
-splits at fault. numpy's floating-point warnings are silenced once per
-forward. Shapes are checked once per call.
+Who recomputes what: a kernel multiplies by Â through its ``@`` and the
+backward by its ``.T``, with no copy (a :class:`WeightedAdjacency`'s Âᵀ is
+a CSC view, and a :class:`PowerAggregation` applies its k-th power by k
+sparse products and is never built). ``model_backward`` reruns the
+forward. The trainer calls ``_forward_pass`` and ``_backward_pass``
+directly, once per epoch each for all S splits of a cell: records are
+stacked (``_views`` of an (S, P) array) and hidden states are (n, S·d),
+so one sparse product per layer serves every split. Every buffer is built
+once per run (a :class:`_Workspace`), and the backward writes its
+gradients into views of the workspace's one flat vector. Stacking keeps
+each split's bits because every reduction adds a split's entries in the
+order a lone split adds them (:meth:`_Workspace.column_sums`,
+:meth:`_Workspace.norms`); a one-column layer is the exception, so the
+trainer runs such a model split by split. Shapes are checked once per call.
 """
 
 from __future__ import annotations
@@ -391,12 +372,9 @@ class _Workspace(list):
     def column_sums(self, g: np.ndarray) -> np.ndarray:
         """The column sums of an (n, w) buffer ``g``, w >= 2, as a new (w,) array.
 
-        One call of scipy's compiled ``csr_matvecs`` multiplies the all-ones
-        row by ``g`` into zeros: it adds the rows in node order, which is
-        the order of numpy's column reduce for any width >= 2 (numpy sums a
-        lone contiguous column pairwise instead). Where two NaNs meet, the
-        kernel keeps the incoming one and numpy the running sum, so only the
-        sign of a NaN may differ from numpy's.
+        One compiled ``csr_matvecs`` call of the all-ones row times ``g``. It
+        adds the rows in node order, as numpy's column reduce does for w >= 2,
+        so the bits are numpy's (only a NaN's sign may differ where two meet).
         """
         n, w = g.shape
         out = np.zeros(w)
@@ -423,10 +401,9 @@ class _Workspace(list):
     def norms(self, grad: np.ndarray) -> np.ndarray:
         """Each layer's gradient norm, (layers,) or (S, layers), from the flat ``grad``.
 
-        ``grad`` is squared once; each array of a run of equal layers is
-        one sum over its contiguous entries per layer and split, the same
-        pairwise sum as over the array alone, and a layer adds its arrays
-        in ``_FIELDS`` order.
+        Each array's square sum is one pairwise reduce over its contiguous
+        entries, as over the array alone, and a layer adds its arrays in
+        ``_FIELDS`` order: the bits of the per-array norm.
         """
         sq = np.square(grad)
         lead = grad.shape[:-1]
@@ -447,11 +424,10 @@ def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None, work=None):
     ``params`` are 2-D layer records, or stacked ones (see :func:`_views`)
     of S splits that share ``ahat`` and ``x``: the logits, every cache and
     each hidden mask are then (n, S·d), split s in columns ``s·d:(s+1)·d``.
-    The caches are ``work`` (a :class:`_Workspace` for these shapes, built
-    once by a caller that runs many passes; a new one if None). ``ax`` is
-    layer 0's ``Â X``, which no parameter touches: a caller that runs many
-    forwards on the same ``X`` computes it once. A non-finite layer output
-    raises :class:`NumericError`, naming the splits that hold it.
+    The caches are ``work`` (a :class:`_Workspace` for these shapes; a new
+    one if None). ``ax`` is layer 0's ``Â X`` when the caller holds it: no
+    parameter touches it. A non-finite layer output raises
+    :class:`NumericError`, naming the splits that hold it.
     """
     kinds = spec.layer_kinds()
     if len(params) != len(kinds):
@@ -520,19 +496,14 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
 def _backward_pass(spec, ahat_t, params, caches, upstream):
     """Reverse sweep over ``_forward_pass``'s caches down to layer 0's parameters; returns ``(grads, norms)``.
 
-    Every gradient is written with ``out=`` into ``grads``, the records of
-    the workspace's flat gradient vector (``caches.gradient``), which the
-    next backward on the same caches overwrites. A linear or SAGE layer's
-    input is rebuilt from the layer below's cache, bit for bit as the
-    forward made it. A layer's bias gradient is the column sums of its
-    (n, S·d) gradient buffer for every split at once
-    (:meth:`_Workspace.column_sums`), the bits of numpy's column reduce
-    (where two NaNs meet, the sign of the NaN may differ); a one-column
-    buffer keeps ``np.add.reduce``, since numpy sums a lone contiguous
-    column pairwise. The norms come from the flat vector once the sweep is
-    done (:meth:`_Workspace.norms`), bit for bit the per-array
-    ``sqrt((sum(W0²) + sum(W²)) + sum(b²))``: a list for 2-D records, and
-    an (S, layers) array for stacked ones.
+    ``grads`` are the records of the workspace's flat gradient vector
+    (``caches.gradient``), which the next backward on the same caches
+    overwrites. ``norms`` are each layer's ``sqrt((sum(W0²) + sum(W²)) +
+    sum(b²))``: a list for 2-D records, an (S, layers) array for stacked
+    ones. A linear or SAGE layer's input is rebuilt from the layer below's
+    cache, bit for bit. A bias gradient is :meth:`_Workspace.column_sums`
+    of the (n, S·d) buffer; a one-column buffer keeps ``np.add.reduce``,
+    which sums a lone column pairwise.
     """
     work, splits = caches, caches.splits
     grad, grads = work.gradient

@@ -5,22 +5,11 @@ stopping with best-parameter restore, and plateau-halving of the learning
 rate. Every run is a pure function of (model spec, data, split, config):
 the same seed reproduces the same metrics bit for bit.
 
-Who recomputes what: :func:`train_splits` trains all of a cell's splits
-in lockstep, as one stacked model (``_Lockstep``), and :func:`train_model`
-is its one-split case. Â, Âᵀ and layer 0's ``Â X`` are built once for
-all splits; each epoch makes one forward, one backward and one Adam step
-for every split still training, with per-split rows for the parameters,
-Adam's moments, the learning rate, the patience counters and the best
-snapshot, and with each split's dropout masks drawn from its own
-generator. The loss, its gradient and the accuracies are gathered over
-the concatenated node sets of all splits. A split that stops early or
-diverges leaves the batch, and the rest carry on; a split's Metrics are
-bit for bit those of a lone run.
-
-The module also ships three synthetic dataset families sized for desk
-experiments: a structure-only task whose labels derive from in-degree
-mass, a structure-feature hybrid on a sparse directed graph with long
-paths, and a low-density digraph built for very deep stability runs.
+:func:`train_splits` trains all of a cell's splits in lockstep, as one
+stacked model, and :func:`train_model` is its one-split case. Â, Âᵀ and
+layer 0's ``Â X`` are built once for all splits; every per-split quantity
+is a row of its own, and each split draws its dropout masks from its own
+generator, so a split's Metrics are bit for bit those of a lone run.
 """
 
 from __future__ import annotations
@@ -29,8 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .datasets import synthesize_dataset  # its home is datasets; the name stays importable here
 from .errors import CountOverflowError, InputError, NumericError
-from .graphs import SparseCountMatrix, from_edge_list
+from .graphs import SparseCountMatrix
 from .hops import support_nnz
 from .models import (
     ModelSpec,
@@ -76,6 +66,8 @@ class SplitSpec:
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if not len(self.train):
+            raise InputError("a split needs at least one training node")
         all_idx = np.concatenate([self.train, self.val, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
             raise InputError("split index sets must be disjoint")
@@ -388,7 +380,6 @@ class _Lockstep:
             for trace, row in zip(self.traces, np.atleast_2d(norms).tolist()):
                 trace.append(tuple(row))
             self._adam()
-            self.evaluated = None
             self.evaluated = self._forward(dropout=False)
             if self.ids:
                 self._track(self.val.accuracies(self.evaluated[0].reshape(-1, self.n_classes)))
@@ -433,22 +424,12 @@ def train_model(
 
     The lockstep trainer of :func:`train_splits` with one split, seeded by
     ``cfg.seed``. ``graph`` is a raw count matrix or a prebuilt
-    aggregation. Â and layer 0's ``Â X`` are built once per run (a power
-    architecture's by k sparse products, and its Â never as a matrix);
-    the backward reuses the caches of the epoch's forward, and an epoch
-    that draws no dropout masks reuses the previous eval forward: one
+    aggregation. Â and layer 0's ``Â X`` are built once per run, and an
+    epoch that draws no dropout masks reuses the previous eval forward: one
     forward per epoch without dropout, two with, and one
-    :func:`model_forward` of the best snapshot at the end.
-
-    The layer records view one flat vector ``theta`` (the layout of
-    ``flat_gradients``), and the backward writes every gradient into views
-    of one flat vector ``grad`` of the same layout, both allocated once per
-    run: Adam's ``m``/``v``, the weights-only l2 term and the update are
-    elementwise and in place on whole vectors, the same bits as a per-array
-    loop, and a snapshot is a copy of ``theta``.
-
-    Divergence (non-finite loss or activations) raises
-    :class:`NumericError` carrying the epoch at which it happened.
+    :func:`model_forward` of the best snapshot at the end. Divergence
+    (non-finite loss or activations) raises :class:`NumericError` carrying
+    the epoch at which it happened.
     """
     runs, failed = _Lockstep(spec, _resolve_ahat(spec, graph), x, labels, [split], [cfg.seed], cfg).run()
     if failed:
@@ -459,10 +440,8 @@ def train_model(
 def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
     """One run per split, seeded by ``spawn_key=(si, 17)``, all trained in lockstep.
 
-    The splits share one aggregation, built once (a power's as an
-    operator, never as a matrix), and one stacked model: every epoch is one
-    forward, one backward and one Adam step for every split still
-    training, and split s's Metrics are bit for bit those of a lone
+    The splits share one aggregation, built once, and one stacked model,
+    and split s's Metrics are bit for bit those of a lone
     :func:`train_model` run with its seed. A split that stops early
     leaves the batch; one that diverges fails alone, with its own epoch.
     Returns ``(runs, failed)``: the finished runs' Metrics, and a
@@ -573,145 +552,3 @@ def run_sweep(
                 )
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# synthetic datasets
-
-
-def synthesize_dataset(kind: str, n: int, seed: int, noise: float = 0.0, feature_signal: float = 1.0):
-    """Deterministic desk-scale datasets: ``(graph, X, labels)``.
-
-    ``structure_only`` — uniform features; 4 labels are quantile bins of
-    an in-degree mass score (the total in-degree of a node's in-
-    neighbors), so structure alone decides the class. ``noise``
-    resamples that fraction of labels uniformly.
-
-    ``hybrid`` — sparse long-path digraph whose 4 classes are contiguous
-    rank bands, plus class-informative Gaussian features scaled by
-    ``feature_signal``.
-
-    ``sparse_digraph_deep`` — directed ring with sparse chords; the
-    pattern of A^k never dies out, so very deep stacks stay non-trivial.
-    """
-    if n < 50:
-        raise InputError("synthetic datasets need n >= 50")
-    kind_keys = {"structure_only": 1, "hybrid": 2, "sparse_digraph_deep": 3}
-    if kind not in kind_keys:
-        raise InputError(f"unknown synthetic kind {kind!r}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    if not 0.0 <= noise <= 1.0:
-        raise InputError(f"noise must be in [0, 1], got {noise}")
-    if not np.isfinite(feature_signal):
-        raise InputError(f"feature_signal must be finite, got {feature_signal}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(kind_keys[kind],)))
-    if kind == "structure_only":
-        return _synth_structure_only(n, rng, noise)
-    if kind == "hybrid":
-        return _synth_hybrid(n, rng, feature_signal)
-    return _synth_deep(n, rng, feature_signal)
-
-
-def _quantile_labels(score: np.ndarray, n_classes: int = 4) -> np.ndarray:
-    qs = np.quantile(score, np.arange(1, n_classes) / n_classes)
-    return np.searchsorted(qs, score, side="right").astype(np.int64)
-
-
-def _synth_structure_only(n: int, rng: np.random.Generator, noise: float):
-    """Labels are quantile bins of each node's aggregated in-degree mass.
-
-    A tenth of the nodes are feeders with conspicuously high in-degree;
-    every other node draws four in-edges, 0..3 of them from feeders, so
-    the total in-degree of its in-neighborhood clusters into four well
-    separated levels while its own in-degree stays flat. Two hub nodes
-    give everyone at least one in- and one out-edge without perturbing
-    the score (the out-hub has in-degree 1).
-    """
-    hub_in, hub_out = n - 2, n - 1
-    regular = np.arange(n - 2)
-    n_feed = max(4, n // 10)
-    perm = rng.permutation(regular)
-    feeders, nonfeeders = perm[:n_feed], perm[n_feed:]
-    m = len(nonfeeders)
-    top = max(0, n // 4 - n_feed - 2)  # feeders and hubs land in the top class
-    rest = m - top
-    base = rest // 3
-    counts = [base + (1 if i < rest - 3 * base else 0) for i in range(3)] + [top]
-    feeder_picks = np.concatenate([np.full(counts[c], c) for c in range(4)])
-    feeder_picks = feeder_picks[rng.permutation(m)]
-
-    edges = [(int(i), hub_in) for i in regular] + [(hub_out, int(i)) for i in regular]
-    edges += [(hub_in, hub_out), (hub_out, hub_in)]
-    for f in feeders:
-        for _ in range(int(rng.integers(10, 15)) + 4):
-            src = int(regular[rng.integers(0, len(regular))])
-            if src != f:
-                edges.append((src, int(f)))
-    for i, fv in zip(nonfeeders, feeder_picks):
-        for _ in range(int(fv)):
-            edges.append((int(feeders[rng.integers(0, n_feed)]), int(i)))
-        for _ in range(4 - int(fv)):
-            src = int(nonfeeders[rng.integers(0, m)])
-            if src != i:
-                edges.append((src, int(i)))
-    graph = from_edge_list(edges, n)
-    msp = graph.csr.astype(np.float64)
-    indeg = np.asarray(msp.sum(axis=0)).ravel()
-    score = msp.T @ indeg  # total in-degree of each node's in-neighbors
-    labels = _quantile_labels(score)
-    if noise > 0:
-        flip = rng.random(n) < noise
-        labels = labels.copy()
-        labels[flip] = rng.integers(0, 4, size=int(flip.sum()))
-    return graph, uniform_features(n), labels
-
-
-def _synth_hybrid(n: int, rng: np.random.Generator, feature_signal: float):
-    """Sparse directed lattice whose k-step reach respects class stripes.
-
-    Edges jump 50 positions (multiplicity 1-2) with occasional 250-jump
-    chords; class stripes are 50 wide with period 200, so a length-k
-    walk always lands a fixed number of stripes ahead: aggregated
-    features stay class-informative at every k. Gaussian class means
-    scaled by ``feature_signal`` supply the feature side of the task.
-    n is rounded up to a multiple of 200.
-    """
-    n = max(200, ((n + 199) // 200) * 200)
-    d = 12
-    edges = []
-    for i in range(n):
-        for _ in range(int(rng.integers(1, 3))):
-            edges.append((i, (i + 50) % n))
-    for _ in range(n // 6):
-        i = int(rng.integers(0, n))
-        edges.append((i, (i + 250) % n))
-    graph = from_edge_list(edges, n)
-    labels = ((np.arange(n) // 50) % 4).astype(np.int64)
-    mu = rng.standard_normal((4, d)) * feature_signal
-    x = mu[labels] + rng.standard_normal((n, d))
-    return graph, x, labels
-
-
-def _synth_deep(n: int, rng: np.random.Generator, feature_signal: float):
-    """Directed ring with long chords; class stripes of width 50.
-
-    Every edge displaces a node by 25 positions modulo 200 (lattice
-    steps jump 25, chords 225), and class stripes are 50 wide with
-    period 200, so a length-L walk always lands (25 L mod 200)
-    positions ahead: for any even depth that is a whole number of
-    stripes, and a depth-L stack faces a consistent class permutation
-    rather than blurred labels. The class signal is a single scalar
-    feature so it survives stacks that squash multi-dimensional
-    inputs. n is rounded up to a multiple of 200 so the stripes tile
-    the ring exactly.
-    """
-    n = max(200, ((n + 199) // 200) * 200)
-    edges = [(i, (i + 25) % n) for i in range(n)]
-    for _ in range(n // 6):
-        i = int(rng.integers(0, n))
-        edges.append((i, (i + 225) % n))
-    graph = from_edge_list(edges, n)
-    labels = ((np.arange(n) // 50) % 4).astype(np.int64)
-    x = (labels[:, None] + 1.0) * feature_signal + 0.15 * rng.standard_normal((n, 1))
-    return graph, x, labels

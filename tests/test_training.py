@@ -19,7 +19,7 @@ from hopscope import (
     synthesize_dataset,
     train_model,
 )
-from hopscope import hops, models, training
+from hopscope import datasets, hops, models, training
 from hopscope.errors import CountOverflowError, NumericError
 from hopscope.models import build_aggregation, init_params, model_backward, model_forward
 from hopscope.normalization import PowerAggregation
@@ -61,6 +61,11 @@ def test_split_class_too_small():
     labels = np.array([0] * 40 + [1] * 100)
     with pytest.raises(InputError):
         make_splits(labels, per_class_train=20, per_class_val=30)
+
+
+def test_split_without_training_nodes_is_an_input_error():
+    with pytest.raises(InputError, match="at least one training node"):
+        SplitSpec(train=[], val=[0, 1], test=[2, 3], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +511,9 @@ def test_majority_baseline_ties_take_lowest_class():
 # synthetic datasets
 
 
-@pytest.mark.parametrize("kind", ["structure_only", "hybrid", "sparse_digraph_deep"])
+@pytest.mark.parametrize("kind", datasets.SYNTH_KINDS)
 def test_synthesize_deterministic(kind):
+    assert training.synthesize_dataset is datasets.synthesize_dataset
     a = synthesize_dataset(kind, n=250, seed=11)
     b = synthesize_dataset(kind, n=250, seed=11)
     assert a[0] == b[0]
