@@ -48,7 +48,6 @@ from .hops import (
     support_equal,
     support_of,
     support_periodicity,
-    support_powers,
     support_subset,
     verify_loop_lemma,
 )

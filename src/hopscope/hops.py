@@ -8,8 +8,8 @@ over booleans (canonical ``bool`` scipy CSR, the format every other
 layer uses), so they track only which entries are non-zero and can never
 overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
 product per step: :func:`count_ladder` for counts and
-:func:`power_ladder` (or :func:`support_powers` for chosen k) for
-patterns; every sweep over k reads one. A power aggregation reads
+:func:`power_ladder` (or :func:`support_nnz` for the entry counts of chosen k)
+for patterns; every sweep over k reads one. A power aggregation reads
 neither (see :mod:`hopscope.normalization`).
 
 Both ladders share one walker, :func:`_rungs`, which carries each rung
@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CountOverflowError, InputError, LoopHypothesisError
-from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, add_self_loops
+from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, _require_square, add_self_loops
 
 __all__ = [
     "INT64_MAX",
@@ -54,7 +54,6 @@ __all__ = [
     "count_ladder",
     "mat_power_support",
     "power_ladder",
-    "support_powers",
     "support_nnz",
     "support_subset",
     "support_equal",
@@ -173,7 +172,7 @@ def _count_matmul(x: sp.csr_matrix, y):
 
 
 def _bool_matmul(x: sp.csr_matrix, y):
-    """Boolean product of CSR ``x`` and CSR or dense ``y``: the step of :func:`support_powers`."""
+    """Boolean product of CSR ``x`` and CSR or dense ``y``: the step of :func:`power_ladder`."""
     return x @ y
 
 
@@ -261,11 +260,6 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix._of)
 
 
-def support_powers(a: SparseCountMatrix, ks) -> Iterator[SupportPattern]:
-    """Yield ``support(A^k)`` for each k of the ascending ``ks`` (all >= 1), converting only those rungs."""
-    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, SupportPattern._of)
-
-
 def support_nnz(a: SparseCountMatrix, ks) -> Iterator[int]:
     """Yield ``nnz(support(A^k))`` for each k of the ascending ``ks`` (all >= 1), counted off the rungs:
     no rung becomes a pattern."""
@@ -274,13 +268,12 @@ def support_nnz(a: SparseCountMatrix, ks) -> Iterator[int]:
 
 def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
     """Yield ``support(A^1), support(A^2), ...`` without end, one boolean product per step."""
-    return support_powers(a, count(1))
+    return _powers(_rungs(support_of(a).csr, _bool_matmul), count(1), SupportPattern._of)
 
 
 def _power(a: SparseCountMatrix, k: int, base: sp.csr_matrix, product, cls):
     """``A^k`` as a ``cls``: rung k of the walk of ``base`` by ``product``, the identity at k = 0."""
-    if not a.is_square:
-        raise InputError("matrix power requires a square matrix")
+    _require_square(a, "matrix power")
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
@@ -319,8 +312,7 @@ class DagProfile:
 
 def dag_profile(a: SparseCountMatrix) -> DagProfile:
     """Kahn topological sort; for a DAG, a DP gives the longest path."""
-    if not a.is_square:
-        raise InputError("dag_profile requires a square matrix")
+    _require_square(a, "dag_profile")
     n = a.n_rows
     succ = []
     indeg = [0] * n
@@ -373,8 +365,7 @@ def support_periodicity(a: SparseCountMatrix, k_cap: int) -> SupportPeriodicity 
     preperiod and period exactly. Returns ``None`` when no repeat occurs
     up to ``k_cap`` (not stabilized), which is an outcome, not an error.
     """
-    if not a.is_square:
-        raise InputError("support_periodicity requires a square matrix")
+    _require_square(a, "support_periodicity")
     if k_cap < 2:
         raise InputError("k_cap must be at least 2")
     seen: dict[SupportPattern, int] = {}
@@ -482,8 +473,7 @@ def verify_loop_lemma(
     An unmet structural precondition raises :class:`LoopHypothesisError`;
     that is not a failed check, the property simply was not asserted.
     """
-    if not a.is_square:
-        raise InputError("verify_loop_lemma requires a square matrix")
+    _require_square(a, "verify_loop_lemma")
     if k_max < 1:
         raise InputError("k_max must be at least 1")
     ladder = power_ladder(a)
@@ -532,8 +522,7 @@ def path_count_oracle(a: SparseCountMatrix, k: int, i: int, j: int) -> int:
     independent of the semiring product; guarded to small instances
     because the enumeration is exponential.
     """
-    if not a.is_square:
-        raise InputError("oracle requires a square matrix")
+    _require_square(a, "path_count_oracle")
     if a.n_rows > 12 or k > 6:
         raise InputError("oracle guard: needs n <= 12 and k <= 6")
     if k < 0 or not (0 <= i < a.n_rows) or not (0 <= j < a.n_rows):
@@ -553,8 +542,7 @@ def path_count_oracle(a: SparseCountMatrix, k: int, i: int, j: int) -> int:
 
 def binomial_expansion_check(a: SparseCountMatrix, k: int) -> bool:
     """Exact identity ``(A+I)^k == sum_i C(k, i) A^i`` over the integers."""
-    if not a.is_square:
-        raise InputError("binomial check requires a square matrix")
+    _require_square(a, "binomial_expansion_check")
     if k < 0:
         raise InputError("power must be non-negative")
     lhs = mat_power_count(add_self_loops(a), k)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, _CSRWrapper, add_self_loops
+from .graphs import SparseCountMatrix, _CSRWrapper, _require_square, add_self_loops
 
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "PowerAggregation", "normalize", "normalize_power", "gcn_canonical"]
 
@@ -117,8 +117,7 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
     non-empty. Zero-degree factors are defined as 0, so isolated or
     source-less nodes simply aggregate nothing.
     """
-    if not a.is_square:
-        raise InputError("normalize requires a square matrix")
+    _require_square(a, "normalize")
     m, n = a.csr, a.n_rows
     counts = m.data.astype(np.float64, copy=False)
     rows = np.repeat(np.arange(n), np.diff(m.indptr))
@@ -185,8 +184,7 @@ def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregati
     beyond, and not finite only past float64 range: that raises
     :class:`NumericError` naming ``A^k``.
     """
-    if not a.is_square:
-        raise InputError("normalize requires a square matrix")
+    _require_square(a, "normalize_power")
     m, ones = a.csr.astype(np.float64), np.ones(a.n_rows)
     out_deg, in_deg = _walk(m, k, ones), _walk(m.T, k, ones)
     if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):
@@ -196,6 +194,4 @@ def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregati
 
 def gcn_canonical(a: SparseCountMatrix) -> WeightedAdjacency:
     """Self-loops plus symmetric normalization with the looped degrees."""
-    if not a.is_square:
-        raise InputError("gcn_canonical requires a square matrix")
     return normalize(add_self_loops(a), "sym")

@@ -66,8 +66,9 @@ class SplitSpec:
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not len(self.train):
-            raise InputError("a split needs at least one training node")
+        for name, what in (("train", "training"), ("val", "validation"), ("test", "test")):
+            if not len(getattr(self, name)):
+                raise InputError(f"a split needs at least one {what} node")
         all_idx = np.concatenate([self.train, self.val, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
             raise InputError("split index sets must be disjoint")
@@ -92,6 +93,10 @@ class TrainConfig:
             raise InputError("dropout must be in [0, 1)")
         if self.lr_sched_patience < 1:
             raise InputError("lr_sched_patience must be at least 1")
+        if self.max_epochs < 1:
+            raise InputError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.early_stop_patience < 0:
+            raise InputError(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
         if self.early_stop_patience >= self.max_epochs:
             raise InputError("early-stop patience must be below max_epochs")
         if self.seed < 0:
@@ -191,7 +196,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray) -> float:
 
 
 class _Nodes:
-    """One node set (``train`` or ``val``) of each of B splits, as rows of the (n·B, classes) view
+    """One node set (``train``, ``val`` or ``test``) of each of B splits, as rows of the (n·B, classes) view
     of (n, B·classes) logits: node i of split b is row ``i·B + b``."""
 
     def __init__(self, splits: list[SplitSpec], name: str, labels: np.ndarray):
@@ -293,18 +298,24 @@ class _Lockstep:
         self._fill_masks()
         self.evaluated = None
 
-    def _forward(self, dropout: bool):
-        """The batch's forward; a split whose output turns non-finite fails, and the rest run again."""
+    def _forward(self, train: bool):
+        """The batch's forward into ``evaluated`` (a training one without masks reuses the eval forward), then
+        the training loss; a split whose output or loss is not finite fails, and the rest run again."""
         while self.ids:
             try:
-                masks = self.masks if dropout and self.masks else None
-                return _forward_pass(self.spec, self.ahat, self.x, self.params, masks, ax=self.ax, work=self.work)
+                if not (train and self.evaluated):
+                    masks = self.masks if train and self.masks else None
+                    self.evaluated = _forward_pass(self.spec, self.ahat, self.x, self.params, masks, ax=self.ax,
+                                                   work=self.work)
+                if train:
+                    self._loss(self.evaluated[0])
+                return
             except _NonFinite as exc:
                 self._leave(exc.splits, str(exc))
-        return None
 
-    def _loss(self, logits: np.ndarray) -> list[int]:
-        """The rows whose training loss is not finite; if none, the upstream gradient of every row's loss.
+    def _loss(self, logits: np.ndarray):
+        """The upstream gradient of every row's training loss; raises :class:`_NonFinite` naming the rows
+        whose loss is not finite.
 
         The loss is the mean cross-entropy over a split's training nodes
         (plus the weights-only l2 term), summed node by node in its own
@@ -313,16 +324,18 @@ class _Lockstep:
         t = self.train
         picked = logits.reshape(-1, self.n_classes)[t.rows]
         z = picked - picked.max(axis=1, keepdims=True)
-        terms = np.log(np.exp(z).sum(axis=1)) - z[t.order, t.labels]
+        e = np.exp(z)
+        total = e.sum(axis=1, keepdims=True)
+        terms = np.log(total[:, 0]) - z[t.order, t.labels]
         loss = np.array([np.add.reduce(terms[a:b]) for a, b in t.parts]) / t.sizes
         if self.cfg.l2 > 0:
             loss += 0.5 * self.cfg.l2 * np.add.reduce(np.square(self.theta[:, self.weights]), axis=1)
         bad = np.flatnonzero(~np.isfinite(loss)).tolist()
-        if not bad:
-            probs = _softmax(picked)
-            probs[t.order, t.labels] -= 1.0
-            self.upstream.reshape(-1, self.n_classes)[t.rows] = probs / t.sizes[t.split, None]
-        return bad
+        if bad:
+            raise _NonFinite("training loss diverged", bad)
+        e /= total  # the softmax of the picked rows, as _softmax gives it
+        e[t.order, t.labels] -= 1.0
+        self.upstream.reshape(-1, self.n_classes)[t.rows] = e / t.sizes[t.split, None]
 
     def _adam(self):
         beta1, beta2, eps, epoch = 0.9, 0.999, 1e-8, self.epoch
@@ -368,47 +381,37 @@ class _Lockstep:
                 break
             if self.masks:
                 self._draw()
-            while self.ids:  # the training forward: a split whose loss diverges leaves, and the rest run again
-                self.evaluated = self.evaluated or self._forward(dropout=True)
-                bad = self._loss(self.evaluated[0]) if self.ids else []
-                if not bad:
-                    break
-                self._leave(bad, "training loss diverged")
+            self._forward(train=True)
             if not self.ids:
                 break
             _, norms = _backward_pass(self.spec, self.ahat_t, self.params, self.evaluated[1], self.upstream)
             for trace, row in zip(self.traces, np.atleast_2d(norms).tolist()):
                 trace.append(tuple(row))
             self._adam()
-            self.evaluated = self._forward(dropout=False)
+            self._forward(train=False)
             if self.ids:
                 self._track(self.val.accuracies(self.evaluated[0].reshape(-1, self.n_classes)))
         self._leave(range(len(self.ids)))  # the budget ran out
         return self._results()
 
     def _results(self):
-        """Each finished split's Metrics; its test accuracy comes from one forward of every best snapshot."""
+        """Each finished split's Metrics; its test accuracy comes from one forward of every best snapshot.
+
+        A finished split improved at epoch 1 (any accuracy beats the initial
+        -1), so an eval forward checked its best snapshot: this one cannot fail.
+        """
+        ids = sorted(self.done)
+        if not ids:
+            return [], sorted(self.failed.items())
+        best = np.stack([self.done[i][0] for i in ids])
+        logits = model_forward(self.spec, self.ahat, self.x, _views(best[0] if len(ids) == 1 else best, self.template))
+        splits = [self.splits[i] for i in ids]
+        tests = _Nodes(splits, "test", self.labels).accuracies(logits.reshape(-1, self.n_classes)).tolist()
         runs = []
-        while self.done and not runs:
-            ids = sorted(self.done)
-            best = np.stack([self.done[i][0] for i in ids])
-            try:
-                logits = model_forward(self.spec, self.ahat, self.x, _views(best[0] if len(ids) == 1 else best, self.template))
-            except _NonFinite as exc:  # a snapshot that no eval forward checked: its split never improved
-                for r in exc.splits:
-                    self.failed[ids[r]] = NumericError(str(exc))
-                    del self.done[ids[r]]
-                continue
-            for r, i in enumerate(ids):
-                _, epochs, best_epoch, trace = self.done[i]
-                split, cols = self.splits[i], slice(r * self.n_classes, (r + 1) * self.n_classes)
-                runs.append(Metrics(
-                    accuracies=(_accuracy(logits[:, cols], self.labels, split.test),),
-                    majority_baselines=(majority_baseline(self.labels, split),),
-                    epochs_run=(epochs,),
-                    best_epochs=(best_epoch,),
-                    grad_norm_traces=(tuple(trace),),
-                ))
+        for i, split, acc in zip(ids, splits, tests):
+            _, epochs, best_epoch, trace = self.done[i]
+            runs.append(Metrics(accuracies=(acc,), majority_baselines=(majority_baseline(self.labels, split),),
+                                epochs_run=(epochs,), best_epochs=(best_epoch,), grad_norm_traces=(tuple(trace),)))
         return runs, sorted(self.failed.items())
 
 

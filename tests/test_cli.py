@@ -94,6 +94,12 @@ def test_normalize_writes_matrix(looped_graph_file, tmp_path, capsys):
     assert np.allclose(data.sum(axis=1), 1.0)
 
 
+def test_zero_epoch_budget_exit_2(capsys):
+    assert run_cli("train", "--synth", "hybrid", "--n", "400", "--arch", "k_layer_gcn", "--splits", "1",
+                   "--max-epochs", "0", "--early-stop-patience", "-1") == 2
+    assert "max_epochs must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_synth_then_train_round_trip(tmp_path, capsys):
     ds = tmp_path / "ds"
     assert run_cli("synth", "--kind", "structure_only", "--n", "250", "--seed", "2", "--out", ds) == 0

@@ -63,9 +63,11 @@ def test_split_class_too_small():
         make_splits(labels, per_class_train=20, per_class_val=30)
 
 
-def test_split_without_training_nodes_is_an_input_error():
-    with pytest.raises(InputError, match="at least one training node"):
-        SplitSpec(train=[], val=[0, 1], test=[2, 3], seed=0)
+@pytest.mark.parametrize("empty, what", [("train", "training"), ("val", "validation"), ("test", "test")])
+def test_split_without_training_nodes_is_an_input_error(empty, what):
+    sets = {"train": [0, 1], "val": [2, 3], "test": [4, 5], empty: []}
+    with pytest.raises(InputError, match=f"at least one {what} node"):
+        SplitSpec(**sets, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,10 @@ def test_config_validation():
         TrainConfig(l2=-1e-4)
     with pytest.raises(InputError):
         TrainConfig(lr_sched_patience=0)
+    with pytest.raises(InputError, match="max_epochs must be at least 1, got 0$"):
+        TrainConfig(max_epochs=0, early_stop_patience=-1)
+    with pytest.raises(InputError, match="early_stop_patience must be non-negative, got -1$"):
+        TrainConfig(early_stop_patience=-1)
     full = TrainConfig.paper_protocol()
     assert (full.max_epochs, full.early_stop_patience, full.lr_sched_patience) == (1500, 410, 80)
 
@@ -377,20 +383,31 @@ def test_lockstep_splits_equal_one_train_model_per_split(hybrid_ds, arch, case):
         assert min(epochs) < cfg.max_epochs and len(set(epochs)) > 1
 
 
-def test_a_diverging_split_fails_alone_and_the_rest_train_on(hybrid_ds):
-    # lr=1e51 on a 6-layer linear stack: two splits' forwards overflow at epoch 1, a third split's
-    # loss diverges at epoch 2, and the last one stops early at epoch 3
+DIVERGING_CASES = {  # (config overrides, epochs run by the finished splits, failures)
+    # lr=1e51: two splits' forwards overflow at epoch 1, a third split's loss diverges at
+    # epoch 2, and the last one stops early at epoch 3
+    "no_dropout": (dict(lr=1e51, seed=0), [(3,)],
+                   [(1, "non-finite values in layer 5 output", 1), (2, "training loss diverged", 2),
+                    (3, "non-finite values in layer 5 output", 1)]),
+    # masked training forwards: at epoch 2 one split's forward overflows and another's loss diverges
+    "dropout": (dict(lr=5e50, dropout=0.3, seed=2), [(3,), (3,)],
+                [(1, "non-finite values in layer 5 output", 2), (3, "training loss diverged", 2)]),
+}
+
+
+@pytest.mark.parametrize("case", list(DIVERGING_CASES))
+def test_a_diverging_split_fails_alone_and_the_rest_train_on(hybrid_ds, case):
+    # a 6-layer linear stack with a huge learning rate
     graph, x, labels = hybrid_ds
+    config, epochs, failures = DIVERGING_CASES[case]
     spec = ModelSpec(arch="k_layer_gcn", k=6, hidden_width=4, activation="identity", norm="row", propagation="forward")
-    cfg = TrainConfig(lr=1e51, max_epochs=12, early_stop_patience=2, lr_sched_patience=5, seed=0)
+    cfg = TrainConfig(max_epochs=12, early_stop_patience=2, lr_sched_patience=5, **config)
     splits = make_splits(labels, per_class_train=5, per_class_val=10, n_splits=4, seed=0)
     got = train_splits(spec, graph, x, labels, splits, cfg)
     assert outcomes(got) == outcomes(one_train_model_per_split(spec, graph, x, labels, splits, cfg))
     runs, failed = outcomes(got)
-    assert [m.epochs_run for m in runs] == [(3,)]
-    assert failed == [(1, NumericError, "non-finite values in layer 5 output", 1),
-                      (2, NumericError, "training loss diverged", 2),
-                      (3, NumericError, "non-finite values in layer 5 output", 1)]
+    assert [m.epochs_run for m in runs] == epochs
+    assert failed == [(si, NumericError, message, epoch) for si, message, epoch in failures]
 
 
 def test_train_splits_builds_one_aggregation(tiny_structure_ds, monkeypatch):

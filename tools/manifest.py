@@ -23,10 +23,13 @@ negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
 arrays) of ``load_dataset`` on that directory and on a headerless copy,
 the ``repr`` (with gradient-norm traces) of each split's Metrics from
 ``train_splits`` of two architectures over three splits, with dropout, l2
-and early stopping that ends every run, and the gradient bytes and layer
-norms of ``model_backward`` for every architecture (relu with dropout
-masks), a model one column wide and an upstream gradient with an all +0
-and an all -0 column.
+and early stopping that ends every run, the same of four splits of a
+six-layer linear stack whose huge learning rate makes some forwards
+overflow and some training losses diverge (without and with dropout),
+with each failure's split, type, message and epoch, and the gradient
+bytes and layer norms of ``model_backward`` for every architecture (relu
+with dropout masks), a model one column wide and an upstream gradient
+with an all +0 and an all -0 column.
 Uses only the standard library, numpy and hopscope; BLAS is pinned to one
 thread before numpy loads. Runs in about 4 s on 2 cores.
 """
@@ -194,6 +197,17 @@ def main() -> int:
         for si, m in enumerate(runs):
             _emit(f"library train_splits {arch} split {si}", repr((m, m.grad_norm_traces)).encode())
         _emit(f"library train_splits {arch} failed", repr([(si, str(exc), exc.epoch) for si, exc in failed]).encode())
+    # a 6-layer linear stack with a huge learning rate, without and with dropout: some splits'
+    # forwards overflow, some splits' training losses diverge, and the rest stop early
+    graph, x, labels = synthesize_dataset("hybrid", n=200, seed=3, feature_signal=0.6)
+    splits = make_splits(labels, per_class_train=5, per_class_val=10, n_splits=4, seed=0)
+    spec = ModelSpec(arch="k_layer_gcn", k=6, hidden_width=4, activation="identity", norm="row", propagation="forward")
+    for label, config in (("lr=1e51", dict(lr=1e51, seed=0)), ("lr=5e50 dropout", dict(lr=5e50, dropout=0.3, seed=2))):
+        cfg = TrainConfig(max_epochs=12, early_stop_patience=2, lr_sched_patience=5, **config)
+        runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+        _emit(f"library train_splits diverging {label}",
+              repr(([(m, m.grad_norm_traces) for m in runs],
+                    [(si, type(exc).__name__, str(exc), exc.epoch) for si, exc in failed])).encode())
 
     # one backward per architecture (relu, dropout masks), a model one column wide, and an
     # upstream gradient with an all +0 and an all -0 column: gradient bytes and layer norms
