@@ -32,10 +32,13 @@ stacked (``_views`` of an (S, P) array) and hidden states are (n, S·d),
 so one sparse product per layer serves every split. Every buffer is built
 once per run (a :class:`_Workspace`), and the backward writes its
 gradients into views of the workspace's one flat vector. Stacking keeps
-each split's bits because every reduction adds a split's entries in the
-order a lone split adds them (:meth:`_Workspace.column_sums`,
-:meth:`_Workspace.norms`); a one-column layer is the exception, so the
-trainer runs such a model split by split. Shapes are checked once per call.
+each split's bits because every product and reduction adds a split's
+entries in the order a lone split adds them (:meth:`_Workspace.column_sums`,
+:meth:`_Workspace.norms`). Where a layer is one column wide on either
+side, numpy picks that order by memory layout, so a stacked backward
+reads the layer's arrays through contiguous per-split copies; the
+trainer thus stacks every model, whatever its widths. Shapes are checked
+once per call.
 """
 
 from __future__ import annotations
@@ -284,16 +287,6 @@ def build_aggregation(spec: ModelSpec, a: SparseCountMatrix) -> WeightedAdjacenc
     return normalize(p, spec.norm)
 
 
-def _layer_dims(spec: ModelSpec, in_dim: int, n_classes: int) -> list[tuple[int, int]]:
-    n_layers = spec.n_layers
-    dims = []
-    for i in range(n_layers):
-        d_in = in_dim if i == 0 else spec.hidden_width
-        d_out = n_classes if i == n_layers - 1 else spec.hidden_width
-        dims.append((d_in, d_out))
-    return dims
-
-
 def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
     lim = np.sqrt(6.0 / (d_in + d_out))
     return rng.uniform(-lim, lim, size=(d_in, d_out))
@@ -304,8 +297,10 @@ def init_params(spec: ModelSpec, in_dim: int, n_classes: int, rng: np.random.Gen
 
     A SAGE layer draws its self weight ``W0`` before ``W``.
     """
+    kinds = spec.layer_kinds()
+    widths = [in_dim] + [spec.hidden_width] * (len(kinds) - 1) + [n_classes]
     params = []
-    for kind, (d_in, d_out) in zip(spec.layer_kinds(), _layer_dims(spec, in_dim, n_classes)):
+    for kind, d_in, d_out in zip(kinds, widths, widths[1:]):
         w0 = _glorot(rng, d_in, d_out) if kind == "sage" else None
         params.append(LayerParams(W=_glorot(rng, d_in, d_out), b=np.zeros(d_out), W0=w0))
     return params
@@ -501,9 +496,12 @@ def _backward_pass(spec, ahat_t, params, caches, upstream):
     overwrites. ``norms`` are each layer's ``sqrt((sum(W0²) + sum(W²)) +
     sum(b²))``: a list for 2-D records, an (S, layers) array for stacked
     ones. A linear or SAGE layer's input is rebuilt from the layer below's
-    cache, bit for bit. A bias gradient is :meth:`_Workspace.column_sums`
-    of the (n, S·d) buffer; a one-column buffer keeps ``np.add.reduce``,
-    which sums a lone column pairwise.
+    cache, bit for bit. A stacked layer one column wide on either side
+    reads its upstream gradient, input and ``M`` as contiguous (S, n, d)
+    copies, so its products and bias sum run in a lone split's order. A
+    one-column bias gradient is ``np.add.reduce``, which sums each
+    contiguous column pairwise; a wider one is :meth:`_Workspace.column_sums`
+    of the (n, S·d) buffer.
     """
     work, splits = caches, caches.splits
     grad, grads = work.gradient
@@ -518,10 +516,13 @@ def _backward_pass(spec, ahat_t, params, caches, upstream):
         h = None
         if c["m"] is None or p.W0 is not None:
             h = work.x if i == 0 else work.output(work[i - 1], spec.activation)[1]
+        m = c["m"]
+        if splits > 1 and 1 in p.W.shape[-2:]:
+            gz, h, m = (a if a is None else np.ascontiguousarray(a) for a in (gz, h, m))
         if p.W0 is not None:
             np.matmul(_mT(h), gz, out=d.W0)
-        np.matmul(_mT(h if c["m"] is None else c["m"]), gz, out=d.W)
-        if g.shape[1] == 1:
+        np.matmul(_mT(h if m is None else m), gz, out=d.W)
+        if p.W.shape[-1] == 1:
             np.add.reduce(gz, axis=-2, out=d.b, keepdims=d.b.ndim > 1)
         else:
             d.b[...] = work.column_sums(g).reshape(d.b.shape)

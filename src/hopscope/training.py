@@ -14,6 +14,7 @@ generator, so a split's Metrics are bit for bit those of a lone run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,6 @@ from .models import (
     _backward_pass,
     _features,
     _forward_pass,
-    _layer_dims,
     _NonFinite,
     _reach_adjacency,
     _resolve_ahat,
@@ -85,6 +85,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_epochs", "early_stop_patience", "lr_sched_patience", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0 < self.lr < np.inf:
             raise InputError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 <= self.l2 < np.inf:
@@ -215,6 +220,17 @@ class _Nodes:
         return np.bincount(self.split, weights=hits, minlength=len(self.sizes)) / self.sizes
 
 
+def _labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64, checked to be one non-negative integer class per node of n."""
+    arr = np.asarray(labels)
+    if arr.shape != (n,) or arr.dtype.kind not in "iu":
+        raise InputError(f"labels must be one integer class per node, shape ({n},), got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)
+    if n and arr.min() < 0:
+        raise InputError(f"class ids must be non-negative int64 values, got {arr.min()}")
+    return arr
+
+
 class _Lockstep:
     """The runs of a cell's splits, trained in lockstep as one stacked model.
 
@@ -232,8 +248,12 @@ class _Lockstep:
 
     def __init__(self, spec: ModelSpec, ahat, x, labels, splits: list[SplitSpec], seeds: list[int], cfg: TrainConfig):
         self.spec, self.ahat, self.splits, self.cfg = spec, ahat, splits, cfg
-        self.labels = np.asarray(labels, dtype=np.int64)
         self.x = _features(ahat, x)
+        self.labels = _labels(labels, len(self.x))
+        for si, split in enumerate(splits):
+            nodes = np.concatenate([split.train, split.val, split.test])
+            if nodes.min() < 0 or nodes.max() >= len(self.x):
+                raise InputError(f"split {si} names a node outside 0..{len(self.x) - 1}")
         self.ahat_t = ahat.T  # a CSC view over Â's arrays, or the transposed power operator: no copy
         self.ax = ahat @ self.x  # layer 0 always aggregates, and Â X is the same in every forward of every split
         self.rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
@@ -432,7 +452,9 @@ def train_model(
     forward per epoch without dropout, two with, and one
     :func:`model_forward` of the best snapshot at the end. Divergence
     (non-finite loss or activations) raises :class:`NumericError` carrying
-    the epoch at which it happened.
+    the epoch at which it happened. Labels that are not one non-negative
+    integer class per node, or a split that names a node outside the
+    graph, raise :class:`InputError` before any training.
     """
     runs, failed = _Lockstep(spec, _resolve_ahat(spec, graph), x, labels, [split], [cfg.seed], cfg).run()
     if failed:
@@ -462,17 +484,7 @@ def train_splits(spec: ModelSpec, graph, x, labels, splits, cfg: TrainConfig):
         return [], []
     seeds = [int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
              for si in range(len(splits))]
-    # a one-column layer's bias and 1x1 weight gradients come out in another order when other
-    # splits' columns sit beside it (numpy sums a lone column pairwise, while the stacked bias is
-    # a column sum in node order), so such a model trains split by split
-    alone = 1 in [d_out for _, d_out in _layer_dims(spec, 1, int(np.max(labels)) + 1)]
-    groups = [[si] for si in range(len(splits))] if alone else [list(range(len(splits)))]
-    runs, failed = [], []
-    for group in groups:
-        got, lost = _Lockstep(spec, ahat, x, labels, [splits[i] for i in group], [seeds[i] for i in group], cfg).run()
-        runs += got
-        failed += [(group[i], exc) for i, exc in lost]
-    return runs, failed
+    return _Lockstep(spec, ahat, x, labels, splits, seeds, cfg).run()
 
 
 # ---------------------------------------------------------------------------

@@ -394,16 +394,17 @@ def test_one_column_bias_gradient_keeps_numpys_pairwise_sum():
 
 
 @st.composite
-def backward_cases(draw):
-    """A model of any architecture with hand-made layer widths (unequal, and one column allowed), S = 1 or 3
-    splits of its records, and dropout masks for relu."""
+def backward_cases(draw, split_counts=st.sampled_from([1, 3]), in_widths=st.integers(1, 3),
+                   layer_widths=st.sampled_from([1, 2, 3, 5])):
+    """A model of any architecture with hand-made layer widths (unequal, and one column allowed), S splits of
+    its records (S from ``split_counts``), and dropout masks for relu."""
     arch = draw(st.sampled_from(ARCHITECTURES))
     spec = ModelSpec(arch=arch, k=draw(st.integers(1, 4)), activation=draw(st.sampled_from(ACTIVATIONS)), norm="sym")
     n = draw(st.integers(2, 12))
     graph = from_edge_list(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)), n)
     kinds = spec.layer_kinds()
-    widths = [draw(st.integers(1, 3))] + [draw(st.sampled_from([1, 2, 3, 5])) for _ in kinds]
-    splits = draw(st.sampled_from([1, 3]))
+    widths = [draw(in_widths)] + [draw(layer_widths) for _ in kinds]
+    splits = draw(split_counts)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     records = [[LayerParams(W=rng.standard_normal((d_in, d_out)), b=rng.standard_normal(d_out),
                             W0=rng.standard_normal((d_in, d_out)) if kind == "sage" else None)
@@ -441,9 +442,34 @@ def test_grouped_gradient_norms_are_the_per_array_norms(case):
     for s in range(splits):
         per_split = models._views(flat.reshape(splits, -1)[s], records[0])
         assert norms[s].tobytes() == np.array([_per_array_norm(d) for d in per_split]).tobytes()
-    # the output layer's bias gradient is each split's column sum of the upstream gradient
-    want = np.add.reduce(models._split_view(upstream, splits), axis=-2)
+    # the output layer's bias gradient is each split's column sum of the upstream gradient, in a lone split's order
+    want = np.add.reduce(np.ascontiguousarray(models._split_view(upstream, splits)), axis=-2)
     assert grads[-1].b.tobytes() == want.tobytes()
+
+
+@given(backward_cases(split_counts=st.sampled_from([2, 3, 5]), in_widths=st.integers(1, 8),
+                      layer_widths=st.integers(1, 8)))
+@settings(max_examples=150, deadline=None)
+def test_stacked_backward_is_one_lone_backward_per_split(case):
+    # every product and sum of a stacked backward adds a split's terms in a lone split's order, one-column
+    # inputs, hidden layers and outputs included: each split's gradients and norms are its lone call's bytes
+    spec, graph, x, records, masks, upstream = case
+    splits = len(records)
+    params = models._views(np.stack([models.flat_gradients(r) for r in records]), records[0])
+    event(f"{spec.arch}, {splits} splits, {'one column' if 1 in (x.shape[1], upstream.shape[1] // splits) else 'wider'}")
+
+    def lone(a, s):
+        return None if a is None else np.ascontiguousarray(models._split_view(a, splits)[s])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads, norms = model_backward(spec, graph, x, params, upstream, hidden_masks=masks)
+        for s, record in enumerate(records):
+            want, want_norms = model_backward(spec, graph, x, record, lone(upstream, s),
+                                              hidden_masks=masks and [lone(m, s) for m in masks])
+            for d, w in zip(grads, want):
+                for name in w.fields:
+                    assert getattr(d, name)[s].reshape(getattr(w, name).shape).tobytes() == getattr(w, name).tobytes()
+            assert norms[s].tobytes() == np.array(want_norms).tobytes()
 
 
 @given(multigraphs(), st.integers(1, 7))

@@ -89,6 +89,10 @@ def test_config_validation():
         TrainConfig(max_epochs=0, early_stop_patience=-1)
     with pytest.raises(InputError, match="early_stop_patience must be non-negative, got -1$"):
         TrainConfig(early_stop_patience=-1)
+    for name in ("max_epochs", "early_stop_patience", "lr_sched_patience", "seed"):
+        with pytest.raises(InputError, match=f"{name} must be an integer, got 5.5$"):
+            TrainConfig(**{name: 5.5})
+    assert TrainConfig(max_epochs=np.int64(301), seed=np.uint8(3)).max_epochs == 301
     full = TrainConfig.paper_protocol()
     assert (full.max_epochs, full.early_stop_patience, full.lr_sched_patience) == (1500, 410, 80)
 
@@ -361,14 +365,22 @@ LOCKSTEP_CASES = {  # model and config overrides
     "dropout_l2": (dict(), dict(dropout=0.3, l2=5e-4)),
     "early_stop": (dict(), dict(early_stop_patience=5, lr_sched_patience=3)),
     "unequal_splits": (dict(), dict(dropout=0.2)),
-    "one_column": (dict(hidden_width=1), dict(dropout=0.2, l2=1e-3)),  # trains split by split
+    "one_column": (dict(hidden_width=1), dict(dropout=0.2, l2=1e-3)),  # every hidden layer is one column wide
+    # one-column (uniform) input features feed hidden layers two and three columns wide
+    "uniform_width_2": (dict(hidden_width=2), dict(dropout=0.2)),
+    "uniform_width_3": (dict(hidden_width=3), dict()),
 }
+
+
+@pytest.fixture(scope="module")
+def uniform_ds():
+    return synthesize_dataset("structure_only", n=120, seed=3)  # one all-ones feature column
 
 
 @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
 @pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_lockstep_splits_equal_one_train_model_per_split(hybrid_ds, arch, case):
-    graph, x, labels = hybrid_ds
+def test_lockstep_splits_equal_one_train_model_per_split(hybrid_ds, uniform_ds, arch, case):
+    graph, x, labels = uniform_ds if case.startswith("uniform") else hybrid_ds
     model, config = LOCKSTEP_CASES[case]
     spec = ModelSpec(**{**dict(arch=arch, k=3, hidden_width=6, norm="sym", propagation="forward"), **model})
     cfg = TrainConfig(**{**dict(lr=0.05, max_epochs=24, early_stop_patience=8, lr_sched_patience=4, seed=2), **config})
@@ -408,6 +420,30 @@ def test_a_diverging_split_fails_alone_and_the_rest_train_on(hybrid_ds, case):
     runs, failed = outcomes(got)
     assert [m.epochs_run for m in runs] == epochs
     assert failed == [(si, NumericError, message, epoch) for si, message, epoch in failures]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("short_labels", r"labels must be one integer class per node, shape \(120,\), got int64 \(100,\)$"),
+    ("column_labels", r"labels must be one integer class per node, shape \(120,\), got int64 \(120, 1\)$"),
+    ("float_labels", r"labels must be one integer class per node, shape \(120,\), got float64 \(120,\)$"),
+    ("negative_class", "class ids must be non-negative int64 values, got -1$"),
+    ("past_the_graph_index", r"names a node outside 0\.\.119$"),
+    ("negative_index", r"names a node outside 0\.\.119$"),
+])
+def test_training_rejects_labels_and_splits_that_do_not_fit_the_graph(uniform_ds, case, message):
+    graph, x, labels = uniform_ds
+    splits = make_splits(labels, per_class_train=8, per_class_val=10, n_splits=2, seed=1)
+    labels = {"short_labels": labels[:100], "column_labels": labels[:, None], "float_labels": labels.astype(float),
+              "negative_class": np.where(labels == 3, -1, labels)}.get(case, labels)
+    if case.endswith("index"):
+        s, node = splits[1], 120 if case == "past_the_graph_index" else -1
+        splits[1] = SplitSpec(train=s.train, val=s.val, test=np.append(s.test, node), seed=s.seed)
+    spec = ModelSpec(arch="k_layer_gcn", k=2, hidden_width=4)
+    cfg = TrainConfig(max_epochs=3, early_stop_patience=2, seed=1)
+    with pytest.raises(InputError, match=("split 1 " if case.endswith("index") else "") + message):
+        train_splits(spec, graph, x, labels, splits, cfg)
+    with pytest.raises(InputError, match=message):
+        train_model(spec, graph, x, labels, splits[1], cfg)
 
 
 def test_train_splits_builds_one_aggregation(tiny_structure_ds, monkeypatch):

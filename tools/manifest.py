@@ -26,7 +26,9 @@ the ``repr`` (with gradient-norm traces) of each split's Metrics from
 and early stopping that ends every run, the same of four splits of a
 six-layer linear stack whose huge learning rate makes some forwards
 overflow and some training losses diverge (without and with dropout),
-with each failure's split, type, message and epoch, and the gradient
+with each failure's split, type, message and epoch, the same of three
+splits of a uniform-feature model with hidden width 2 beside each
+split's lone ``train_model`` run, and the gradient
 bytes and layer norms of ``model_backward`` for every architecture (relu
 with dropout masks), a model one column wide and an upstream gradient
 with an all +0 and an all -0 column.
@@ -46,6 +48,7 @@ import io  # noqa: E402
 import random  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 TRAIN_ARGS = ["--splits", "2", "--max-epochs", "25", "--early-stop-patience", "15",
@@ -208,6 +211,20 @@ def main() -> int:
         _emit(f"library train_splits diverging {label}",
               repr(([(m, m.grad_norm_traces) for m in runs],
                     [(si, type(exc).__name__, str(exc), exc.epoch) for si, exc in failed])).encode())
+    # uniform (one-column) features under hidden layers two columns wide: three splits trained
+    # together, and each split's lone train_model run with its spawned seed
+    graph, x, labels = synthesize_dataset("structure_only", n=120, seed=3)
+    splits = make_splits(labels, per_class_train=8, per_class_val=10, n_splits=3, seed=1)
+    spec = ModelSpec(arch="k_layer_gcn", k=3, hidden_width=2, norm="sym")
+    cfg = TrainConfig(lr=0.05, dropout=0.2, max_epochs=24, early_stop_patience=8, lr_sched_patience=4, seed=2)
+    runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
+    for si, m in enumerate(runs):
+        _emit(f"library train_splits uniform width 2 split {si}", repr((m, m.grad_norm_traces)).encode())
+    _emit("library train_splits uniform width 2 failed", repr([(si, str(exc), exc.epoch) for si, exc in failed]).encode())
+    for si, split in enumerate(splits):
+        seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, 17)).generate_state(1)[0])
+        m = train_model(spec, graph, x, labels, split, replace(cfg, seed=seed))
+        _emit(f"library train_model uniform width 2 split {si}", repr((m, m.grad_norm_traces)).encode())
 
     # one backward per architecture (relu, dropout masks), a model one column wide, and an
     # upstream gradient with an all +0 and an all -0 column: gradient bytes and layer norms
