@@ -18,13 +18,14 @@ Node and class ids may be arbitrary integers; the loader remaps both
 to dense ranges. ``edges.tsv`` (under at most an exact ``%nodes N``
 first line) and ``labels.tsv`` are read a block of lines at a time by
 numpy's C reader when they hold nothing but ASCII digits, ``-``, tabs,
-spaces and newlines, two tokens on each non-blank line, and, for the
-labels, each node exactly once. Any other text goes through the line
-grammar, so an error still names ``file:line``. :func:`save_dataset`
-writes both files from digit arrays built in numpy, a block of rows at a
-time. All CSV output uses UTF-8, ``.`` decimals,
-a header row, deterministic row order, and 12 significant digits for
-reals, so identical inputs always produce byte-identical files.
+spaces and newlines, tokens ``-?[0-9]+`` within int64, two on each
+non-blank line, and, for the labels, each node exactly once.
+Any other text goes through the line grammar, so an error still names
+``file:line``. :func:`save_dataset` writes both files from byte
+matrices built in numpy, a block of rows at a time. All CSV output uses
+UTF-8, ``.`` decimals, a header row, deterministic row order, and 12
+significant digits for reals, so identical inputs always produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ DATA_DIR_ENV = "HOPSCOPE_DATA_DIR"
 # The synthetic kinds; a kind's generator is seeded with spawn key (its position + 1), so
 # reordering them changes every synthetic dataset.
 SYNTH_KINDS = ("structure_only", "hybrid", "sparse_digraph_deep")
-_WRITE_BLOCK = 1 << 16  # edge lines formatted per write in save_dataset
-_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)  # the digit-count steps of _int_lines
+_WRITE_BLOCK = 1 << 16  # lines formatted per write in save_dataset
 
 
 def fmt_real(x: float) -> str:
@@ -312,33 +312,47 @@ def save_sweep_csv(rows, path: str | os.PathLike):
 def _int_lines(*columns: np.ndarray) -> str:
     """The text ``f"{a}\\t{b}\\n"`` writes for each row of the int64 ``columns``, built in numpy.
 
-    Each value takes ``1 + (how many of 10, 100, ..., 10**18 its magnitude
-    reaches)`` digits, plus a ``-`` when negative. The digits are filled into
-    a byte buffer from the right, one ``divmod`` by 10 per digit place, over
-    the values that still have digits left. Magnitudes are uint64, so
-    ``-2**63`` is exact.
+    The rows are the rows of one byte matrix. A column takes a ``-`` place
+    when one of its values is negative, one place per digit of its largest
+    magnitude, and a place for the tab or newline after it. Its digits are
+    written one place at a time from the right, by a floor division by 10
+    of all its magnitudes (uint32 when they fit, else uint64, so ``-2**63``
+    is exact). A 0 byte is a place a value does not use, a leading zero or
+    a missing ``-``, and the text is the other bytes in order.
     """
-    fields = []
+    rows, fields = len(columns[0]), []
     for column in columns:
         column = np.asarray(column, dtype=np.int64)
         neg, mag = column < 0, column.astype(np.uint64)
         np.negative(mag, out=mag, where=neg)  # modulo 2**64, so -2**63 has magnitude 2**63
-        fields.append((neg, mag, np.searchsorted(_POW10, mag, side="right") + 1 + neg))
-    row_lengths = sum(width + 1 for _, _, width in fields)
-    buf = np.empty(int(row_lengths.sum()), dtype=np.uint8)
-    at = np.cumsum(row_lengths) - row_lengths  # where each row's next field starts
-    for end, (neg, mag, width) in zip(b"\t" * (len(fields) - 1) + b"\n", fields):
-        buf[at[neg]] = ord("-")
-        at = at + width
-        buf[at] = end
-        digit_at = at - 1
-        while len(mag):
-            mag, digit = np.divmod(mag, 10)
-            buf[digit_at] = digit + ord("0")
-            left = mag > 0
-            mag, digit_at = mag[left], digit_at[left] - 1
+        top = int(mag.max()) if rows else 0
+        fields.append((neg if neg.any() else None, mag if top >> 32 else mag.astype(np.uint32), len(str(top))))
+    out = np.zeros((rows, sum((neg is not None) + places + 1 for neg, _, places in fields)), dtype=np.uint8)
+    at = 0
+    for end, (neg, mag, places) in zip(b"\t" * (len(fields) - 1) + b"\n", fields):
+        if neg is not None:
+            out[neg, at] = ord("-")
+            at += 1
+        rest, digit, used = (np.empty_like(mag) for _ in range(3))
+        at += places
+        for place in range(at - 1, at - places - 1, -1):
+            np.floor_divide(mag, 10, out=rest)
+            np.subtract(mag, np.multiply(rest, 10, out=digit), out=digit)
+            # a value's last digit is always written; a place left of its first digit stays 0
+            digit += ord("0") if place == at - 1 else np.multiply(np.sign(mag, out=used), ord("0"), out=used)
+            out[:, place] = digit
+            mag, rest = rest, mag
+        out[:, at] = end
         at += 1
-    return buf.tobytes().decode("ascii")
+    return out[out != 0].tobytes().decode("ascii")
+
+
+def _write_lines(path: Path, head: str, *columns: np.ndarray):
+    """Write ``head``, then the :func:`_int_lines` text of ``columns``, ``_WRITE_BLOCK`` rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+            fh.write(_int_lines(*(column[lo:lo + _WRITE_BLOCK] for column in columns)))
 
 
 def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, out_dir: str | os.PathLike):
@@ -349,14 +363,10 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     # formatted a block at a time so the text never sits in memory whole.
     m = graph.csr
     src = np.repeat(np.repeat(np.arange(graph.n_rows), np.diff(m.indptr)), m.data)
-    dst = np.repeat(m.indices, m.data)
-    with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
-        fh.write(f"%nodes {graph.n_rows}\n")
-        for lo in range(0, len(src), _WRITE_BLOCK):
-            fh.write(_int_lines(src[lo:lo + _WRITE_BLOCK], dst[lo:lo + _WRITE_BLOCK]))
+    _write_lines(out / "edges.tsv", f"%nodes {graph.n_rows}\n", src, np.repeat(m.indices, m.data))
     labels = np.asarray(labels, dtype=np.int64)
     # without nodes the file still ends its one (empty) line
-    (out / "labels.tsv").write_text(_int_lines(np.arange(len(labels)), labels) or "\n", encoding="utf-8")
+    _write_lines(out / "labels.tsv", "" if len(labels) else "\n", np.arange(len(labels)), labels)
     if features is not None:
         rows = [
             str(i) + "," + ",".join(fmt_real(v) for v in row) for i, row in enumerate(np.asarray(features))

@@ -20,7 +20,6 @@ workers.
 
 from __future__ import annotations
 
-import io
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 _TABLE_BLOCK = 1 << 20  # characters of whole lines per block in _int_table
-_TABLE_BYTES = np.zeros(256, dtype=bool)  # what _int_table reads: digits, '-', tab, space, newline
-_TABLE_BYTES[np.frombuffer(b"0123456789-\t \n", dtype=np.uint8)] = True
 _INT64_END = 1 << 63
 
 
@@ -407,43 +404,78 @@ def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, i
     return edges, declared
 
 
+def _int_block(data: bytes, width: int) -> np.ndarray | None:
+    """The int64 values of one block of :func:`_int_table`, ``width`` to a non-blank line, or None."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    nl = raw == 10
+    minus = np.flatnonzero(raw == 45)
+    # every byte below '0' is a tab, a newline, a space or a '-', and none is above '9'
+    if raw.max() > 57 or np.count_nonzero(raw < 48) != (
+            np.count_nonzero(nl) + np.count_nonzero(raw == 9) + np.count_nonzero(raw == 32) + len(minus)):
+        return None
+    starts = raw > 32  # the token bytes, then in place the first byte of each token
+    np.greater(starts[1:], starts[:-1], out=starts[1:])
+    # a '-' starts its token and a digit follows it
+    if len(minus) and (minus[-1] == len(raw) - 1 or not starts[minus].all() or raw[minus + 1].min() < 48):
+        return None
+    events = np.flatnonzero(np.bitwise_or(starts, nl, out=starts))  # token starts and line ends, in order
+    del starts, nl  # so the temporaries alive at once stay near the block's size
+    lines = np.flatnonzero(raw[events] == 10)
+    per_line = np.diff(lines, prepend=-1, append=len(events)) - 1  # tokens on each line, then after the last
+    tokens = len(events) - len(lines)
+    del events, lines
+    if not ((per_line == 0) | (per_line == width)).all():
+        return None
+    if not tokens:  # np.fromstring reads a blank block as one 0
+        return np.zeros(0, dtype=np.int64)
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(values) != tokens:
+        return None
+    # the reader saturates a token outside int64 at an end, so a token read there must spell that value;
+    # digits are compared, not int(token), which refuses over 4300 digits, leading zeros included
+    at_end = np.flatnonzero((values == _INT64_END - 1) | (values == -_INT64_END))
+    if len(at_end):
+        bounds = np.flatnonzero(np.diff(raw > 32, prepend=False, append=False)).reshape(-1, 2)
+        for i in at_end.tolist():
+            token = data[bounds[i, 0]:bounds[i, 1]]
+            if token[:token.startswith(b"-")] + token.lstrip(b"-0") != str(values[i]).encode():
+                return None
+    return values
+
+
 def _int_table(text: str, width: int) -> np.ndarray | None:
     """The ``(rows, width)`` int64 table of a text of plain integer lines, or None.
 
     The text is read a block of about ``_TABLE_BLOCK`` characters of whole
-    lines at a time. A block of only ASCII digits, ``-``, tabs, spaces and
-    newlines is converted by numpy's C reader (``np.loadtxt``), which skips
-    blank lines and reads a token as ``int()`` reads ``-?[0-9]+`` within
-    int64; a block without a token is skipped. None leaves the text to the
-    line grammar, which names the line. It comes for any other byte (a
-    comment, ``\\r``, ``_``, ``+``, non-ASCII text), for a token loadtxt
-    refuses (``1-2``, one outside int64) and for a non-blank line without
-    ``width`` tokens.
+    lines at a time. A block is checked byte by byte in numpy: only ASCII
+    digits, ``-``, tabs, spaces and newlines, every token ``-?[0-9]+`` and
+    every non-blank line ``width`` tokens. Then numpy's C reader
+    (``np.fromstring``) converts it, skipping blank lines. None leaves the
+    text to the line grammar, which names the line. It comes for any other
+    byte (a comment, ``\\r``, ``_``, ``+``, non-ASCII text), a ``-`` that
+    does not start a token or has no digit after it, a non-blank line
+    without ``width`` tokens, and a token outside int64 (the reader
+    saturates it at an int64 end, so a token read there must spell that
+    value).
     """
-    tables, lo = [], 0
+    if not text.isascii():
+        return None
+    tables, lo = [np.zeros(0, dtype=np.int64)], 0
     while lo < len(text):
         hi = text.find("\n", lo + _TABLE_BLOCK - 1) + 1 or len(text)
-        block, lo = text[lo:hi], hi
-        if not (block.isascii() and _TABLE_BYTES[np.frombuffer(block.encode("ascii"), dtype=np.uint8)].all()):
+        values, lo = _int_block(text[lo:hi].encode("ascii"), width), hi
+        if values is None:
             return None
-        if block.isspace():
-            continue  # loadtxt warns on input without data
-        try:
-            table = np.loadtxt(io.StringIO(block), dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, OverflowError):
-            return None
-        if table.shape[1] != width:  # loadtxt refuses a line whose token count differs from the first's
-            return None
-        tables.append(table)
-    return np.concatenate(tables) if tables else np.zeros((0, width), dtype=np.int64)
+        tables.append(values)
+    return np.concatenate(tables).reshape(-1, width)
 
 
 def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]:
     """The ``(m, 2)`` int64 endpoints of an edge-list text and its ``%nodes`` count, None if absent.
 
     A text of plain ``src<TAB>dst`` lines, after at most an exact ``%nodes N``
-    first line, is read in one numpy pass (:func:`_int_table`); any other
-    text goes through :func:`parse_edge_pairs`, so a malformed line raises
+    first line, is read by numpy a block of lines at a time (:func:`_int_table`);
+    any other text goes through :func:`parse_edge_pairs`, so a malformed line raises
     :class:`InputError` naming it ``{where}{lineno}``. An endpoint outside
     int64 is an :class:`InputError` too.
     """
@@ -471,8 +503,9 @@ def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) 
     ``%nodes N`` header fixes the node count, which is otherwise inferred
     as ``max endpoint + 1``. With ``dedup``, repeated pairs collapse to a
     single unit edge. A text of plain integer lines under at most an exact
-    ``%nodes N`` first line is read in one numpy pass; any other text goes
-    through the line grammar, and its errors still name ``line N``.
+    ``%nodes N`` first line is read by numpy a block of lines at a time; any
+    other text goes through the line grammar, and its errors still name
+    ``line N``.
     """
     edges, declared = edge_array(text)
     if n_nodes is None:

@@ -151,14 +151,17 @@ def make_splits(
     n_splits: int = 10,
     seed: int = 0,
 ) -> list[SplitSpec]:
-    """Random class-balanced splits; the rest of the nodes become test."""
+    """Random class-balanced splits; the rest of the nodes become test.
+
+    ``labels`` must be one non-negative integer class per node, else :class:`InputError`.
+    """
     for name, value in (("per_class_train", per_class_train), ("per_class_val", per_class_val),
                         ("n_splits", n_splits)):
         if value < 1:
             raise InputError(f"{name} must be at least 1, got {value}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels, np.size(labels))
     classes = np.unique(labels)
     need = per_class_train + per_class_val + 1
     for c in classes:
@@ -182,8 +185,8 @@ def make_splits(
 
 
 def majority_baseline(labels, split: SplitSpec) -> float:
-    """Test share of the most frequent training class (ties: lowest id)."""
-    labels = np.asarray(labels)
+    """Test share of the most frequent training class (ties: lowest id); ``labels`` as in :func:`make_splits`."""
+    labels = _labels(labels, np.size(labels))
     counts = np.bincount(labels[split.train])
     c_star = int(np.argmax(counts))
     return float(np.mean(labels[split.test] == c_star))

@@ -173,6 +173,23 @@ def test_save_dataset_edges_match_per_row_writer(tmp_path, monkeypatch):
     assert (tmp_path / "ds" / "edges.tsv").read_bytes() == _reference_edges_tsv(graph)
 
 
+def test_round_trip_spans_several_read_and_write_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_WRITE_BLOCK", 7)
+    monkeypatch.setattr(graphs, "_TABLE_BLOCK", 64)
+    rng = np.random.default_rng(8)
+    n = 63
+    graph = from_edge_list(rng.integers(0, n, size=(400, 2)), n)
+    # the int64 ends, magnitudes that fit uint32, ones that do not, single digits: 7-row blocks take both widths
+    labels = np.concatenate([[-2**63, 2**63 - 1], rng.integers(-2**32 + 1, 2**32, size=19),
+                             rng.integers(-2**62, 2**62, size=21), rng.integers(0, 10, size=21)])
+    save_dataset(graph, None, labels, tmp_path)
+    assert (tmp_path / "edges.tsv").stat().st_size > 20 * graphs._TABLE_BLOCK
+    bundle = load_dataset(tmp_path)
+    class_ids = np.unique(labels)
+    assert bundle.graph == graph and bundle.features is None
+    assert bundle.n_classes == len(class_ids) and np.array_equal(class_ids[bundle.labels], labels)
+
+
 @pytest.mark.parametrize("labels", [
     [-3, 0, -9_223_372_036_854_775_808, 7],  # negative, down to -2**63
     [0, 1_000_000, 42, 1_000_000],  # sparse

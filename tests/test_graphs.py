@@ -335,10 +335,33 @@ def test_int_table_blocks_end_at_line_ends(monkeypatch, block):
     assert graphs._int_table("", 2).shape == (0, 2)
 
 
+# None leaves a text to the line grammar
+@pytest.mark.parametrize("block", [1, 5, 1 << 20])
+@pytest.mark.parametrize("text, table", [
+    ("0000000000000000000007\t-0000000000000000000007\n", [[7, -7]]),  # zero-padded past 18 digits
+    ("999999999999999999 -999999999999999999\n", [[10**18 - 1, 1 - 10**18]]),
+    ("1000000000000000000\t-1000000000000000000", [[10**18, -10**18]]),
+    ("9223372036854775807\t-9223372036854775808\n", [[2**63 - 1, -2**63]]),  # the int64 ends
+    ("1 2\n0009223372036854775807 -009223372036854775808\n", [[1, 2], [2**63 - 1, -2**63]]),
+    ("9223372036854775807\t9223372036854775808\n", None),  # outside int64
+    ("0\t-9223372036854775809\n", None),
+    ("1\t" + "9" * 5000 + "\n", None),  # past what int() reads
+    ("0\t" + "0" * 5000 + "9223372036854775807\n", [[0, 2**63 - 1]]),
+    ("1 - 2\n", None),  # a bare '-'
+    ("3\t4\n1\t-", None),  # a '-' as the last byte of the last block
+    ("3\t4\n1\t-\n", None),
+], ids=["zero-padded", "18-digit", "19-digit", "int64-ends", "padded-ends", "past-max", "past-min", "5000-digit",
+        "5000-zeros", "bare-minus", "minus-last", "minus-newline"])
+def test_int_table_reads_exactly_or_leaves_the_text(monkeypatch, block, text, table):
+    monkeypatch.setattr(graphs, "_TABLE_BLOCK", block)
+    got = graphs._int_table(text, 2)
+    assert (None if got is None else got.tolist()) == table
+
+
 @pytest.mark.parametrize("block", [1, 5, 1 << 20])
 @pytest.mark.parametrize("text", ["\n \t\n", " ", "\n\n  \n", "1 2\n\n \t\n", "\n \n3\t4"])
 def test_int_table_skips_blank_blocks_without_warning(monkeypatch, block, text):
-    monkeypatch.setattr(graphs, "_TABLE_BLOCK", block)  # loadtxt warns on a block with no token
+    monkeypatch.setattr(graphs, "_TABLE_BLOCK", block)  # np.fromstring reads a block with no token as one 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = graphs._int_table(text, 2)

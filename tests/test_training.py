@@ -70,6 +70,17 @@ def test_split_without_training_nodes_is_an_input_error(empty, what):
         SplitSpec(**sets, seed=0)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (np.repeat([-1, 0, 1], 60), "class ids must be non-negative"),
+    (np.repeat([0.5, 1.5, 2.5], 60), "one integer class per node"),
+], ids=["negative_class", "fractional_labels"])
+@pytest.mark.parametrize("call", ["make_splits", "majority_baseline"])
+def test_splits_and_baseline_take_the_trainer_label_check(call, labels, message):
+    split = make_splits(np.repeat([0, 1, 2], 60), n_splits=1)[0]
+    with pytest.raises(InputError, match=message):
+        make_splits(labels) if call == "make_splits" else majority_baseline(labels, split)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

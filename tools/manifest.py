@@ -21,6 +21,8 @@ architecture on the same graph, up to k = 50, the ``edges.tsv`` and
 ``labels.tsv`` bytes of a library ``save_dataset`` of a multigraph with
 negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
 arrays) of ``load_dataset`` on that directory and on a headerless copy,
+the same for a 100,000-node graph whose ``edges.tsv`` spans several read
+and write blocks,
 the ``repr`` (with gradient-norm traces) of each split's Metrics from
 ``train_splits`` of two architectures over three splits, with dropout, l2
 and early stopping that ends every run, the same of four splits of a
@@ -95,8 +97,8 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy as np
     from hopscope import (ARCHITECTURES, ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features,
-                          init_params, load_dataset, make_splits, model_backward, normalize, read_edge_list,
-                          run_sweep, save_dataset, symmetrize, synthesize_dataset, train_model)
+                          from_edge_list, init_params, load_dataset, make_splits, model_backward, normalize,
+                          read_edge_list, run_sweep, save_dataset, symmetrize, synthesize_dataset, train_model)
     from hopscope.cli import main as cli
     from hopscope.models import flat_gradients
     from hopscope.training import train_splits
@@ -164,6 +166,19 @@ def main() -> int:
             bundle = load_dataset(root)
             arrays = [arr.tolist() for arr in (bundle.graph.row_offsets, bundle.graph.col_indices, bundle.graph.values)]
             _emit(f"library load_dataset {root}", repr((bundle, arrays)).encode())
+
+        # 200,000 edge lines (about 2.4 MB, so three 1 MiB read blocks and four 65,536-row write blocks);
+        # the first write block of labels fits uint32, the second does not
+        rng = np.random.default_rng(11)
+        n = 100_000
+        wide = from_edge_list(rng.integers(0, n, size=(200_000, 2)), n)
+        classes = np.where(np.arange(n) < 65_536, rng.integers(0, 10, n), rng.integers(-2**40, 2**40, n))
+        save_dataset(wide, None, classes, "wide_ds")
+        for name in ("edges.tsv", "labels.tsv"):
+            _emit(f"library save_dataset wide {name}", Path("wide_ds", name).read_bytes())
+        bundle = load_dataset("wide_ds")
+        arrays = [arr.tolist() for arr in (bundle.graph.row_offsets, bundle.graph.col_indices, bundle.graph.values)]
+        _emit("library load_dataset wide_ds", repr((bundle, arrays, bundle.labels.tolist())).encode())
 
     # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at k = 11
     graph = synthesize_dataset("structure_only", n=400, seed=5)[0]
