@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, _exact_total, _int_table, _plain, content_lines, edge_array, from_edge_list
+from .graphs import SparseCountMatrix, _exact_total, _int_table, _token_int, content_lines, edge_array, from_edge_list
 from .models import uniform_features
 from .normalization import WeightedAdjacency
 
@@ -136,26 +136,25 @@ def _node_rows(fname: str, text: str, sep: str | None, ids: np.ndarray | None, n
     """The ``kind`` values of each node, in node order, from a text of ``node<sep>v1<sep>...`` lines.
 
     Every node needs exactly one line, with ``width`` values, or as many as the first line
-    when None. Node ids (and ``int`` values) take the edge-list grammar ``-?[0-9]+``; with
+    when None. Node ids (and ``int`` values) take the edge-list grammar ``-?[0-9]+`` within int64; with
     ``ids`` they are external ids, read through their position in that sorted array.
     """
-    strict = not _plain(text)  # only such texts pay for a check per line
-    ok = _plain if kind is int else _plain_real
+    strict = kind is float and not _plain_real(text)  # only such texts pay for a check per value
     what = "integer" if kind is int else "numeric"
     remap = None if ids is None else dict(zip(ids.tolist(), range(n)))
     rows: dict[int, list] = {}
     for lineno, line in content_lines(text):
         token, *fields = line.split(sep)
         try:
-            if not fields or len(fields) != (width or len(fields)) or strict and not (
-                _plain(token) and all(map(ok, fields))
-            ):
+            if not fields or len(fields) != (width or len(fields)) or strict and not all(map(_plain_real, fields)):
                 raise ValueError(line)
-            node, values = int(token), list(map(kind, fields))
+            node, values = _token_int(token), list(map(_token_int if kind is int else float, fields))
         except ValueError:
             raise DatasetError(
                 f"{fname}:{lineno}: expected an integer node id and {width or 'some'} {what} value(s), got {line!r}"
             ) from None
+        except OverflowError:
+            raise DatasetError(f"{fname}:{lineno}: integer outside the 64-bit range in {line!r}") from None
         if kind is float and not all(map(math.isfinite, values)):
             raise DatasetError(f"{fname}:{lineno}: non-finite value in {line!r}")
         width = len(values)

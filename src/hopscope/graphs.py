@@ -374,6 +374,22 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
+def _token_int(token: str) -> int:
+    """The value of a token of the integer grammar ``-?[0-9]+``, at any length.
+
+    Any other token raises ValueError, and one outside int64 OverflowError.
+    """
+    digits = token[token.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer token: {token!r}")
+    # 20 significant digits already leave int64, and int() refuses a string over 4300 characters
+    digits = digits.lstrip("0")[:20] or "0"
+    value = -int(digits) if token.startswith("-") else int(digits)
+    if not -_INT64_END <= value < _INT64_END:
+        raise OverflowError(f"outside int64: {token!r}")
+    return value
+
+
 def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, int]], int | None]:
     """The ``(src, dst)`` pairs of an edge-list text and its ``%nodes`` count, None if absent.
 
@@ -398,9 +414,11 @@ def parse_edge_pairs(text: str, where: str = "line ") -> tuple[list[tuple[int, i
         try:
             if strict and not _plain(line):
                 raise ValueError("outside the endpoint grammar")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_token_int(parts[0]), _token_int(parts[1])))
         except ValueError as exc:
             raise InputError(f"{where}{lineno}: non-integer endpoint in {line!r}") from exc
+        except OverflowError:
+            raise InputError(f"{where}{lineno}: node id outside the 64-bit integer range in {line!r}") from None
     return edges, declared
 
 
@@ -460,14 +478,16 @@ def _int_table(text: str, width: int) -> np.ndarray | None:
     """
     if not text.isascii():
         return None
-    tables, lo = [np.zeros(0, dtype=np.int64)], 0
+    # every line holds 0 or width values: one array of that bound holds the table once
+    table, rows, lo = np.empty((text.count("\n") + 1) * width, dtype=np.int64), 0, 0
     while lo < len(text):
         hi = text.find("\n", lo + _TABLE_BLOCK - 1) + 1 or len(text)
         values, lo = _int_block(text[lo:hi].encode("ascii"), width), hi
         if values is None:
             return None
-        tables.append(values)
-    return np.concatenate(tables).reshape(-1, width)
+        table[rows:rows + len(values)] = values
+        rows += len(values)
+    return table[:rows].reshape(-1, width)
 
 
 def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]:
@@ -488,12 +508,7 @@ def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]
     if edges is not None:
         return edges, declared
     pairs, declared = parse_edge_pairs(text, where)
-    try:
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
-    except OverflowError:
-        # no line to name: a file prefix stands for the whole text
-        prefix = f"{where[:-1]}: " if where.endswith(":") else ""
-        raise InputError(f"{prefix}node id outside the 64-bit integer range") from None
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
 
 
 def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) -> SparseCountMatrix:

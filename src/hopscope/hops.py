@@ -4,22 +4,28 @@ Two semirings drive everything here. Counting powers multiply over the
 non-negative integers, so ``A^k[i, j]`` is the exact number of directed
 walks of length ``k`` from ``i`` to ``j``; results are kept within 64-bit
 range and overflow raises instead of wrapping. Support powers multiply
-over booleans (canonical ``bool`` scipy CSR, the format every other
-layer uses), so they track only which entries are non-zero and can never
-overflow. Each semiring has one ladder that walks ``A, A^2, ...`` one
-product per step: :func:`count_ladder` for counts and
+over booleans (handed out as canonical ``bool`` scipy CSR, the format
+every other layer uses), so they track only which entries are non-zero
+and can never overflow. Each semiring has one ladder that walks ``A,
+A^2, ...`` one product per step: :func:`count_ladder` for counts and
 :func:`power_ladder` (or :func:`support_nnz` for the entry counts of chosen k)
 for patterns; every sweep over k reads one. A power aggregation reads
 neither (see :mod:`hopscope.normalization`).
 
 Both ladders share one walker, :func:`_rungs`, which carries each rung
-in the smaller of two forms. A rung with ``3 * nnz >= 2 * n^2`` is a
-dense array (8 bytes a cell is then no more than CSR's 12 an entry), and
-the sparse base advances it with one sparse-times-dense product: no nnz
-pass, no index sort. A sparse rung whose product is sure to pass that
-line takes the same route. Any other rung stays canonical CSR. The form
-is chosen anew at every rung, and a rung becomes a matrix only where it
-is read. A boolean ladder whose rung repeats the one before it has
+in the smaller of two forms, chosen anew at every rung from its nnz. A
+counting rung with ``3 * nnz >= 2 * n^2`` is a dense int64 array (8 bytes
+a cell is then no more than CSR's 12 an entry). A boolean rung is packed
+rows, one bit a cell in ``ceil(n/64)`` uint64 words a row, once those
+take fewer bytes than CSR's 5 an entry plus row offsets; so a 10^5-node
+graph never packs. The sparse base advances a dense rung with one
+sparse-times-dense product, for packed rows one gather and one
+``np.bitwise_or.reduceat``: no nnz pass, no index sort. A sparse rung
+whose product is sure to pass its line takes the same route. Any other
+rung stays canonical CSR. The pattern readers (:func:`support_nnz`,
+:func:`verify_loop_lemma`, :func:`support_periodicity`) read boolean
+rungs in place; only a rung handed out as a :class:`SupportPattern` is
+unpacked. A boolean ladder whose rung repeats the one before it has
 reached a fixed point and makes no further product.
 
 On top of the powers sit the structural checks: inclusion of the k-step
@@ -66,6 +72,9 @@ __all__ = [
 ]
 
 INT64_MAX = np.iinfo(np.int64).max
+_GATHER_BYTES = 1 << 23  # bytes of dense cells or gathered rows one block of _pack, _unpack or _or_rows holds
+_U64 = {c: np.uint64(c) for c in (1, 2, 4, 56, 0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                                   0x0101010101010101)}  # the constants of _row_counts
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +112,10 @@ def support_of(m) -> SupportPattern:
     return SupportPattern._of(m.csr)
 
 
-def _first_extra(p: SupportPattern, q: SupportPattern) -> tuple[int, int] | None:
-    """The row-major first entry of ``p`` that ``q`` lacks, None if there is none."""
-    extra = p.csr > q.csr  # canonical, as both operands are
-    if not extra.nnz:
-        return None
-    row = int(np.searchsorted(extra.indptr, 0, side="right")) - 1
-    return row, int(extra.indices[0])
-
-
 def support_subset(p: SupportPattern, q: SupportPattern) -> bool:
     if p.n_rows != q.n_rows:
         raise InputError(f"pattern shapes differ: {p.n_rows} vs {q.n_rows}")
-    return _first_extra(p, q) is None
+    return _first_extra(p.csr, q.csr) is None
 
 
 def support_equal(p: SupportPattern, q: SupportPattern) -> bool:
@@ -171,21 +171,116 @@ def _count_matmul(x: sp.csr_matrix, y):
     return _canonical(out, np.int64) if sp.issparse(out) else out
 
 
+def _words(n: int) -> int:
+    """The uint64 words of one packed row of ``n`` cells."""
+    return -(-n // 64)
+
+
+def _pack(m: sp.csr_matrix) -> np.ndarray:
+    """The packed rows of a boolean CSR ``m``, made from ``_GATHER_BYTES`` dense cells at a time.
+
+    Row i is ``_words(n_cols)`` uint64 words whose byte view holds cell
+    ``(i, j)`` at bit ``j % 8`` of byte ``j // 8``; the bits past the last
+    column are 0. ``m`` may hold unsorted or repeated indices, as scipy's
+    products do.
+    """
+    n_rows, n_cols = m.shape
+    out = np.zeros((n_rows, _words(n_cols)), dtype=np.uint64)
+    step = max(1, _GATHER_BYTES // max(n_cols, 1))
+    for lo in range(0, n_rows, step):
+        out[lo:lo + step].view(np.uint8)[:, :-(-n_cols // 8)] = np.packbits(m[lo:lo + step].toarray(), axis=1,
+                                                                             bitorder="little")
+    return out
+
+
+def _row_counts(p: np.ndarray) -> np.ndarray:
+    """The set bits of each packed row, by a SWAR popcount of its words (numpy 1.24 has no ``bitwise_count``)."""
+    x = p - ((p >> _U64[1]) & _U64[0x5555555555555555])
+    x = (x & _U64[0x3333333333333333]) + ((x >> _U64[2]) & _U64[0x3333333333333333])
+    x = (x + (x >> _U64[4])) & _U64[0x0F0F0F0F0F0F0F0F]
+    return ((x * _U64[0x0101010101010101]) >> _U64[56]).sum(axis=1, dtype=np.int64)
+
+
+def _unpack(p: np.ndarray) -> sp.csr_matrix:
+    """The canonical boolean CSR of square packed rows, unpacked ``_GATHER_BYTES`` cells at a time."""
+    n = p.shape[0]
+    step = max(1, _GATHER_BYTES // n)
+    columns = [np.nonzero(np.unpackbits(p[lo:lo + step].view(np.uint8), axis=1, count=n, bitorder="little"))[1]
+               for lo in range(0, n, step)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(_row_counts(p), out=offsets[1:])
+    indices = np.concatenate(columns)
+    return _canonical(sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, offsets), shape=(n, n)), bool)
+
+
+def _or_rows(x: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Packed ``support(x @ R)`` of a boolean CSR ``x`` and packed rows ``R``.
+
+    Row i is the OR of the rows of ``R`` at the columns of row i of ``x``:
+    one gather of those rows and one ``np.bitwise_or.reduceat`` at the row
+    starts, taken over at most ``_GATHER_BYTES`` of gathered rows at a
+    time. A row split between two blocks ORs both parts; an empty row
+    stays 0.
+    """
+    out = np.zeros((x.shape[0], rows.shape[1]), dtype=np.uint64)
+    indptr = x.indptr
+    step = max(1, _GATHER_BYTES // (8 * rows.shape[1]))
+    for lo in range(0, x.nnz, step):
+        hi = min(lo + step, x.nnz)
+        # the block's segment starts: lo, then every row start inside the block, once
+        inner = indptr[np.searchsorted(indptr, lo, side="right"):np.searchsorted(indptr, hi, side="left")]
+        starts = np.unique(np.concatenate(([lo], inner)))
+        owners = np.searchsorted(indptr, starts, side="right") - 1
+        out[owners] |= np.bitwise_or.reduceat(rows[x.indices[lo:hi]], starts - lo, axis=0)
+    return out
+
+
+def _or_product(x: sp.csr_matrix, y):
+    """Boolean product of CSR ``x`` and a rung ``y`` in either form, in ``y``'s form."""
+    return x @ y if sp.issparse(y) else _or_rows(x, y)
+
+
 def _bool_matmul(x: sp.csr_matrix, y):
-    """Boolean product of CSR ``x`` and CSR or dense ``y``: the step of :func:`power_ladder`."""
-    return x @ y
+    """The step of :func:`power_ladder`: :func:`_or_product`, under a name of its own so a test can count steps."""
+    return _or_product(x, y)
+
+
+def _packed(rung) -> np.ndarray:
+    """A boolean rung in either form as packed rows."""
+    return _pack(rung) if sp.issparse(rung) else rung
+
+
+def _is_dense(boolean: bool, n: int, nnz: int) -> bool:
+    """Whether an n×n rung of ``nnz`` entries is held dense rather than as CSR.
+
+    A boolean rung packs when its ``8 * n * _words(n)`` bytes are fewer
+    than CSR's 5 an entry (1-byte value, int32 index) plus 4 a row offset,
+    so an empty one never packs. A counting rung is a dense int64 array
+    once ``3 * nnz >= 2 * n^2``: 8 bytes a cell against CSR's 12 an entry.
+    """
+    if boolean:
+        return 0 < 8 * n * _words(n) < 5 * nnz + 4 * (n + 1)
+    return 0 < 2 * n * n <= 3 * nnz
+
+
+def _dense(m: sp.csr_matrix):
+    """The dense form of a CSR rung: packed rows for a boolean one, an int64 array for counts."""
+    return _pack(m) if m.dtype == bool else m.toarray()
+
+
+def _rung_nnz(rung) -> int:
+    """The entries of a rung in either form; canonical CSR and scipy's products store no zero."""
+    if sp.issparse(rung):
+        return int(rung.nnz)
+    return int(_row_counts(rung).sum()) if rung.dtype == np.uint64 else int(np.count_nonzero(rung))
 
 
 def _rung_form(m):
-    """``m`` as a dense array if ``3 * nnz >= 2 * n^2``, else as canonical CSR of its dtype.
-
-    Past that line 8 bytes per cell of dense storage are no more than
-    CSR's 12 per entry (8-byte value, int32 index).
-    """
-    cells = m.shape[0] * m.shape[1]
-    if sp.issparse(m):
-        return m.toarray() if cells and 3 * m.nnz >= 2 * cells else _canonical(m, m.dtype)
-    return m if 3 * np.count_nonzero(m) >= 2 * cells else _canonical(m, m.dtype)
+    """A square product or rung in its form: dense where :func:`_is_dense` says so, else canonical CSR."""
+    packed = isinstance(m, np.ndarray) and m.dtype == np.uint64
+    if _is_dense(packed or m.dtype == bool, m.shape[0], _rung_nnz(m)):
+        return _dense(m) if sp.issparse(m) else m
+    return _unpack(m) if packed else _canonical(m, m.dtype)
 
 
 def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
@@ -199,17 +294,16 @@ def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
     return int(np.maximum.reduceat(picked, starts).sum()) if picked.size else 0
 
 
-def _same_rung(p, q) -> bool:
-    """Whether two boolean rungs, each in its :func:`_rung_form`, hold one pattern.
+def _rung_key(rung) -> tuple[bool, bytes]:
+    """A boolean rung's form and bytes, equal exactly for rungs of one pattern.
 
     The form follows from the pattern, and a canonical CSR rung stores only
-    ``True``, so its index arrays are its pattern.
+    ``True``, so its index arrays (widened, as products may narrow them)
+    are its pattern.
     """
-    if sp.issparse(p) != sp.issparse(q):
-        return False
-    if sp.issparse(p):
-        return np.array_equal(p.indptr, q.indptr) and np.array_equal(p.indices, q.indices)
-    return np.array_equal(p, q)
+    if sp.issparse(rung):
+        return True, rung.indptr.astype(np.int64).tobytes() + rung.indices.astype(np.int64).tobytes()
+    return False, rung.tobytes()
 
 
 def _rungs(base: sp.csr_matrix, product) -> Iterator:
@@ -226,13 +320,13 @@ def _rungs(base: sp.csr_matrix, product) -> Iterator:
     """
     if base.shape[0] != base.shape[1]:
         raise InputError("matrix power requires a square matrix")
-    cells = base.shape[0] * base.shape[1]
+    boolean, n = base.dtype == bool, base.shape[0]
     cur = _rung_form(base)
     while True:
         yield cur
-        step = cur.toarray() if sp.issparse(cur) and cells and 3 * _product_nnz_floor(base, cur) >= 2 * cells else cur
+        step = _dense(cur) if sp.issparse(cur) and _is_dense(boolean, n, _product_nnz_floor(base, cur)) else cur
         nxt = _rung_form(product(base, step))
-        if base.dtype == bool and _same_rung(nxt, cur):
+        if boolean and _rung_key(nxt) == _rung_key(cur):
             yield from repeat(cur)
         cur = nxt
 
@@ -245,9 +339,19 @@ def _powers(rungs: Iterator, ks, convert) -> Iterator:
         yield next(convert(r) for j, r in rungs if j == k)
 
 
-def _rung_nnz(rung) -> int:
-    """The entries of a rung in its :func:`_rung_form`: a canonical CSR rung stores no zero."""
-    return int(rung.nnz) if sp.issparse(rung) else int(np.count_nonzero(rung))
+def _pattern(rung) -> SupportPattern:
+    """A boolean rung in either form as a :class:`SupportPattern`."""
+    return SupportPattern._of(rung if sp.issparse(rung) else _unpack(rung))
+
+
+def _count_rungs(a: SparseCountMatrix) -> Iterator:
+    """The counting ladder of ``A``: its rungs ``A^k``, k = 1, 2, ..., unconverted."""
+    return _rungs(a.csr, _count_matmul)
+
+
+def _bool_rungs(a: SparseCountMatrix) -> Iterator:
+    """The boolean ladder of ``A``: its rungs ``support(A^k)``, k = 1, 2, ..., read in place."""
+    return _rungs(support_of(a).csr, _bool_matmul)
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -257,38 +361,38 @@ def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
     ladder, and ``A^K`` costs ``K - 1`` products. Advancing to the first
     rung with an entry outside int64 raises :class:`CountOverflowError`.
     """
-    return _powers(_rungs(a.csr, _count_matmul), count(1), SparseCountMatrix._of)
+    return _powers(_count_rungs(a), count(1), SparseCountMatrix._of)
 
 
 def support_nnz(a: SparseCountMatrix, ks) -> Iterator[int]:
     """Yield ``nnz(support(A^k))`` for each k of the ascending ``ks`` (all >= 1), counted off the rungs:
     no rung becomes a pattern."""
-    return _powers(_rungs(support_of(a).csr, _bool_matmul), ks, _rung_nnz)
+    return _powers(_bool_rungs(a), ks, _rung_nnz)
 
 
 def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
     """Yield ``support(A^1), support(A^2), ...`` without end, one boolean product per step."""
-    return _powers(_rungs(support_of(a).csr, _bool_matmul), count(1), SupportPattern._of)
+    return _powers(_bool_rungs(a), count(1), _pattern)
 
 
-def _power(a: SparseCountMatrix, k: int, base: sp.csr_matrix, product, cls):
-    """``A^k`` as a ``cls``: rung k of the walk of ``base`` by ``product``, the identity at k = 0."""
+def _power(a: SparseCountMatrix, k: int, cls, ladder, convert):
+    """``A^k`` as a ``cls``: the identity at k = 0, else ``convert`` of rung k of ``ladder(a)``."""
     _require_square(a, "matrix power")
     if k < 0:
         raise InputError("power must be non-negative")
     if k == 0:
         return cls._of(sp.identity(a.n_rows, dtype=cls._dtype, format="csr"))
-    return next(_powers(_rungs(base, product), [k], cls._of))
+    return next(_powers(ladder(a), [k], convert))
 
 
 def mat_power_count(a: SparseCountMatrix, k: int) -> SparseCountMatrix:
     """Integer-semiring power: entry ``(i, j)`` counts length-``k`` walks."""
-    return _power(a, k, a.csr, _count_matmul, SparseCountMatrix)
+    return _power(a, k, SparseCountMatrix, _count_rungs, SparseCountMatrix._of)
 
 
 def mat_power_support(a: SparseCountMatrix, k: int) -> SupportPattern:
     """Boolean-semiring power: the pattern of ``A^k`` without overflow risk."""
-    return _power(a, k, support_of(a).csr, _bool_matmul, SupportPattern)
+    return _power(a, k, SupportPattern, _bool_rungs, _pattern)
 
 
 def density(x: _CSRWrapper) -> float:
@@ -310,18 +414,21 @@ class DagProfile:
     topo_order: tuple[int, ...] | None = None
 
 
+def _successors(a: SparseCountMatrix) -> list[list[int]]:
+    """The out-neighbours of each node, ascending, as Python ints."""
+    offsets, columns = a.csr.indptr.tolist(), a.csr.indices.tolist()
+    return [columns[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 def dag_profile(a: SparseCountMatrix) -> DagProfile:
     """Kahn topological sort; for a DAG, a DP gives the longest path."""
     _require_square(a, "dag_profile")
     n = a.n_rows
-    succ = []
+    succ = _successors(a)
     indeg = [0] * n
-    for i in range(n):
-        cols, _ = a.row(i)
-        cols = cols.tolist()
+    for i, cols in enumerate(succ):
         if i in cols:
             return DagProfile(is_dag=False)
-        succ.append(cols)
         for j in cols:
             indeg[j] += 1
     stack = sorted((i for i in range(n) if indeg[i] == 0), reverse=True)
@@ -368,15 +475,16 @@ def support_periodicity(a: SparseCountMatrix, k_cap: int) -> SupportPeriodicity 
     _require_square(a, "support_periodicity")
     if k_cap < 2:
         raise InputError("k_cap must be at least 2")
-    seen: dict[SupportPattern, int] = {}
-    for k, pat in enumerate(islice(power_ladder(a), k_cap), start=1):
-        if not pat.nnz:
+    seen: dict[tuple[bool, bytes], int] = {}
+    for k, rung in enumerate(islice(_bool_rungs(a), k_cap), start=1):
+        if not _rung_nnz(rung):
             raise InputError(
                 "adjacency is nilpotent (pattern vanished); use dag_profile for acyclic graphs"
             )
-        if pat in seen:
-            return SupportPeriodicity(preperiod=seen[pat], period=k - seen[pat])
-        seen[pat] = k
+        key = _rung_key(rung)
+        if key in seen:
+            return SupportPeriodicity(preperiod=seen[key], period=k - seen[key])
+        seen[key] = k
     return None
 
 
@@ -415,7 +523,7 @@ CYCLE_SEARCH_BUDGET = 1_000_000
 def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
     """Lexicographically smallest directed simple cycle of length m, within ``CYCLE_SEARCH_BUDGET``."""
     n = a.n_rows
-    succ = [a.row(i)[0].tolist() for i in range(n)]
+    succ = _successors(a)
     budget = iter(range(CYCLE_SEARCH_BUDGET))
 
     def extend(path: list[int], start: int) -> tuple[int, ...] | None:
@@ -444,16 +552,40 @@ def _find_cycle(a: SparseCountMatrix, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def _cycle_lhs(supports: list[SupportPattern], k: int, cycle: tuple[int, ...]) -> SupportPattern:
-    """Pairs (i, j) joined by a length-k walk through the cycle.
+def _first_extra(p, q) -> tuple[int, int] | None:
+    """The row-major first entry of boolean rung ``p`` that rung ``q`` lacks, None if there is none.
 
-    That is the OR over t of ``S_t[:, cycle] @ S_{k-t}[cycle, :]`` with
-    ``S_t = supports[t]``, taken as one product of the stacked slices.
+    Two CSR rungs compare as CSR; otherwise both are read packed, and the
+    column is the first set bit of the first non-zero row of ``p & ~q``.
     """
-    cyc = list(cycle)
-    left = sp.hstack([supports[t].csr[:, cyc] for t in range(k + 1)], format="csr")
-    right = sp.vstack([supports[k - t].csr[cyc, :] for t in range(k + 1)], format="csr")
-    return SupportPattern._of(left @ right)
+    if sp.issparse(p) and sp.issparse(q):
+        extra = p > q  # canonical, as both operands are
+        if not extra.nnz:
+            return None
+        row = int(np.searchsorted(extra.indptr, 0, side="right")) - 1
+        return row, int(extra.indices[0])
+    extra = _packed(p) & ~_packed(q)
+    rows = np.flatnonzero(extra.any(axis=1))
+    if not len(rows):
+        return None
+    row = int(rows[0])
+    return row, int(np.flatnonzero(np.unpackbits(extra[row].view(np.uint8), bitorder="little"))[0])
+
+
+def _cycle_walks(base: sp.csr_matrix, rungs: list, cycle: tuple[int, ...]) -> Iterator:
+    """Yield, for k = 1, 2, ..., the rung of pairs (i, j) joined by a length-k walk through the cycle.
+
+    With ``rungs[k - 1]`` the rung of ``support(B^k)`` and ``E`` the cycle
+    nodes' diagonal, that set is ``L_k = OR_t B^t E B^(k-t)``, and
+    ``L_k = B·L_(k-1) OR E·B^k`` from ``L_0 = E``: each k takes one product
+    with the base and ORs in the rows of rung k at the cycle nodes.
+    """
+    pick = sp.csr_matrix((np.ones(len(cycle), dtype=bool), (cycle, cycle)), shape=base.shape)
+    lhs = pick
+    for rung in rungs:
+        walks, ends = _or_product(base, lhs), _or_product(pick, rung)
+        lhs = _rung_form(walks + ends if sp.issparse(walks) and sp.issparse(ends) else _packed(walks) | _packed(ends))
+        yield lhs
 
 
 def verify_loop_lemma(
@@ -476,8 +608,7 @@ def verify_loop_lemma(
     _require_square(a, "verify_loop_lemma")
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    ladder = power_ladder(a)
-    s1 = next(ladder)
+    s1 = support_of(a)
     cycle: tuple[int, ...] | None = None
 
     if lemma == "self_loop":
@@ -500,14 +631,14 @@ def verify_loop_lemma(
     else:
         raise InputError(f"unknown lemma kind {lemma!r}")
 
-    # supports[k] is support(A^k) for k = 0..k_max+shift
-    supports = [mat_power_support(a, 0), s1, *islice(ladder, k_max + shift - 1)]
+    # rungs[k - 1] is support(A^k) for k = 1..k_max+shift, each in its rung form
+    rungs = list(islice(_rungs(s1.csr, _bool_matmul), k_max + shift))
+    lhs = _cycle_walks(s1.csr, rungs, cycle) if lemma == "m_node" else iter(rungs)
     checks = []
-    for k in range(1, k_max + 1):
-        lhs = _cycle_lhs(supports, k, cycle) if lemma == "m_node" else supports[k]
-        bad = _first_extra(lhs, supports[k + shift])
+    for k, walks in zip(range(1, k_max + 1), lhs):
+        bad = _first_extra(walks, rungs[k - 1 + shift])
         checks.append(LoopCheck(k=k, holds=bad is None, counterexample=bad))
-    nnz = tuple(p.nnz for p in supports[1:k_max + 1])
+    nnz = tuple(_rung_nnz(r) for r in rungs[:k_max])
     return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), nnz=nnz, cycle=cycle)
 
 

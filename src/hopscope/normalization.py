@@ -96,18 +96,21 @@ def _inverse(x: np.ndarray, root: bool) -> np.ndarray:
     return np.divide(1.0, np.sqrt(x) if root else x, out=np.zeros(len(x)), where=x > 0)
 
 
-def _diagonals(scheme: str, out_deg: np.ndarray, in_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(d_l, d_r)`` of ``scheme`` from the out- and in-degrees of the matrix it rescales."""
+def _diagonals(scheme: str, out_deg, in_deg) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(d_l, d_r)`` of ``scheme``, None for a diagonal of ones.
+
+    ``out_deg`` and ``in_deg`` return the out- and in-degrees of the matrix
+    it rescales, and each is called only if the scheme reads it.
+    """
     if scheme not in NORM_SCHEMES:
         raise InputError(f"unknown normalization scheme {scheme!r}")
-    ones = np.ones(len(out_deg))
     if scheme == "row":
-        return _inverse(out_deg, root=False), ones
+        return _inverse(out_deg(), root=False), None
     if scheme == "sym":
-        return (_inverse(out_deg, root=True),) * 2
+        return (_inverse(out_deg(), root=True),) * 2
     if scheme == "dir":
-        return _inverse(in_deg, root=True), _inverse(out_deg, root=True)
-    return ones, ones
+        return _inverse(in_deg(), root=True), _inverse(out_deg(), root=True)
+    return None, None
 
 
 def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
@@ -119,14 +122,19 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
     """
     _require_square(a, "normalize")
     m, n = a.csr, a.n_rows
-    counts = m.data.astype(np.float64, copy=False)
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    out_deg = np.bincount(rows, weights=counts, minlength=n)
-    in_deg = np.bincount(m.indices, weights=counts, minlength=n)
-    d_l, d_r = _diagonals(scheme, out_deg, in_deg)
-    vals = counts * d_l[rows] * d_r[m.indices]
-    zero_rows = int(np.count_nonzero(np.bincount(rows, weights=np.abs(vals), minlength=n) == 0))
-    return WeightedAdjacency(sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape), scheme, zero_rows)
+    vals = m.data.astype(np.float64)  # a copy: the counts, then the values in place
+    per_row = np.diff(m.indptr)
+    rows = np.repeat(np.arange(n), per_row) if scheme != "none" else None
+    d_l, d_r = _diagonals(scheme, lambda: np.bincount(rows, weights=vals, minlength=n),
+                          lambda: np.bincount(m.indices, weights=vals, minlength=n))
+    if d_l is not None:
+        vals *= d_l[rows]
+    if d_r is not None:
+        vals *= d_r[m.indices]
+    # no value is negative, so a row has no mass iff its sum is 0; every count is at least 1
+    empty = per_row == 0 if rows is None else np.bincount(rows, weights=vals, minlength=n) == 0
+    return WeightedAdjacency(sp.csr_matrix((vals, m.indices, m.indptr), shape=m.shape), scheme,
+                             int(np.count_nonzero(empty)))
 
 
 def _walk(m, k: int, x):
@@ -189,7 +197,8 @@ def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregati
     out_deg, in_deg = _walk(m, k, ones), _walk(m.T, k, ones)
     if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):
         raise NumericError(f"A^{k} leaves float64 range: degree sums are not finite")
-    return PowerAggregation(m, k, *_diagonals(scheme, out_deg, in_deg), scheme)
+    d_l, d_r = (ones if d is None else d for d in _diagonals(scheme, lambda: out_deg, lambda: in_deg))
+    return PowerAggregation(m, k, d_l, d_r, scheme)
 
 
 def gcn_canonical(a: SparseCountMatrix) -> WeightedAdjacency:

@@ -78,7 +78,7 @@ def test_ragged_features(tmp_path):
     ("labels.tsv", "0\t0\n1\tB\n2\t0\n", "labels.tsv:2"),
     ("features.csv", "0,1\n1,1\nx,1\n", "features.csv:3"),
     ("features.csv", "0,1\n1,abc\n2,1\n", "features.csv:2"),
-    ("edges.tsv", "0\t1\n1\t99999999999999999999\n", "edges.tsv: node id outside the 64-bit"),
+    ("edges.tsv", "0\t1\n1\t99999999999999999999\n", "edges.tsv:2: node id outside the 64-bit"),
     ("edges.tsv", "%nodes \u0663\n0\t1\n", "edges.tsv:1: bad header"),
     ("edges.tsv", "%nodes 3\n0\t1\n1_0\t2\n", "edges.tsv:3: non-integer endpoint"),
     ("edges.tsv", "%nodes 3\n0\t+1\n", "edges.tsv:2: non-integer endpoint"),
@@ -317,6 +317,32 @@ def test_edges_outside_their_range_name_the_file(tmp_path, capsys, text, where):
     with pytest.raises(DatasetError, match=where):
         load_dataset(tmp_path)
     assert main(["train", "--dataset", str(tmp_path), "--arch", "k_layer_gcn", "--splits", "1"]) == 2
+
+
+_PADDED = "0" * 5000  # past int()'s 4300-character limit
+_PAST_INT64 = ("99999999999999999999", "-9223372036854775809", _PADDED + "9223372036854775808")
+
+
+@pytest.mark.parametrize("comment", ["", "# c\n"], ids=["table", "line-grammar"])
+def test_integer_tokens_read_alike_on_both_routes(tmp_path, comment):
+    # a comment line sends a file to the line grammar; every answer is the table route's
+    write_toy(tmp_path, features=False)
+    (tmp_path / "edges.tsv").write_text(f"{comment}%nodes 3\n0\t{_PADDED}1\n-0\t2\n", encoding="utf-8")
+    (tmp_path / "labels.tsv").write_text(f"{comment}0\t0\n{_PADDED}1\t-{_PADDED}7\n2\t9223372036854775807\n",
+                                         encoding="utf-8")
+    bundle = load_dataset(tmp_path)
+    assert bundle.graph == from_edge_list([(0, 1), (0, 2)], 3) and bundle.labels.tolist() == [1, 0, 2]
+    for token in _PAST_INT64:
+        (tmp_path / "edges.tsv").write_text(f"{comment}0\t1\n1\t{token}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"edges.tsv:{2 + bool(comment)}: node id outside the 64-bit"):
+            load_dataset(tmp_path)
+        with pytest.raises(InputError, match=f"line {2 + bool(comment)}: node id outside the 64-bit"):
+            graphs.edge_array(f"{comment}0\t1\n{token}\t1\n")
+    (tmp_path / "edges.tsv").write_text("%nodes 3\n0\t1\n1\t2\n", encoding="utf-8")
+    for line in (f"1\t{_PAST_INT64[0]}", f"{_PAST_INT64[2]}\t1"):  # a class id, then a node id
+        (tmp_path / "labels.tsv").write_text(f"{comment}0\t0\n{line}\n2\t0\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"labels.tsv:{2 + bool(comment)}: integer outside the 64-bit range"):
+            load_dataset(tmp_path)
 
 
 def test_written_dataset_loads_without_the_line_grammar(tmp_path, monkeypatch):

@@ -376,8 +376,14 @@ def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
         real = getattr(hops, name)
         monkeypatch.setattr(hops, name, lambda x, y, real=real: operands.append(y) or real(x, y))
         rungs = list(islice(hops._rungs(base, getattr(hops, name)), 4))
-        assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
-        assert all(isinstance(r, np.ndarray) and r.dtype == base.dtype for r in rungs[1:])
+        if name == "_count_matmul":
+            # 8 bytes a cell: rung 1 stays CSR, and every later rung is a dense int64 array
+            assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
+            assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in rungs[1:])
+        else:
+            # one bit a cell: 400 packed rows of 7 words undercut even rung 1's CSR at 5 bytes an entry
+            assert 8 * 400 * 7 < 5 * base.nnz + 4 * 401
+            assert all(isinstance(r, np.ndarray) and r.shape == (400, 7) and r.dtype == np.uint64 for r in rungs)
         # rung 2 too is one sparse-times-dense product, also through the public ladders:
         # no sparse-times-sparse product is built and sorted first
         ladder()
@@ -385,6 +391,18 @@ def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
         assert len(operands) == (4 if name == "_count_matmul" else 3)
         assert all(isinstance(y, np.ndarray) for y in operands)
         operands.clear()
+
+
+@pytest.mark.parametrize("entries, packed", [(239, False), (240, True)])
+def test_a_boolean_rung_packs_once_its_bits_take_fewer_bytes_than_csr(entries, packed):
+    # n = 100: packed rows take 100 rows * 2 words * 8 = 1,600 bytes, and CSR takes
+    # 5 bytes an entry plus 4 * 101 of row offsets: 1,599 bytes at 239 entries, 1,604 at 240
+    cells = np.random.default_rng(0).choice(100 * 100, size=entries, replace=False)
+    a = from_edge_list(np.stack(np.divmod(cells, 100), axis=1), 100)
+    rung = next(hops._rungs(support_of(a).csr, hops._bool_matmul))
+    assert isinstance(rung, np.ndarray) == packed != sp.issparse(rung)
+    assert hops._rung_nnz(rung) == entries
+    assert mat_power_support(a, 1) == support_of(a)  # a packed rung unpacks to the same pattern
 
 
 def test_binomial_check_reads_one_count_ladder(monkeypatch):

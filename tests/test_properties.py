@@ -44,10 +44,12 @@ from hopscope import (
     run_sweep,
     support_equal,
     support_of,
+    support_periodicity,
     support_subset,
     symmetrize,
     synthesize_dataset,
     transpose,
+    verify_loop_lemma,
 )
 from hopscope import LayerParams, cli, datasets, graphs, hops, model_backward, models
 from hopscope.models import (
@@ -155,19 +157,136 @@ def test_boolean_ladder_stops_exactly_at_its_first_fixed_point(a, k_max):
     assert len(made) == fixed
 
 
-@given(digraphs_with_cycle(), st.integers(min_value=1, max_value=5))
+def _cells(rung):
+    """A boolean rung in either form as a dense bool array."""
+    return (rung if sp.issparse(rung) else hops._unpack(rung)).toarray()
+
+
+@given(digraphs_with_cycle(), st.integers(min_value=1, max_value=5), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_cycle_lhs_is_the_walks_through_the_cycle(case, k_max):
+def test_cycle_walks_are_the_walks_through_the_cycle(case, k_max, as_csr):
     a, cycle = case
-    supports = [mat_power_support(a, t) for t in range(k_max + 1)]
+    # every rung as CSR, or each in its rung form (most of these small ones pack)
+    rungs = [mat_power_support(a, t).csr for t in range(1, k_max + 1)]
+    rungs = rungs if as_csr else [hops._rung_form(r) for r in rungs]
     reach = _dense_reach(a, k_max)
-    for k in range(1, k_max + 1):
+    walks = list(hops._cycle_walks(support_of(a).csr, rungs, cycle))
+    assert len(walks) == k_max
+    for k, got in enumerate(walks, start=1):
         # (i, j) such that some t and some c on the cycle give A^t[i, c] > 0 and A^{k-t}[c, j] > 0
         want = np.zeros((a.n_rows, a.n_rows), dtype=bool)
         for t in range(k + 1):
             for c in cycle:
                 want |= np.outer(reach[t][:, c], reach[k - t][c, :])
-        assert np.array_equal(hops._cycle_lhs(supports, k, cycle).to_dense(), want)
+        assert np.array_equal(_cells(got), want)
+
+
+_WORD_SIDES = (1, 63, 64, 65, 127, 128, 129)  # node counts on both sides of the 64-cell words
+
+
+@st.composite
+def word_boundary_digraphs(draw):
+    """``(graph, lemma, m)``: a digraph with n on a word boundary, shaped for one loop lemma.
+
+    Its edges number a multiple of n (the rungs cross the size line after
+    a few steps), sit within a few entries of rung 1's size line, or fill
+    about half the cells.
+    """
+    n = draw(st.sampled_from(_WORD_SIDES))
+    line = (8 * n * -(-n // 64) - 4 * (n + 1)) // 5  # rung 1 packs past this many entries
+    size = draw(st.sampled_from(["sparse", "line", "half"]))
+    m = {"sparse": n * draw(st.sampled_from([1, 2, 3])) // 2,
+         "line": line + draw(st.integers(-2, 2)),
+         "half": n * n // 2}[size]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.choice(n * n, size=min(max(m, 0), n * n), replace=False)
+    edges = np.stack(np.divmod(cells, n), axis=1)
+    lemma = draw(st.sampled_from(["self_loop", "two_node", "m_node"]))
+    cycle_len = None
+    if lemma == "m_node":
+        cycle_len = draw(st.integers(1, min(n, 4)))
+        ring = rng.choice(n, size=cycle_len, replace=False)
+        edges = np.concatenate([edges, np.stack([ring, np.roll(ring, -1)], axis=1)]).reshape(-1, 2)
+    graph = from_edge_list(edges, n)
+    event(f"{size} n={n} {lemma}")
+    if lemma == "self_loop":
+        graph = add_self_loops(graph)
+    elif lemma == "two_node":
+        graph = symmetrize(graph)
+    return graph, lemma, cycle_len
+
+
+def _float_reach(a, k_max):
+    """Boolean ``A^t`` for t = 0..k_max by dense float32 products (exact: every count stays below 2**24)."""
+    adj = (a.to_dense() > 0).astype(np.float32)
+    out = [np.eye(a.n_rows, dtype=bool)]
+    for _ in range(k_max):
+        out.append((out[-1].astype(np.float32) @ adj) > 0)
+    return out
+
+
+def _first_missing(p, q):
+    hits = np.argwhere(p & ~q)
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
+@given(word_boundary_digraphs(), st.integers(1, 5), st.sampled_from([1024, 1 << 23]))
+@settings(max_examples=120, deadline=None)
+def test_packed_ladder_equals_a_dense_boolean_oracle(case, k_max, block):
+    # at 1 KiB, packing, unpacking and the packed product take a few rows or entries a block
+    with patch.object(hops, "_GATHER_BYTES", block):
+        _check_packed_ladder(*case, k_max)
+
+
+def _check_packed_ladder(a, lemma, m, k_max):
+    """The rungs, ``verify_loop_lemma`` and ``support_periodicity`` of ``a`` against dense oracles."""
+    shift = {"self_loop": 1, "two_node": 2}.get(lemma, m)
+    k_cap = 10
+    reach = _float_reach(a, max(k_max + shift, k_cap))
+    n = a.n_rows
+    # every rung is in the form its size asks for, and holds the oracle's pattern and count
+    rungs = list(islice(hops._rungs(support_of(a).csr, hops._bool_matmul), k_max + shift))
+    for k, rung in enumerate(rungs, start=1):
+        nnz = int(np.count_nonzero(reach[k]))
+        assert isinstance(rung, np.ndarray) == hops._is_dense(True, n, nnz)
+        assert hops._rung_nnz(rung) == nnz and np.array_equal(_cells(rung), reach[k])
+    event(f"forms {''.join('p' if isinstance(r, np.ndarray) else 'c' for r in rungs)}")
+    for k in range(1, len(rungs)):
+        assert hops._first_extra(rungs[k], rungs[k - 1]) == _first_missing(reach[k + 1], reach[k])
+        assert hops._first_extra(rungs[k - 1], rungs[k]) == _first_missing(reach[k], reach[k + 1])
+    assert [p.to_dense().tolist() for p in islice(power_ladder(a), k_max)] == [r.tolist() for r in reach[1:k_max + 1]]
+    assert list(hops.support_nnz(a, range(1, k_max + 1))) == [int(np.count_nonzero(r)) for r in reach[1:k_max + 1]]
+    # the loop lemma: the walks through the cycle (or every walk) of length k against A^(k+shift)
+    report = verify_loop_lemma(a, lemma, k_max, m=m)
+    want = []
+    for k in range(1, k_max + 1):
+        lhs = reach[k]
+        if lemma == "m_node":
+            c = list(report.cycle)
+            lhs = np.zeros((n, n), dtype=bool)
+            for t in range(k + 1):
+                lhs |= (reach[t][:, c].astype(np.float32) @ reach[k - t][c, :].astype(np.float32)) > 0
+        want.append(_first_missing(lhs, reach[k + shift]))
+    assert [c.counterexample for c in report.checks] == want and all(c.holds for c in report.checks) == (
+        want == [None] * k_max)
+    assert report.nnz == tuple(int(np.count_nonzero(r)) for r in reach[1:k_max + 1])
+    # periodicity: the first repeat within k_cap, unless a rung vanishes first
+    seen, got = {}, None
+    for k in range(1, k_cap + 1):
+        if not reach[k].any():
+            got = "nilpotent"
+            break
+        key = reach[k].tobytes()
+        if key in seen:
+            got = (seen[key], k - seen[key])
+            break
+        seen[key] = k
+    event(f"periodicity {got if isinstance(got, str) else 'repeat' if got else 'none'}")
+    try:
+        per = support_periodicity(a, k_cap)
+        assert got == (None if per is None else (per.preperiod, per.period))
+    except InputError:
+        assert got == "nilpotent"
 
 
 @st.composite
@@ -184,9 +303,12 @@ def test_first_extra_is_the_row_major_first_missing_entry(pair):
     hits = np.argwhere(p & ~q)
     want = tuple(hits[0].tolist()) if len(hits) else None
     sp_p, sp_q = SupportPattern(sp.csr_matrix(p)), SupportPattern(sp.csr_matrix(q))
-    got = hops._first_extra(sp_p, sp_q)
-    assert got == want
-    assert got is None or all(type(x) is int for x in got)  # the CLI prints it
+    # each rung as CSR or as packed rows
+    for lhs in (sp_p.csr, hops._pack(sp_p.csr)):
+        for rhs in (sp_q.csr, hops._pack(sp_q.csr)):
+            got = hops._first_extra(lhs, rhs)
+            assert got == want
+            assert got is None or all(type(x) is int for x in got)  # the CLI prints it
     assert support_subset(sp_p, sp_q) == (want is None)
 
 
@@ -769,8 +891,6 @@ def test_edge_array_agrees_with_the_line_grammar(text, block):
         want = np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
     except InputError as exc:
         want = exc
-    except OverflowError:
-        want = InputError("node id outside the 64-bit integer range")
     with patch.object(graphs, "_TABLE_BLOCK", block):
         if isinstance(want, InputError):
             with pytest.raises(InputError) as got:

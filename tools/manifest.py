@@ -8,7 +8,9 @@
 Outputs covered: the CLI command sequence of the c11 determinism check
 (exit code, stdout and stderr of each command, and every file it writes),
 ``normalize`` for the four schemes on a plain, a ``--selfloops`` and a
-``--symmetrize`` graph, ``analyze-loops`` for the four lemmas, a short
+``--symmetrize`` graph, ``analyze-loops`` for the four lemmas (also on a
+130-node ring and DAG whose boolean rungs cross the size line between CSR
+and packed rows, with ``support_periodicity`` of that ring), a short
 sweep of the two power architectures up to k = 15 (its walk counts pass
 2**53 at k = 12 and int64 at k = 14; every cell applies its power by k
 sparse products) and a short deep ``train``, each through the CLI and, with exact
@@ -98,7 +100,8 @@ def main() -> int:
     import numpy as np
     from hopscope import (ARCHITECTURES, ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features,
                           from_edge_list, init_params, load_dataset, make_splits, model_backward, normalize,
-                          read_edge_list, run_sweep, save_dataset, symmetrize, synthesize_dataset, train_model)
+                          read_edge_list, run_sweep, save_dataset, support_periodicity, symmetrize, synthesize_dataset,
+                          train_model)
     from hopscope.cli import main as cli
     from hopscope.models import flat_gradients
     from hopscope.training import train_splits
@@ -138,6 +141,21 @@ def main() -> int:
                                     ("m_node", ["--m", "3"], "multi"), ("dag", [], "dag")):
             _cli(cli, f"analyze-loops {lemma}", ["analyze-loops", "--graph", g[graph], "--lemma", lemma, *extra,
                                                  "--kmax", "6", "--out", f"{lemma}.csv"], [f"{lemma}.csv"])
+
+        # 130 nodes take three words a packed row, and a rung packs past 519 entries: these ladders cross
+        # that line, from CSR to packed rows (the ring) and back (the DAG's rungs shrink to nothing)
+        rng130 = random.Random(130)
+        ring130 = [(i, (i + 1) % 130) for i in range(130)] + [(2, 0)]
+        ring130 += [(rng130.randrange(130), rng130.randrange(130)) for _ in range(40)]
+        _write_graph(Path("ring130.tsv"), 130, ring130)
+        _write_graph(Path("dag130.tsv"), 130, [(i, j) for i in range(130) for j in range(i + 1, 130)
+                                               if rng130.random() < 0.05])
+        for lemma, extra, graph in (("self_loop", ["--selfloops"], "ring130"), ("two_node", ["--symmetrize"], "ring130"),
+                                    ("m_node", ["--m", "3"], "ring130"), ("dag", [], "dag130")):
+            _cli(cli, f"analyze-loops {graph} {lemma}", ["analyze-loops", "--graph", f"{graph}.tsv", "--lemma", lemma,
+                                                          *extra, "--kmax", "8", "--out", f"{lemma}130.csv"],
+                 [f"{lemma}130.csv"])
+        _emit("library support_periodicity ring130", repr(support_periodicity(read_edge_list("ring130.tsv"), 200)).encode())
 
         # bidirectional structure_only (n=200): walk counts pass 2**53 at k = 12 and int64 at k = 14
         _cli(cli, "sweep power", ["sweep", "--synth", "structure_only", "--n", "200", "--arches",
