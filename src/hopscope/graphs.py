@@ -76,21 +76,12 @@ def _exact_total(values: np.ndarray) -> int:
 
 
 def _canonical(m, dtype) -> sp.csr_matrix:
-    """A scipy matrix or dense array as canonical CSR of ``dtype`` with read-only arrays.
+    """A scipy matrix as canonical CSR of ``dtype`` with read-only arrays.
 
     Canonical: sorted column indices without repeats and no explicit zeros.
     A matrix that already is canonical keeps its arrays; one that is not and
     whose arrays are read-only is copied before it is fixed.
     """
-    if isinstance(m, np.ndarray):  # straight to CSR: scipy's route through COO is 5x slower
-        nz = m != 0
-        per_row = np.count_nonzero(nz, axis=1)
-        # the index dtype scipy keeps (int32 while the shape and nnz fit), so it copies neither index array
-        index = np.int32 if max(m.shape) < 2**31 and per_row.sum() < 2**31 else np.int64
-        offsets = np.zeros(m.shape[0] + 1, dtype=index)
-        np.cumsum(per_row, out=offsets[1:])
-        columns = np.broadcast_to(np.arange(m.shape[1], dtype=index), m.shape)[nz]
-        m = sp.csr_matrix((m[nz], columns, offsets), shape=m.shape)
     m = sp.csr_matrix(m, dtype=dtype)
     if not (m.has_canonical_format and m.data.all()):
         if not all(arr.flags.writeable for arr in (m.indptr, m.indices, m.data)):
@@ -100,6 +91,17 @@ def _canonical(m, dtype) -> sp.csr_matrix:
     for arr in (m.indptr, m.indices, m.data):
         arr.flags.writeable = False
     return m
+
+
+def _index(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``; anything else raises :class:`InputError`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InputError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _as_int64(arr: np.ndarray) -> np.ndarray:
@@ -123,7 +125,7 @@ class _CSRWrapper:
 
     @classmethod
     def _of(cls, m):
-        """A fresh scipy result (or dense array) made canonical once and wrapped."""
+        """A fresh scipy result made canonical once and wrapped."""
         self = object.__new__(cls)
         object.__setattr__(self, "csr", _canonical(m, cls._dtype))
         return self
@@ -283,12 +285,7 @@ def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:
     pairs of integers. Duplicate pairs accumulate into the integer entry,
     so a doubled edge yields value 2.
     """
-    try:
-        n_nodes = operator.index(n_nodes)
-    except TypeError:
-        raise InputError(f"n_nodes must be an integer, got {n_nodes!r}") from None
-    if n_nodes < 0:
-        raise InputError("n_nodes must be non-negative")
+    n_nodes = _index(n_nodes, "n_nodes", 0)
     arr = _as_edge_pairs(edges)
     if len(arr) and (arr.min() < 0 or arr.max() >= n_nodes):
         bad = arr[(arr < 0).any(axis=1) | (arr >= n_nodes).any(axis=1)][0]
@@ -305,7 +302,7 @@ def from_dense(dense) -> SparseCountMatrix:
         raise InputError("dense input must be 2-D")
     if np.any(dense < 0):
         raise InputError("entries must be non-negative")
-    return SparseCountMatrix._of(dense)
+    return SparseCountMatrix._of(sp.csr_matrix(dense))
 
 
 def _require_square(a: SparseCountMatrix, op: str):

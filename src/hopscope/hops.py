@@ -1,38 +1,19 @@
 """Adjacency powers and connectivity-pattern algebra.
 
-Two semirings drive everything here. Counting powers multiply over the
-non-negative integers, so ``A^k[i, j]`` is the exact number of directed
-walks of length ``k`` from ``i`` to ``j``; results are kept within 64-bit
-range and overflow raises instead of wrapping. Support powers multiply
-over booleans (handed out as canonical ``bool`` scipy CSR, the format
-every other layer uses), so they track only which entries are non-zero
-and can never overflow. Each semiring has one ladder that walks ``A,
-A^2, ...`` one product per step: :func:`count_ladder` for counts and
-:func:`power_ladder` (or :func:`support_nnz` for the entry counts of chosen k)
-for patterns; every sweep over k reads one. A power aggregation reads
-neither (see :mod:`hopscope.normalization`).
+Counting powers multiply over the non-negative integers: ``A^k[i, j]`` is
+the exact number of directed walks of length ``k`` from ``i`` to ``j``,
+held as canonical int64 CSR, and an entry outside int64 raises
+:class:`CountOverflowError` instead of wrapping. Support powers multiply
+over booleans and never overflow; a pattern is handed out as canonical
+``bool`` CSR. Each semiring has one ladder that walks ``A, A^2, ...`` one
+product per step (:func:`count_ladder`; :func:`power_ladder` and
+:func:`support_nnz`), and every sweep over k reads one.
 
-Both ladders share one walker, :func:`_rungs`, which carries each rung
-in the smaller of two forms, chosen anew at every rung from its nnz. A
-counting rung with ``3 * nnz >= 2 * n^2`` is a dense int64 array (8 bytes
-a cell is then no more than CSR's 12 an entry). A boolean rung is packed
-rows, one bit a cell in ``ceil(n/64)`` uint64 words a row, once those
-take fewer bytes than CSR's 5 an entry plus row offsets; so a 10^5-node
-graph never packs. The sparse base advances a dense rung with one
-sparse-times-dense product, for packed rows one gather and one
-``np.bitwise_or.reduceat``: no nnz pass, no index sort. A sparse rung
-whose product is sure to pass its line takes the same route. Any other
-rung stays canonical CSR. The pattern readers (:func:`support_nnz`,
-:func:`verify_loop_lemma`, :func:`support_periodicity`) read boolean
-rungs in place; only a rung handed out as a :class:`SupportPattern` is
-unpacked. A boolean ladder whose rung repeats the one before it has
-reached a fixed point and makes no further product.
-
-On top of the powers sit the structural checks: inclusion of the k-step
-pattern into later patterns for graphs with self-loops, symmetric edges,
-or a planted cycle; nilpotency with the longest-path index for acyclic
-graphs; and empirical (preperiod, period) detection for the eventual
-behavior of the pattern sequence.
+On top of the powers sit the structural checks: pattern inclusion under
+self-loops, symmetric edges or a planted cycle, nilpotency with the
+longest-path index for acyclic graphs, and (preperiod, period) detection
+for the pattern sequence. A power index that is not an integer at or
+above its lower bound raises :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -46,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CountOverflowError, InputError, LoopHypothesisError
-from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, _require_square, add_self_loops
+from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, _index, _require_square, add_self_loops
 
 __all__ = [
     "INT64_MAX",
@@ -139,36 +120,30 @@ def _exact_row(x: sp.csr_matrix, y: sp.csr_matrix, i: int) -> dict[int, int]:
     return acc
 
 
-def _count_matmul(x: sp.csr_matrix, y):
-    """Exact integer product of CSR ``x`` and CSR or dense ``y``; raises if an entry would leave int64.
+def _count_matmul(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
+    """Exact canonical int64 CSR product of CSR ``x`` and ``y``; raises if an entry would leave int64.
 
-    A CSR ``y`` gives a canonical CSR product, a dense ``y`` a dense int64
-    one (one sparse-times-dense pass, nothing to sort). Every term is
-    non-negative, so a row of the int64 product is exact iff its true
-    values fit. A float64 bound (max row sum of ``x`` times max of ``y``)
-    clears most products at once; otherwise the float64 product screens
-    rows, and only the rows it cannot clear are summed in Python ints, in
-    row order, to name the first entry that leaves int64.
+    Every term is non-negative, so a row of the int64 product is exact iff
+    its true values fit. A float64 bound (max row sum of ``x`` times max of
+    ``y``) clears most products at once; otherwise the float64 product
+    screens rows, and only the rows it cannot clear are summed in Python
+    ints, in row order, to name the first entry that leaves int64.
     """
     # a float64 sum of t non-negative terms is off by at most t * 2**-53 relative
     slack = max(2.0**-30, x.shape[1] * 2.0**-51)
     limit = float(INT64_MAX) * (1.0 - slack)
     xf = x.astype(np.float64)
-    y_max = (y.data if sp.issparse(y) else y).max(initial=0)
     # every entry of x @ y is at most max_row_sum(x) * max(y)
-    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y_max * (1.0 + slack) > limit:
+    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y.data.max(initial=0) * (1.0 + slack) > limit:
         hot = (xf @ y.astype(np.float64)) > limit
-        rows = np.flatnonzero(np.asarray(hot.sum(axis=1)).ravel()).tolist()
-        y_rows = _canonical(y, np.int64) if rows else y
-        for i in rows:
-            acc = _exact_row(x, y_rows, i)
+        for i in np.flatnonzero(np.asarray(hot.sum(axis=1)).ravel()).tolist():
+            acc = _exact_row(x, y, i)
             for j in sorted(acc):
                 if acc[j] > INT64_MAX:
                     raise CountOverflowError(
                         f"walk count at ({i}, {j}) exceeds 64-bit range ({acc[j]})"
                     )
-    out = x @ y
-    return _canonical(out, np.int64) if sp.issparse(out) else out
+    return _canonical(x @ y, np.int64)
 
 
 def _words(n: int) -> int:
@@ -250,37 +225,27 @@ def _packed(rung) -> np.ndarray:
     return _pack(rung) if sp.issparse(rung) else rung
 
 
-def _is_dense(boolean: bool, n: int, nnz: int) -> bool:
-    """Whether an n×n rung of ``nnz`` entries is held dense rather than as CSR.
+def _packs(n: int, nnz: int) -> bool:
+    """Whether an n×n boolean rung of ``nnz`` entries is held as packed rows rather than CSR.
 
-    A boolean rung packs when its ``8 * n * _words(n)`` bytes are fewer
-    than CSR's 5 an entry (1-byte value, int32 index) plus 4 a row offset,
-    so an empty one never packs. A counting rung is a dense int64 array
-    once ``3 * nnz >= 2 * n^2``: 8 bytes a cell against CSR's 12 an entry.
+    It packs when its ``8 * n * _words(n)`` bytes are fewer than CSR's 5 an
+    entry (1-byte value, int32 index) plus 4 a row offset, so an empty
+    rung never packs.
     """
-    if boolean:
-        return 0 < 8 * n * _words(n) < 5 * nnz + 4 * (n + 1)
-    return 0 < 2 * n * n <= 3 * nnz
-
-
-def _dense(m: sp.csr_matrix):
-    """The dense form of a CSR rung: packed rows for a boolean one, an int64 array for counts."""
-    return _pack(m) if m.dtype == bool else m.toarray()
+    return 0 < 8 * n * _words(n) < 5 * nnz + 4 * (n + 1)
 
 
 def _rung_nnz(rung) -> int:
-    """The entries of a rung in either form; canonical CSR and scipy's products store no zero."""
-    if sp.issparse(rung):
-        return int(rung.nnz)
-    return int(_row_counts(rung).sum()) if rung.dtype == np.uint64 else int(np.count_nonzero(rung))
+    """The entries of a boolean rung in either form; canonical CSR and scipy's products store no zero."""
+    return int(rung.nnz) if sp.issparse(rung) else int(_row_counts(rung).sum())
 
 
 def _rung_form(m):
-    """A square product or rung in its form: dense where :func:`_is_dense` says so, else canonical CSR."""
-    packed = isinstance(m, np.ndarray) and m.dtype == np.uint64
-    if _is_dense(packed or m.dtype == bool, m.shape[0], _rung_nnz(m)):
-        return _dense(m) if sp.issparse(m) else m
-    return _unpack(m) if packed else _canonical(m, m.dtype)
+    """A boolean product or rung in its form: packed rows where :func:`_packs` says so, else canonical CSR."""
+    csr = sp.issparse(m)
+    if _packs(m.shape[0], _rung_nnz(m)):
+        return _pack(m) if csr else m
+    return _canonical(m, bool) if csr else _unpack(m)
 
 
 def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
@@ -306,37 +271,35 @@ def _rung_key(rung) -> tuple[bool, bytes]:
     return False, rung.tobytes()
 
 
-def _rungs(base: sp.csr_matrix, product) -> Iterator:
-    """Yield ``B^1, B^2, ...`` of the positive CSR ``base`` unconverted, each in its :func:`_rung_form`.
+def _rungs(base: sp.csr_matrix) -> Iterator:
+    """Yield ``support(B^1), support(B^2), ...`` of the boolean CSR ``base``, each in its :func:`_rung_form`.
 
-    ``product(base, rung)`` makes the next rung; the sparse base multiplies
-    from the left, so a dense rung advances with one sparse-times-dense
-    product. A sparse rung goes dense before its product when
-    :func:`_product_nnz_floor` already passes the dense line, so a product
-    that is sure to be dense never builds and sorts a CSR first. A boolean
-    rung equal to the one before it is a fixed point of ``P ↦ support(B·P)``:
-    every later rung equals it, so it is yielded again with no further
-    product. A counting ladder never stops early.
+    Each step is one :func:`_bool_matmul` with the base on the left. A CSR
+    rung packs before its product when :func:`_product_nnz_floor` already
+    passes the packing line. A rung equal to the one before it is a fixed
+    point of ``P ↦ support(B·P)``, so it is yielded again with no further
+    product.
     """
     if base.shape[0] != base.shape[1]:
         raise InputError("matrix power requires a square matrix")
-    boolean, n = base.dtype == bool, base.shape[0]
+    n = base.shape[0]
     cur = _rung_form(base)
     while True:
         yield cur
-        step = _dense(cur) if sp.issparse(cur) and _is_dense(boolean, n, _product_nnz_floor(base, cur)) else cur
-        nxt = _rung_form(product(base, step))
-        if boolean and _rung_key(nxt) == _rung_key(cur):
+        step = _pack(cur) if sp.issparse(cur) and _packs(n, _product_nnz_floor(base, cur)) else cur
+        nxt = _rung_form(_bool_matmul(base, step))
+        if _rung_key(nxt) == _rung_key(cur):
             yield from repeat(cur)
         cur = nxt
 
 
 def _powers(rungs: Iterator, ks, convert) -> Iterator:
-    """Yield ``convert(rung k)`` of ``rungs`` for each k of the ascending ``ks`` (all >= 1);
+    """Yield ``convert(rung k)`` of ``rungs`` for each k of ``ks``, which must rise from 1;
     only those rungs are converted."""
-    rungs = enumerate(rungs, start=1)
+    rungs, last = enumerate(rungs, start=1), 0
     for k in ks:
-        yield next(convert(r) for j, r in rungs if j == k)
+        last = _index(k, "power", last + 1)
+        yield next(convert(r) for j, r in rungs if j == last)
 
 
 def _pattern(rung) -> SupportPattern:
@@ -344,14 +307,18 @@ def _pattern(rung) -> SupportPattern:
     return SupportPattern._of(rung if sp.issparse(rung) else _unpack(rung))
 
 
-def _count_rungs(a: SparseCountMatrix) -> Iterator:
-    """The counting ladder of ``A``: its rungs ``A^k``, k = 1, 2, ..., unconverted."""
-    return _rungs(a.csr, _count_matmul)
+def _count_rungs(a: SparseCountMatrix) -> Iterator[sp.csr_matrix]:
+    """The counting ladder of ``A``: its rungs ``A^k``, k = 1, 2, ..., as canonical int64 CSR."""
+    _require_square(a, "matrix power")
+    rung = a.csr
+    while True:
+        yield rung
+        rung = _count_matmul(a.csr, rung)
 
 
 def _bool_rungs(a: SparseCountMatrix) -> Iterator:
     """The boolean ladder of ``A``: its rungs ``support(A^k)``, k = 1, 2, ..., read in place."""
-    return _rungs(support_of(a).csr, _bool_matmul)
+    return _rungs(support_of(a).csr)
 
 
 def count_ladder(a: SparseCountMatrix) -> Iterator[SparseCountMatrix]:
@@ -378,9 +345,7 @@ def power_ladder(a: SparseCountMatrix) -> Iterator[SupportPattern]:
 def _power(a: SparseCountMatrix, k: int, cls, ladder, convert):
     """``A^k`` as a ``cls``: the identity at k = 0, else ``convert`` of rung k of ``ladder(a)``."""
     _require_square(a, "matrix power")
-    if k < 0:
-        raise InputError("power must be non-negative")
-    if k == 0:
+    if _index(k, "power", 0) == 0:
         return cls._of(sp.identity(a.n_rows, dtype=cls._dtype, format="csr"))
     return next(_powers(ladder(a), [k], convert))
 
@@ -473,10 +438,9 @@ def support_periodicity(a: SparseCountMatrix, k_cap: int) -> SupportPeriodicity 
     up to ``k_cap`` (not stabilized), which is an outcome, not an error.
     """
     _require_square(a, "support_periodicity")
-    if k_cap < 2:
-        raise InputError("k_cap must be at least 2")
+    k_cap = _index(k_cap, "k_cap", 2)
     seen: dict[tuple[bool, bytes], int] = {}
-    for k, rung in enumerate(islice(_bool_rungs(a), k_cap), start=1):
+    for k, rung in zip(range(1, k_cap + 1), _bool_rungs(a)):
         if not _rung_nnz(rung):
             raise InputError(
                 "adjacency is nilpotent (pattern vanished); use dag_profile for acyclic graphs"
@@ -606,8 +570,7 @@ def verify_loop_lemma(
     that is not a failed check, the property simply was not asserted.
     """
     _require_square(a, "verify_loop_lemma")
-    if k_max < 1:
-        raise InputError("k_max must be at least 1")
+    k_max = _index(k_max, "k_max", 1)
     s1 = support_of(a)
     cycle: tuple[int, ...] | None = None
 
@@ -632,7 +595,7 @@ def verify_loop_lemma(
         raise InputError(f"unknown lemma kind {lemma!r}")
 
     # rungs[k - 1] is support(A^k) for k = 1..k_max+shift, each in its rung form
-    rungs = list(islice(_rungs(s1.csr, _bool_matmul), k_max + shift))
+    rungs = list(islice(_rungs(s1.csr), k_max + shift))
     lhs = _cycle_walks(s1.csr, rungs, cycle) if lemma == "m_node" else iter(rungs)
     checks = []
     for k, walks in zip(range(1, k_max + 1), lhs):
@@ -654,9 +617,9 @@ def path_count_oracle(a: SparseCountMatrix, k: int, i: int, j: int) -> int:
     because the enumeration is exponential.
     """
     _require_square(a, "path_count_oracle")
-    if a.n_rows > 12 or k > 6:
+    if a.n_rows > 12 or _index(k, "power", 0) > 6:
         raise InputError("oracle guard: needs n <= 12 and k <= 6")
-    if k < 0 or not (0 <= i < a.n_rows) or not (0 <= j < a.n_rows):
+    if _index(i, "i", 0) >= a.n_rows or _index(j, "j", 0) >= a.n_rows:
         raise InputError("bad oracle arguments")
     rows = [list(zip(a.row(v)[0].tolist(), a.row(v)[1].tolist())) for v in range(a.n_rows)]
 
@@ -674,8 +637,7 @@ def path_count_oracle(a: SparseCountMatrix, k: int, i: int, j: int) -> int:
 def binomial_expansion_check(a: SparseCountMatrix, k: int) -> bool:
     """Exact identity ``(A+I)^k == sum_i C(k, i) A^i`` over the integers."""
     _require_square(a, "binomial_expansion_check")
-    if k < 0:
-        raise InputError("power must be non-negative")
+    k = _index(k, "power", 0)
     lhs = mat_power_count(add_self_loops(a), k)
     powers = [mat_power_count(a, 0), *islice(count_ladder(a), k)]
     accum: dict[tuple[int, int], int] = {}

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, _CSRWrapper, _require_square, add_self_loops
+from .graphs import SparseCountMatrix, _CSRWrapper, _index, _require_square, add_self_loops
 
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "PowerAggregation", "normalize", "normalize_power", "gcn_canonical"]
 
@@ -193,6 +193,7 @@ def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregati
     :class:`NumericError` naming ``A^k``.
     """
     _require_square(a, "normalize_power")
+    k = _index(k, "power", 0)
     m, ones = a.csr.astype(np.float64), np.ones(a.n_rows)
     out_deg, in_deg = _walk(m, k, ones), _walk(m.T, k, ones)
     if not (np.isfinite(out_deg).all() and np.isfinite(in_deg).all()):

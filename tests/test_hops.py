@@ -1,3 +1,4 @@
+import signal
 import sys
 from itertools import islice
 
@@ -22,6 +23,7 @@ from hopscope import (
     make_splits,
     mat_power_count,
     mat_power_support,
+    normalize_power,
     path_count_oracle,
     power_ladder,
     run_sweep,
@@ -112,6 +114,37 @@ def test_oracle_guards():
         path_count_oracle(random_digraph(np.random.default_rng(0), 13), 2, 0, 1)
     with pytest.raises(InputError):
         path_count_oracle(p3(), 7, 0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: list(hops.support_nnz(k3(), [3, 2])),
+    lambda: list(hops.support_nnz(k3(), [2, 2])),
+    lambda: list(hops.support_nnz(k3(), [0])),
+    lambda: mat_power_count(k3(), 2.5),
+    lambda: mat_power_support(k3(), 2.5),
+    lambda: binomial_expansion_check(k3(), 2.5),
+    lambda: binomial_expansion_check(p3(), 2.5),  # nilpotent: no ladder overflows, so a missed check runs on
+    lambda: path_count_oracle(k3(), 2.5, 0, 1),
+    lambda: path_count_oracle(k3(), 2, 0.5, 1),
+    lambda: support_periodicity(k3(), 2.5),
+    lambda: verify_loop_lemma(add_self_loops(k3()), "self_loop", k_max=2.5),
+    lambda: normalize_power(k3(), -1, "row"),
+], ids=["descending", "repeated", "zero", "count", "support", "binomial", "binomial nilpotent", "oracle",
+        "oracle node", "periodicity", "loop lemma", "normalize_power"])
+def test_a_bad_index_raises_input_error(call):
+    # a power a ladder has passed or never reaches, or a node that is no integer, must raise at once;
+    # the alarm fails a call that hangs
+    def hung(signum, frame):
+        raise TimeoutError("the call did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(2)
+    try:
+        with pytest.raises(InputError, match=r"must be (an integer|at least \d+), got "):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_oracle_multiplicity_product():
@@ -339,7 +372,7 @@ def test_sweep_densities_walk_one_ladder_per_template(products):
         assert r.density == density(support_of(mat_power_count(a, r.k)))
 
 
-def test_power_sweep_walks_one_count_ladder(products, monkeypatch):
+def test_power_sweep_makes_no_exact_product(products, monkeypatch):
     monkeypatch.setattr(hops, "_count_matmul", lambda x, y: pytest.fail("a power sweep made an exact product"))
     data = synthesize_dataset("structure_only", n=60, seed=1)
     cfg = TrainConfig(max_epochs=3, early_stop_patience=2, lr_sched_patience=1)
@@ -365,32 +398,24 @@ def test_power_sweep_converts_only_the_rungs_it_reads(monkeypatch):
     assert converted == [support_of(data[0])]
 
 
-def test_structure_only_ladder_is_dense_from_rung_two(monkeypatch):
+def test_structure_only_boolean_ladder_is_packed_from_rung_one(monkeypatch):
     graph, _, _ = synthesize_dataset("structure_only", n=400, seed=5)
     reach = _reach_adjacency(ModelSpec(arch="one_layer_power_k", k=1, propagation="bidirectional"), graph)
-    # the nnz floor of A @ A already passes the dense line: 159,600 of 160,000 cells against 106,667
+    # the nnz floor of A @ A: 159,600 of 160,000 cells
     assert hops._product_nnz_floor(reach.csr, reach.csr) == 159_600
     operands = []
-    for base, name, ladder in ((reach.csr, "_count_matmul", lambda: mat_power_count(reach, 2)),
-                               (support_of(reach).csr, "_bool_matmul", lambda: mat_power_support(reach, 2))):
-        real = getattr(hops, name)
-        monkeypatch.setattr(hops, name, lambda x, y, real=real: operands.append(y) or real(x, y))
-        rungs = list(islice(hops._rungs(base, getattr(hops, name)), 4))
-        if name == "_count_matmul":
-            # 8 bytes a cell: rung 1 stays CSR, and every later rung is a dense int64 array
-            assert sp.issparse(rungs[0]) and 3 * rungs[0].nnz < 2 * 400**2
-            assert all(isinstance(r, np.ndarray) and r.dtype == np.int64 for r in rungs[1:])
-        else:
-            # one bit a cell: 400 packed rows of 7 words undercut even rung 1's CSR at 5 bytes an entry
-            assert 8 * 400 * 7 < 5 * base.nnz + 4 * 401
-            assert all(isinstance(r, np.ndarray) and r.shape == (400, 7) and r.dtype == np.uint64 for r in rungs)
-        # rung 2 too is one sparse-times-dense product, also through the public ladders:
-        # no sparse-times-sparse product is built and sorted first
-        ladder()
-        # the boolean rung 2 is full, so rung 3 repeats it and rung 4 takes no product
-        assert len(operands) == (4 if name == "_count_matmul" else 3)
-        assert all(isinstance(y, np.ndarray) for y in operands)
-        operands.clear()
+    real = hops._bool_matmul
+    monkeypatch.setattr(hops, "_bool_matmul", lambda x, y: operands.append(y) or real(x, y))
+    base = support_of(reach).csr
+    rungs = list(islice(hops._rungs(base), 4))
+    # one bit a cell: 400 packed rows of 7 words undercut even rung 1's CSR at 5 bytes an entry
+    assert 8 * 400 * 7 < 5 * base.nnz + 4 * 401
+    assert all(isinstance(r, np.ndarray) and r.shape == (400, 7) and r.dtype == np.uint64 for r in rungs)
+    # rung 2 is one product on packed rows, also through the public ladder: no CSR product is built and sorted
+    mat_power_support(reach, 2)
+    # rung 2 is full, so rung 3 repeats it and rung 4 takes no product
+    assert len(operands) == 3
+    assert all(isinstance(y, np.ndarray) for y in operands)
 
 
 @pytest.mark.parametrize("entries, packed", [(239, False), (240, True)])
@@ -399,7 +424,7 @@ def test_a_boolean_rung_packs_once_its_bits_take_fewer_bytes_than_csr(entries, p
     # 5 bytes an entry plus 4 * 101 of row offsets: 1,599 bytes at 239 entries, 1,604 at 240
     cells = np.random.default_rng(0).choice(100 * 100, size=entries, replace=False)
     a = from_edge_list(np.stack(np.divmod(cells, 100), axis=1), 100)
-    rung = next(hops._rungs(support_of(a).csr, hops._bool_matmul))
+    rung = next(hops._rungs(support_of(a).csr))
     assert isinstance(rung, np.ndarray) == packed != sp.issparse(rung)
     assert hops._rung_nnz(rung) == entries
     assert mat_power_support(a, 1) == support_of(a)  # a packed rung unpacks to the same pattern
@@ -522,6 +547,7 @@ def test_periodicity_errors_and_saturation():
         support_periodicity(p3(), 10)  # nilpotent
     with pytest.raises(InputError):
         support_periodicity(k3(), 1)  # k_cap too small
+    assert support_periodicity(k3(), 2**70) == support_periodicity(k3(), 10)  # a cap past sys.maxsize
     # a long directed cycle cannot repeat within a tiny k_cap
     cyc = from_edge_list([(i, (i + 1) % 9) for i in range(9)], 9)
     assert support_periodicity(cyc, 5) is None

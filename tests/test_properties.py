@@ -245,10 +245,10 @@ def _check_packed_ladder(a, lemma, m, k_max):
     reach = _float_reach(a, max(k_max + shift, k_cap))
     n = a.n_rows
     # every rung is in the form its size asks for, and holds the oracle's pattern and count
-    rungs = list(islice(hops._rungs(support_of(a).csr, hops._bool_matmul), k_max + shift))
+    rungs = list(islice(hops._rungs(support_of(a).csr), k_max + shift))
     for k, rung in enumerate(rungs, start=1):
         nnz = int(np.count_nonzero(reach[k]))
-        assert isinstance(rung, np.ndarray) == hops._is_dense(True, n, nnz)
+        assert isinstance(rung, np.ndarray) == hops._packs(n, nnz)
         assert hops._rung_nnz(rung) == nnz and np.array_equal(_cells(rung), reach[k])
     event(f"forms {''.join('p' if isinstance(r, np.ndarray) else 'c' for r in rungs)}")
     for k in range(1, len(rungs)):
@@ -597,7 +597,7 @@ def test_stacked_backward_is_one_lone_backward_per_split(case):
 @given(multigraphs(), st.integers(1, 7))
 @settings(max_examples=150, deadline=None)
 def test_count_ladder_rungs_are_exact_powers(a, k_max):
-    ladder, raw = count_ladder(a), hops._rungs(a.csr, hops._count_matmul)
+    ladder, raw = count_ladder(a), hops._count_rungs(a)
     for k in range(1, k_max + 1):
         exact = _exact_power(a, k)
         msg = _overflow_message(exact)
@@ -609,10 +609,14 @@ def test_count_ladder_rungs_are_exact_powers(a, k_max):
         rung = next(ladder)
         assert np.array_equal(rung.to_dense().astype(object), exact)
         assert rung == mat_power_count(a, k)
-        # the ladder carries a rung dense iff 3 * nnz >= 2 * n^2
-        form = next(raw)
-        assert isinstance(form, np.ndarray) == (3 * rung.nnz >= 2 * a.n_rows**2)
-        event(f"rung form: {type(form).__name__}")
+        # the ladder carries every rung as canonical int64 CSR, whatever its density
+        assert _is_count_csr(next(raw))
+        event("dense rung" if 3 * rung.nnz >= 2 * a.n_rows**2 else "sparse rung")
+
+
+def _is_count_csr(m) -> bool:
+    """Whether ``m`` is canonical int64 scipy CSR: sorted indices, no repeats, no stored zero."""
+    return sp.issparse(m) and m.format == "csr" and m.dtype == np.int64 and m.has_canonical_format and m.data.all()
 
 
 def _powers_near_int64(k):
@@ -657,8 +661,7 @@ def test_power_aggregation_past_float64_range():
 def _block_and_pair(mult):
     """A 20-node complete block with loops (every entry ``mult``) beside a 4<->1 bipartite pair.
 
-    The rung nnz alternate 408 (odd k) and 417 (even k) of 625, around the
-    2/3 line at 416.7, so the ladder switches form at every step.
+    The rung nnz alternate 408 (odd k) and 417 (even k) of 625.
     """
     dense = np.zeros((25, 25), dtype=np.int64)
     dense[:20, :20] = mult
@@ -667,15 +670,15 @@ def _block_and_pair(mult):
 
 
 @pytest.mark.parametrize("mult, first_overflow", [(1, 16), (2, 13)])
-def test_count_ladder_switches_form_both_ways(mult, first_overflow):
-    # 20^15 leaves int64 at k = 16 from a CSR rung; 2^13 * 20^12 at k = 13 from a dense one
+def test_count_ladder_is_exact_up_to_its_first_overflow(mult, first_overflow):
+    # 20^15 leaves int64 at k = 16, from a rung of 408 entries; 2^13 * 20^12 at k = 13, from one of 417
     a = _block_and_pair(mult)
-    ladder, raw = count_ladder(a), hops._rungs(a.csr, hops._count_matmul)
+    ladder, raw = count_ladder(a), hops._count_rungs(a)
     for k in range(1, first_overflow):
         exact = _exact_power(a, k)
         rung, form = next(ladder), next(raw)
         assert rung.nnz == (417 if k % 2 == 0 else 408)
-        assert isinstance(form, np.ndarray) == (k % 2 == 0)
+        assert _is_count_csr(form)
         assert np.array_equal(rung.to_dense().astype(object), exact)
         assert rung == from_dense(exact.astype(np.int64)) and rung.to_scipy().has_canonical_format
         assert rung == mat_power_count(a, k)
@@ -721,30 +724,6 @@ def test_count_matmul_at_the_int64_edge():
     with pytest.raises(CountOverflowError, match=r"^walk count at \(1, 0\) exceeds 64-bit range \(9223372036854775808\)$"):
         hops._count_matmul(x, y)
     assert hops._count_matmul(x[:1], y).toarray().tolist() == [[_INT64_MAX]]
-
-
-@given(edge_products())
-@settings(max_examples=300, deadline=None)
-def test_count_matmul_matches_python_ints_on_a_dense_operand(pair):
-    x, y = pair[0], pair[1].toarray()
-    exact = x.toarray().astype(object) @ y.astype(object)
-    msg = _overflow_message(exact)
-    if msg is not None:
-        with pytest.raises(CountOverflowError) as info:
-            hops._count_matmul(x, y)
-        assert str(info.value) == msg
-    else:
-        got = hops._count_matmul(x, y)
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64
-        assert np.array_equal(got.astype(object), exact)
-
-
-def test_count_matmul_at_the_int64_edge_on_a_dense_operand():
-    x = sp.csr_matrix(np.array([[2**62, 2**62 - 1], [2**62, 2**62]], dtype=np.int64))
-    y = np.array([[1], [1]], dtype=np.int64)
-    with pytest.raises(CountOverflowError, match=r"^walk count at \(1, 0\) exceeds 64-bit range \(9223372036854775808\)$"):
-        hops._count_matmul(x, y)
-    assert hops._count_matmul(x[:1], y).tolist() == [[_INT64_MAX]]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ float reprs, through the library, a short ``train`` that takes its
 settings from a ``--config`` file, an abbreviated flag and
 ``--paper-protocol`` with explicit budget flags (its resolved config pins
 their precedence), the library's ``normalize`` of large exact walk counts
-(``count_ladder``), ``build_aggregation(...) @ X`` of the power
+(``count_ladder``) and the CSR arrays of those rungs up to k = 12 with
+the overflow message at k = 13, ``build_aggregation(...) @ X`` of the power
 architecture on the same graph, up to k = 50, the ``edges.tsv`` and
 ``labels.tsv`` bytes of a library ``save_dataset`` of a multigraph with
 negative, sparse and 19-digit class ids, and the ``repr`` (with the CSR
@@ -98,10 +99,10 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy as np
-    from hopscope import (ARCHITECTURES, ModelSpec, TrainConfig, build_aggregation, count_ladder, degree_features,
-                          from_edge_list, init_params, load_dataset, make_splits, model_backward, normalize,
-                          read_edge_list, run_sweep, save_dataset, support_periodicity, symmetrize, synthesize_dataset,
-                          train_model)
+    from hopscope import (ARCHITECTURES, CountOverflowError, ModelSpec, TrainConfig, build_aggregation, count_ladder,
+                          degree_features, from_edge_list, init_params, load_dataset, make_splits, model_backward,
+                          normalize, read_edge_list, run_sweep, save_dataset, support_periodicity, symmetrize,
+                          synthesize_dataset, train_model)
     from hopscope.cli import main as cli
     from hopscope.models import flat_gradients
     from hopscope.training import train_splits
@@ -198,12 +199,21 @@ def main() -> int:
         arrays = [arr.tolist() for arr in (bundle.graph.row_offsets, bundle.graph.col_indices, bundle.graph.values)]
         _emit("library load_dataset wide_ds", repr((bundle, arrays, bundle.labels.tolist())).encode())
 
-    # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at k = 11
+    # the rungs of the perfbench power_dense graph: row sums pass 2**53 from about k = 10, entries at
+    # k = 11, and int64 at k = 13; one line hashes the CSR arrays of rungs 1..12 and rung 13's overflow
     graph = synthesize_dataset("structure_only", n=400, seed=5)[0]
-    for k, rung in zip(range(1, 13), count_ladder(symmetrize(graph))):
+    ladder, rung_arrays = count_ladder(symmetrize(graph)), hashlib.sha256()
+    for k, rung in zip(range(1, 13), ladder):
+        for arr in (rung.row_offsets, rung.col_indices, rung.values):
+            rung_arrays.update(arr.tobytes())
         for scheme in ("none", "row", "sym", "dir"):
             w = normalize(rung, scheme)
             _emit(f"library normalize A^{k} {scheme}", w.values.tobytes() + repr(w.zero_row_count).encode())
+    try:
+        overflow = f"<rung 13 fits: {next(ladder).values.max()}>"
+    except CountOverflowError as exc:
+        overflow = str(exc)
+    _emit("library count_ladder A^1..A^12 arrays and A^13 overflow", rung_arrays.digest() + overflow.encode())
     x = degree_features(graph)
     for k in [*range(1, 13), 50]:
         for scheme in ("none", "row", "sym", "dir"):
