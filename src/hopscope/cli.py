@@ -30,7 +30,7 @@ import numpy as np
 from .datasets import (SYNTH_KINDS, _plain_real, dataset_stats, fmt_real, load_dataset, resolve_dataset_dir,
                        save_dataset, save_matrix_csv, save_sweep_csv, synthesize_dataset)
 from .errors import HopscopeError, InputError, LoopHypothesisError
-from .graphs import _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
+from .graphs import _index, _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
 from .hops import dag_profile, support_nnz, verify_loop_lemma
 from .models import (ARCHITECTURES, ModelSpec, _propagated, gradient_check, init_params, relu_kink_risk,
                      uniform_features)
@@ -53,8 +53,7 @@ _PAPER_BUDGET = ("max_epochs", "early_stop_patience", "lr_sched_patience")
 
 
 def _print_config(args: argparse.Namespace):
-    skip = {"func"}
-    items = sorted((k, v) for k, v in vars(args).items() if k not in skip)
+    items = sorted((k, v) for k, v in vars(args).items() if k != "func")
     print("resolved config: " + " ".join(f"{k}={v}" for k, v in items))
 
 
@@ -137,7 +136,6 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_analyze_loops(args) -> int:
-    _print_config(args)
     graph = _load_graph(args)
     if args.lemma == "dag":
         prof = dag_profile(graph)
@@ -191,10 +189,8 @@ def _write_density_csv(out, curve):
 
 
 def cmd_density_curve(args) -> int:
-    _print_config(args)
-    if args.kmax < 1:
-        raise InputError(f"--kmax must be at least 1, got {args.kmax}")
-    curve = _density_curve(_load_graph(args), args.kmax)
+    kmax = _index(args.kmax, "--kmax", 1)
+    curve = _density_curve(_load_graph(args), kmax)
     for k, dens, nnz in curve:
         print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f}")
     _write_density_csv(args.out, curve)
@@ -202,7 +198,6 @@ def cmd_density_curve(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    _print_config(args)
     graph = _load_graph(args)
     w = normalize(graph, args.norm)
     save_matrix_csv(w, args.out)
@@ -213,7 +208,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _print_config(args)
     graph, x, labels = _synthesize(args, args.kind)
     features = None if args.kind == "structure_only" else x
     save_dataset(graph, features, labels, args.out)
@@ -224,7 +218,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _print_config(args)
     graph, x, labels = _resolve_data(args)
     spec = _model_spec(args, args.arch, args.k)
     cfg = _train_config(args)
@@ -253,7 +246,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _print_config(args)
     graph, x, labels = _resolve_data(args)
     arch_names = [a.strip() for a in args.arches.split(",") if a.strip()]
     for a in arch_names:
@@ -276,7 +268,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _print_config(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     n, d, p_edge = 8, 3, 0.3
     spec = _model_spec(args, args.arch, args.k)
@@ -420,8 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        if args.seed < 0:
-            raise InputError(f"seed must be non-negative, got {args.seed}")
+        _index(args.seed, "seed", 0)
+        _print_config(args)
         return args.func(args)
     except (HopscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import SparseCountMatrix, _exact_total, _int_table, _token_int, content_lines, edge_array, from_edge_list
+from .graphs import (SparseCountMatrix, _exact_total, _index, _int_table, _real, _token_int, content_lines, edge_array,
+                     from_edge_list)
 from .models import uniform_features
 from .normalization import WeightedAdjacency
 
@@ -392,15 +393,13 @@ def synthesize_dataset(kind: str, n: int, seed: int, noise: float = 0.0, feature
     ``sparse_digraph_deep`` — directed ring with sparse chords; the
     pattern of A^k never dies out, so very deep stacks stay non-trivial.
     """
-    if n < 50:
-        raise InputError("synthetic datasets need n >= 50")
+    _index(n, "n", 50)
     if kind not in SYNTH_KINDS:
         raise InputError(f"unknown synthetic kind {kind!r}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    if not 0.0 <= noise <= 1.0:
+    _index(seed, "seed", 0)
+    if not 0.0 <= _real(noise, "noise") <= 1.0:
         raise InputError(f"noise must be in [0, 1], got {noise}")
-    if not np.isfinite(feature_signal):
+    if not np.isfinite(_real(feature_signal, "feature_signal")):
         raise InputError(f"feature_signal must be finite, got {feature_signal}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(SYNTH_KINDS.index(kind) + 1,)))
     if kind == "structure_only":

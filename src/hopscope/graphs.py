@@ -20,6 +20,7 @@ workers.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -101,6 +102,13 @@ def _index(value, name: str, low: int) -> int:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
     if value < low:
         raise InputError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def _real(value, name: str):
+    """``value`` itself if it is a real number; anything else raises :class:`InputError`."""
+    if not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -211,8 +219,7 @@ class SparseCountMatrix(_CSRWrapper):
 
 
 def _validate(n_rows, n_cols, ro, ci, v):
-    if n_rows < 0 or n_cols < 0:
-        raise InputError("matrix dimensions must be non-negative")
+    n_rows, n_cols = _index(n_rows, "n_rows", 0), _index(n_cols, "n_cols", 0)
     if ro.shape != (n_rows + 1,):
         raise InputError("row_offsets must have length n_rows + 1")
     if ro[0] != 0 or ro[-1] != len(ci) or np.any(np.diff(ro) < 0):
@@ -508,7 +515,7 @@ def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
 
 
-def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) -> SparseCountMatrix:
+def parse_edge_list(text: str, dedup: bool = False) -> SparseCountMatrix:
     """Parse the tab-separated edge-list format.
 
     One ``src<TAB>dst`` pair per line; ``#`` starts a comment; an optional
@@ -519,21 +526,17 @@ def parse_edge_list(text: str, n_nodes: int | None = None, dedup: bool = False) 
     other text goes through the line grammar, and its errors still name
     ``line N``.
     """
-    edges, declared = edge_array(text)
-    if n_nodes is None:
-        n_nodes = declared
+    edges, n_nodes = edge_array(text)
     if n_nodes is None:
         n_nodes = int(edges.max()) + 1 if len(edges) else 0
-    if dedup:
-        edges = np.unique(edges, axis=0)
-    return from_edge_list(edges, n_nodes)
+    return from_edge_list(np.unique(edges, axis=0) if dedup else edges, n_nodes)
 
 
-def read_edge_list(path: str | os.PathLike, n_nodes: int | None = None, dedup: bool = False) -> SparseCountMatrix:
+def read_edge_list(path: str | os.PathLike) -> SparseCountMatrix:
     """Load a graph from an edge-list text file (see :func:`parse_edge_list`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read edge list {path}: {exc}") from exc
-    return parse_edge_list(text, n_nodes=n_nodes, dedup=dedup)
+    return parse_edge_list(text)

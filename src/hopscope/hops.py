@@ -18,6 +18,8 @@ above its lower bound raises :class:`InputError`.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count, islice, repeat
@@ -570,7 +572,8 @@ def verify_loop_lemma(
     that is not a failed check, the property simply was not asserted.
     """
     _require_square(a, "verify_loop_lemma")
-    k_max = _index(k_max, "k_max", 1)
+    if _index(k_max, "k_max", 1) > sys.maxsize:  # no report tuple holds that many checks
+        raise InputError(f"k_max must be at most {sys.maxsize}, got {k_max}")
     s1 = support_of(a)
     cycle: tuple[int, ...] | None = None
 
@@ -583,9 +586,7 @@ def verify_loop_lemma(
             raise LoopHypothesisError("two_node check needs symmetric support (every edge bidirected)")
         shift = 2
     elif lemma == "m_node":
-        if m is None or m < 1:
-            raise InputError("m_node check needs the cycle length m >= 1")
-        if m > 12:
+        if _index(m, "m", 1) > 12:
             raise InputError("cycle search guard: m must be at most 12")
         cycle = _find_cycle(a, m)
         if cycle is None:
@@ -594,15 +595,18 @@ def verify_loop_lemma(
     else:
         raise InputError(f"unknown lemma kind {lemma!r}")
 
-    # rungs[k - 1] is support(A^k) for k = 1..k_max+shift, each in its rung form
-    rungs = list(islice(_rungs(s1.csr), k_max + shift))
-    lhs = _cycle_walks(s1.csr, rungs, cycle) if lemma == "m_node" else iter(rungs)
-    checks = []
-    for k, walks in zip(range(1, k_max + 1), lhs):
-        bad = _first_extra(walks, rungs[k - 1 + shift])
+    # at step k the window holds support(A^k) .. support(A^(k+shift)), each in its rung form, and no other rung
+    ladder = _rungs(s1.csr)
+    window = deque(islice(ladder, shift), maxlen=shift + 1)
+    near = (window[0] for _ in count())
+    lhs = _cycle_walks(s1.csr, near, cycle) if lemma == "m_node" else near
+    checks, nnz = [], []
+    for k, far in zip(range(1, k_max + 1), ladder):
+        window.append(far)
+        bad = _first_extra(next(lhs), far)
         checks.append(LoopCheck(k=k, holds=bad is None, counterexample=bad))
-    nnz = tuple(_rung_nnz(r) for r in rungs[:k_max])
-    return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), nnz=nnz, cycle=cycle)
+        nnz.append(_rung_nnz(window[0]))
+    return LoopLemmaReport(lemma=lemma, shift=shift, checks=tuple(checks), nnz=tuple(nnz), cycle=cycle)
 
 
 # ---------------------------------------------------------------------------

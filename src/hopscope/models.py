@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, add_self_loops, degrees, symmetrize, transpose
+from .graphs import SparseCountMatrix, _index, add_self_loops, degrees, symmetrize, transpose
 from .normalization import _KERNELS, NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
 
 __all__ = [
@@ -129,10 +129,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise InputError(f"unknown architecture {self.arch!r}")
-        if self.k < 1:
-            raise InputError("k must be at least 1")
-        if self.hidden_width < 1:
-            raise InputError("hidden_width must be at least 1")
+        _index(self.k, "k", 1)
+        _index(self.hidden_width, "hidden_width", 1)
         if self.activation not in ACTIVATIONS:
             raise InputError(f"unknown activation {self.activation!r}")
         if self.norm not in NORM_SCHEMES:

@@ -14,14 +14,13 @@ generator, so a split's Metrics are bit for bit those of a lone run.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datasets import synthesize_dataset  # its home is datasets; the name stays importable here
 from .errors import CountOverflowError, InputError, NumericError
-from .graphs import SparseCountMatrix
+from .graphs import SparseCountMatrix, _index, _real
 from .hops import support_nnz
 from .models import (
     ModelSpec,
@@ -62,16 +61,16 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("train", "val", "test"):
+        for name, what in (("train", "training"), ("val", "validation"), ("test", "test")):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
+            if not len(arr):
+                raise InputError(f"a split needs at least one {what} node")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name, what in (("train", "training"), ("val", "validation"), ("test", "test")):
-            if not len(getattr(self, name)):
-                raise InputError(f"a split needs at least one {what} node")
         all_idx = np.concatenate([self.train, self.val, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
             raise InputError("split index sets must be disjoint")
+        _index(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -85,27 +84,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_epochs", "early_stop_patience", "lr_sched_patience", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if not 0 < self.lr < np.inf:
+        for name, low in (("max_epochs", 1), ("early_stop_patience", 0), ("lr_sched_patience", 1), ("seed", 0)):
+            _index(getattr(self, name), name, low)
+        if not 0 < _real(self.lr, "lr") < np.inf:
             raise InputError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0 <= self.l2 < np.inf:
+        if not 0 <= _real(self.l2, "l2") < np.inf:
             raise InputError(f"l2 must be non-negative and finite, got {self.l2}")
-        if not (0.0 <= self.dropout < 1.0):
+        if not 0.0 <= _real(self.dropout, "dropout") < 1.0:
             raise InputError("dropout must be in [0, 1)")
-        if self.lr_sched_patience < 1:
-            raise InputError("lr_sched_patience must be at least 1")
-        if self.max_epochs < 1:
-            raise InputError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.early_stop_patience < 0:
-            raise InputError(f"early_stop_patience must be non-negative, got {self.early_stop_patience}")
         if self.early_stop_patience >= self.max_epochs:
             raise InputError("early-stop patience must be below max_epochs")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @staticmethod
     def paper_protocol(**overrides) -> "TrainConfig":
@@ -155,12 +143,9 @@ def make_splits(
 
     ``labels`` must be one non-negative integer class per node, else :class:`InputError`.
     """
-    for name, value in (("per_class_train", per_class_train), ("per_class_val", per_class_val),
-                        ("n_splits", n_splits)):
-        if value < 1:
-            raise InputError(f"{name} must be at least 1, got {value}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    for name, value, low in (("per_class_train", per_class_train, 1), ("per_class_val", per_class_val, 1),
+                             ("n_splits", n_splits, 1), ("seed", seed, 0)):
+        _index(value, name, low)
     labels = _labels(labels, np.size(labels))
     classes = np.unique(labels)
     need = per_class_train + per_class_val + 1
@@ -544,8 +529,8 @@ def run_sweep(
     graph, x, labels = dataset
     if x is None:
         x = uniform_features(graph.n_rows)
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
+    ks = sorted({_index(k, "k", 1) for k in k_range})
+    if not ks:
         raise InputError("k_range must contain integers >= 1")
     splits = make_splits(
         labels, per_class_train=per_class_train, per_class_val=per_class_val,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,13 @@ def test_density_curve_nonpositive_kmax_exit_2(looped_graph_file, tmp_path, kmax
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lemma", ["self_loop", "two_node", "m_node"])
+def test_kmax_past_any_report_exit_2(looped_graph_file, capsys, lemma):
+    assert run_cli("analyze-loops", "--graph", looped_graph_file, "--lemma", lemma, "--m", "3", "--selfloops",
+                   "--kmax", "100000000000000000000") == 2
+    assert f"k_max must be at most {sys.maxsize}, got 100000000000000000000" in capsys.readouterr().err
+
+
 def test_m_node_without_m_exit_2(looped_graph_file):
     assert run_cli("analyze-loops", "--graph", looped_graph_file, "--lemma", "m_node",
                    "--kmax", "2") == 2
@@ -341,7 +350,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, command, via_config):
     else:
         argv += ["--seed", "-3"]
     assert run_cli(*argv) == 2
-    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+    assert "seed must be at least 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
 
 

@@ -381,7 +381,10 @@ def csr(n_cols, rows):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((-1, 2, [0], [], []), "dimensions must be non-negative"),
+    ((-1, 2, [0], [], []), "n_rows must be at least 0, got -1$"),
+    ((1, -2, [0, 0], [], []), "n_cols must be at least 0, got -2$"),
+    (("2", 2, [0, 0, 0], [], []), "n_rows must be an integer, got '2'$"),
+    ((2, 2.0, [0, 0, 0], [], []), "n_cols must be an integer, got 2.0$"),
     ((2, 2, [0, 0], [], []), r"length n_rows \+ 1"),
     ((1, 2, [1, 1], [], []), "non-decreasing from 0 to nnz"),
     ((1, 2, [0, 2], [0], [1]), "non-decreasing from 0 to nnz"),

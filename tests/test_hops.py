@@ -1,5 +1,6 @@
 import signal
 import sys
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -12,6 +13,7 @@ from hopscope import (
     LoopHypothesisError,
     ModelSpec,
     SparseCountMatrix,
+    SplitSpec,
     SupportPattern,
     TrainConfig,
     WeightedAdjacency,
@@ -129,11 +131,26 @@ def test_oracle_guards():
     lambda: support_periodicity(k3(), 2.5),
     lambda: verify_loop_lemma(add_self_loops(k3()), "self_loop", k_max=2.5),
     lambda: normalize_power(k3(), -1, "row"),
+    lambda: verify_loop_lemma(k3(), "m_node", k_max=2, m=2.5),
+    lambda: ModelSpec("k_layer_gcn", k=2.5),
+    lambda: ModelSpec("k_layer_gcn", k="2"),
+    lambda: ModelSpec("k_layer_gcn", k=2, hidden_width=1.5),
+    lambda: make_splits(np.repeat([0, 1], 60), per_class_train=2.5),
+    lambda: make_splits(np.repeat([0, 1], 60), per_class_val=2.5),
+    lambda: make_splits(np.repeat([0, 1], 60), n_splits=1.5),
+    lambda: make_splits(np.repeat([0, 1], 60), seed=1.5),
+    lambda: SplitSpec(train=[0], val=[1], test=[2], seed=1.5),
+    lambda: synthesize_dataset("hybrid", n=60.5, seed=0),
+    lambda: synthesize_dataset("hybrid", n=60, seed=0.5),
+    lambda: run_sweep([ModelSpec("k_layer_gcn", 1)], [1.5], synthesize_dataset("hybrid", n=60, seed=0),
+                      TrainConfig(max_epochs=2, early_stop_patience=1)),
 ], ids=["descending", "repeated", "zero", "count", "support", "binomial", "binomial nilpotent", "oracle",
-        "oracle node", "periodicity", "loop lemma", "normalize_power"])
+        "oracle node", "periodicity", "loop lemma", "normalize_power", "loop lemma m", "model k",
+        "model k string", "model width", "splits train", "splits val", "splits count", "splits seed",
+        "split seed", "synth n", "synth seed", "sweep k"])
 def test_a_bad_index_raises_input_error(call):
-    # a power a ladder has passed or never reaches, or a node that is no integer, must raise at once;
-    # the alarm fails a call that hangs
+    # a power a ladder has passed or never reaches, or any integer setting that is no integer or below
+    # its bound, must raise at once; the alarm fails a call that hangs
     def hung(signum, frame):
         raise TimeoutError("the call did not return within 2 s")
 
@@ -343,6 +360,27 @@ def test_loop_lemma_walks_one_ladder(products, lemma, graph, m, shift, k_max):
     # the other two graphs' rungs are periodic and never repeat in a row
     want = k_max + shift - 1
     assert len(products) == (min(want, 2) if lemma == "self_loop" else want)
+
+
+@pytest.mark.parametrize("lemma, edges, m, shift", [
+    ("self_loop", [(i, (i + 1) % 40) for i in range(40)] + [(i, i) for i in range(40)], None, 1),
+    ("two_node", [(i, (i + d) % 40) for i in range(40) for d in (1, 39)], None, 2),
+    ("m_node", [(i, (i + 1) % 40) for i in range(40)] + [(2, 0)], 3, 3),
+])
+def test_loop_lemma_holds_a_window_of_shift_plus_one_rungs(monkeypatch, lemma, edges, m, shift):
+    # none of these ladders repeats a rung within 15 steps, so every rung is a new object
+    ladder, refs, most = hops._rungs, [], []
+
+    def watched(base):
+        for rung in ladder(base):
+            refs.append(weakref.ref(rung))
+            most.append(sum(ref() is not None for ref in refs))
+            yield rung
+
+    monkeypatch.setattr(hops, "_rungs", watched)
+    verify_loop_lemma(from_edge_list(edges, 40), lemma, 12, m=m)
+    # the window's shift + 1 rungs and the one just made
+    assert len(refs) == 12 + shift and max(most) == shift + 2
 
 
 def test_cli_density_outputs_walk_one_ladder(products, tmp_path):

@@ -98,8 +98,12 @@ def test_config_validation():
         TrainConfig(lr_sched_patience=0)
     with pytest.raises(InputError, match="max_epochs must be at least 1, got 0$"):
         TrainConfig(max_epochs=0, early_stop_patience=-1)
-    with pytest.raises(InputError, match="early_stop_patience must be non-negative, got -1$"):
+    with pytest.raises(InputError, match="early_stop_patience must be at least 0, got -1$"):
         TrainConfig(early_stop_patience=-1)
+    with pytest.raises(InputError, match="lr must be a real number, got '0.1'$"):
+        TrainConfig(lr="0.1")
+    with pytest.raises(InputError, match="dropout must be a real number, got None$"):
+        TrainConfig(dropout=None)
     for name in ("max_epochs", "early_stop_patience", "lr_sched_patience", "seed"):
         with pytest.raises(InputError, match=f"{name} must be an integer, got 5.5$"):
             TrainConfig(**{name: 5.5})
@@ -109,11 +113,11 @@ def test_config_validation():
 
 
 def test_negative_seeds_are_input_errors():
-    with pytest.raises(InputError, match="seed must be non-negative, got -1$"):
+    with pytest.raises(InputError, match="seed must be at least 0, got -1$"):
         TrainConfig(seed=-1)
-    with pytest.raises(InputError, match="seed must be non-negative, got -2$"):
+    with pytest.raises(InputError, match="seed must be at least 0, got -2$"):
         make_splits(np.repeat([0, 1], 60), seed=-2)
-    with pytest.raises(InputError, match="seed must be non-negative, got -3$"):
+    with pytest.raises(InputError, match="seed must be at least 0, got -3$"):
         synthesize_dataset("structure_only", 60, seed=-3)
 
 
@@ -591,6 +595,8 @@ def test_synthesize_deterministic(kind):
     ("feature_signal", np.nan, "feature_signal must be finite"),
     ("feature_signal", np.inf, "feature_signal must be finite"),
     ("feature_signal", -np.inf, "feature_signal must be finite"),
+    ("noise", "0.1", "noise must be a real number, got '0.1'$"),
+    ("feature_signal", None, "feature_signal must be a real number, got None$"),
 ])
 def test_synthesize_rejects_bad_noise_and_feature_signal(kind, knob, value, message):
     with pytest.raises(InputError, match=message):
