@@ -21,6 +21,7 @@ printed ``resolved config:`` is the configuration that runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -114,12 +115,13 @@ def _resolve_data(args):
         return _synthesize(args, args.synth)
     bundle = load_dataset(resolve_dataset_dir(args.dataset), dedup=args.dedup)
     x = bundle.features if bundle.features is not None else uniform_features(bundle.graph.n_rows)
-    print(
-        f"dataset {bundle.name}: nodes={bundle.stats.n_nodes} edges={bundle.stats.n_edges} "
-        f"classes={bundle.stats.n_classes} %no-in={bundle.stats.pct_no_in:.1f} "
-        f"%no-out={bundle.stats.pct_no_out:.1f}"
-    )
+    print(f"dataset {bundle.name}: {_stats_line(bundle.stats)}")
     return bundle.graph, x, bundle.labels
+
+
+def _stats_line(st) -> str:
+    return (f"nodes={st.n_nodes} edges={st.n_edges} classes={st.n_classes} "
+            f"%no-in={st.pct_no_in:.1f} %no-out={st.pct_no_out:.1f}")
 
 
 def _model_spec(args, arch: str, k: int) -> ModelSpec:
@@ -138,13 +140,14 @@ def _train_config(args) -> TrainConfig:
 def cmd_analyze_loops(args) -> int:
     graph = _load_graph(args)
     if args.lemma == "dag":
+        kmax = _index(args.kmax, "--kmax", 1, sys.maxsize)
         prof = dag_profile(graph)
         if not prof.is_dag:
             print("hypothesis not satisfied: graph has a cycle, no finite longest path")
             return 0
         h = prof.longest_path_len
         print(f"acyclic: longest path h={h}")
-        curve = _density_curve(graph, max(args.kmax, h + 1))
+        curve = _density_curve(graph, max(kmax, h + 1))
         holds = [(nnz == 0) == (k > h) for k, _, nnz in curve]
         notes = [f"consistent={ok}" for ok in holds]
         verdict = "dag nilpotency check:"
@@ -189,7 +192,7 @@ def _write_density_csv(out, curve):
 
 
 def cmd_density_curve(args) -> int:
-    kmax = _index(args.kmax, "--kmax", 1)
+    kmax = _index(args.kmax, "--kmax", 1, sys.maxsize)
     curve = _density_curve(_load_graph(args), kmax)
     for k, dens, nnz in curve:
         print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f}")
@@ -211,9 +214,7 @@ def cmd_synth(args) -> int:
     graph, x, labels = _synthesize(args, args.kind)
     features = None if args.kind == "structure_only" else x
     save_dataset(graph, features, labels, args.out)
-    st = dataset_stats(graph, labels)
-    print(f"wrote {args.out}: nodes={st.n_nodes} edges={st.n_edges} classes={st.n_classes} "
-          f"%no-in={st.pct_no_in:.1f} %no-out={st.pct_no_out:.1f}")
+    print(f"wrote {args.out}: {_stats_line(dataset_stats(graph, labels))}")
     return 0
 
 
@@ -221,10 +222,8 @@ def cmd_train(args) -> int:
     graph, x, labels = _resolve_data(args)
     spec = _model_spec(args, args.arch, args.k)
     cfg = _train_config(args)
-    splits = make_splits(
-        labels, per_class_train=args.per_class_train, per_class_val=args.per_class_val,
-        n_splits=args.splits, seed=args.seed,
-    )
+    splits = make_splits(labels, per_class_train=args.per_class_train, per_class_val=args.per_class_val,
+                         n_splits=args.splits, seed=args.seed)
     runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
     for si, exc in failed:
         print(f"split {si}: run failed ({exc})")
@@ -237,15 +236,14 @@ def cmd_train(args) -> int:
     if args.out:
         lines = ["split,accuracy,baseline,epochs_run,best_epoch"]
         for si, r in enumerate(runs):
-            lines.append(
-                f"{si},{fmt_real(r.accuracies[0])},{fmt_real(r.majority_baselines[0])},"
-                f"{r.epochs_run[0]},{r.best_epochs[0]}"
-            )
+            lines.append(f"{si},{fmt_real(r.accuracies[0])},{fmt_real(r.majority_baselines[0])},"
+                         f"{r.epochs_run[0]},{r.best_epochs[0]}")
         _write_lines(args.out, lines)
     return 0 if runs else 1
 
 
 def cmd_sweep(args) -> int:
+    kmax = _index(args.kmax, "--kmax", 1, sys.maxsize)
     graph, x, labels = _resolve_data(args)
     arch_names = [a.strip() for a in args.arches.split(",") if a.strip()]
     for a in arch_names:
@@ -253,7 +251,7 @@ def cmd_sweep(args) -> int:
             raise InputError(f"unknown architecture {a!r} (choices: {', '.join(ARCHITECTURES)})")
     templates = [_model_spec(args, a, 1) for a in arch_names]
     cfg = _train_config(args)
-    rows = run_sweep(templates, range(1, args.kmax + 1), (graph, x, labels), cfg,
+    rows = run_sweep(templates, range(1, kmax + 1), (graph, x, labels), cfg,
                      n_splits=args.splits, per_class_train=args.per_class_train,
                      per_class_val=args.per_class_val)
     save_sweep_csv(rows, args.out)
@@ -262,7 +260,7 @@ def cmd_sweep(args) -> int:
         print(f"{r.arch:26s} k={r.k:2d} acc={r.acc_mean:.4f}±{r.acc_std:.4f} "
               f"density={r.density:.4f} failures={r.failures}")
     if args.density_out:
-        _write_density_csv(args.density_out, _density_curve(_propagated(graph, args.prop), args.kmax))
+        _write_density_csv(args.density_out, _density_curve(_propagated(graph, args.prop), kmax))
     all_failed = all(r.failures > 0 and np.isnan(r.acc_mean) for r in rows)
     return 1 if (rows and all_failed) else 0
 
@@ -341,8 +339,10 @@ def _add_train_args(p: argparse.ArgumentParser):
     p.add_argument("--per-class-val", dest="per_class_val", type=int, default=30)
 
 
+@functools.lru_cache(maxsize=8)
 def build_parser(**defaults) -> argparse.ArgumentParser:
-    """The CLI parser; ``defaults`` replace the built-in defaults of every subcommand that has the key."""
+    """The CLI parser, built once for each ``defaults`` (parsing leaves it as it is); they replace the
+    built-in defaults of every subcommand that has the key."""
     parser = argparse.ArgumentParser(prog="hopscope", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

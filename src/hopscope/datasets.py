@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import (SparseCountMatrix, _exact_total, _index, _int_table, _real, _token_int, content_lines, edge_array,
-                     from_edge_list)
+from .graphs import (SparseCountMatrix, _exact_total, _float64_field, _index, _int64_field, _int_table, _labels, _real,
+                     _token_int, content_lines, edge_array, from_edge_list)
 from .models import uniform_features
 from .normalization import WeightedAdjacency
 
@@ -89,14 +89,13 @@ class DatasetBundle:
     stats: DatasetStats
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        # a read-only copy, so the caller's array stays writeable
+        object.__setattr__(self, "labels", _int64_field(_labels(self.labels, self.graph.n_rows), "labels"))
 
 
 def dataset_stats(graph: SparseCountMatrix, labels: np.ndarray) -> DatasetStats:
     """Recompute the summary statistics from in-memory data."""
-    n = graph.n_rows
+    n, labels = graph.n_rows, _labels(labels, graph.n_rows)
     has_in = np.bincount(graph.csr.indices, minlength=n) > 0  # counts are positive: an entry is an edge
     has_out = np.diff(graph.csr.indptr) > 0
     counts = np.bincount(labels)
@@ -228,14 +227,8 @@ def load_dataset(dir_path: str | os.PathLike, dedup: bool = False) -> DatasetBun
     if fpath.exists():
         features = np.array(_node_rows(fpath.name, _read_text(fpath), ",", ids, n, float, None))
 
-    return DatasetBundle(
-        graph=graph,
-        features=features,
-        labels=labels,
-        name=root.name,
-        n_classes=len(class_ids),
-        stats=dataset_stats(graph, labels),
-    )
+    return DatasetBundle(graph=graph, features=features, labels=labels, name=root.name, n_classes=len(class_ids),
+                         stats=dataset_stats(graph, labels))
 
 
 def resolve_dataset_dir(name_or_path: str) -> Path:
@@ -302,10 +295,8 @@ def save_sweep_csv(rows, path: str | os.PathLike):
     """Write sweep results; an empty sweep still gets the header row."""
     lines = ["arch,k,norm,propagation,acc_mean,acc_std,density,failures"]
     for r in rows:
-        lines.append(
-            f"{r.arch},{r.k},{r.norm},{r.propagation},"
-            f"{fmt_real(r.acc_mean)},{fmt_real(r.acc_std)},{fmt_real(r.density)},{r.failures}"
-        )
+        lines.append(f"{r.arch},{r.k},{r.norm},{r.propagation},"
+                     f"{fmt_real(r.acc_mean)},{fmt_real(r.acc_std)},{fmt_real(r.density)},{r.failures}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -356,7 +347,11 @@ def _write_lines(path: Path, head: str, *columns: np.ndarray):
 
 
 def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, out_dir: str | os.PathLike):
-    """Write a dataset directory in the loadable on-disk format."""
+    """Write a dataset directory in the loadable on-disk format; ``labels`` are any int64 class ids, one a node."""
+    labels = _int64_field(labels, "labels")
+    if labels.shape != (graph.n_rows,):
+        raise InputError(f"labels must be one class id per node, shape ({graph.n_rows},), got {labels.shape}")
+    features = None if features is None else _float64_field(features, "features")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # One line per unit of multiplicity, in row-major order of the entries,
@@ -364,13 +359,10 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     m = graph.csr
     src = np.repeat(np.repeat(np.arange(graph.n_rows), np.diff(m.indptr)), m.data)
     _write_lines(out / "edges.tsv", f"%nodes {graph.n_rows}\n", src, np.repeat(m.indices, m.data))
-    labels = np.asarray(labels, dtype=np.int64)
     # without nodes the file still ends its one (empty) line
     _write_lines(out / "labels.tsv", "" if len(labels) else "\n", np.arange(len(labels)), labels)
     if features is not None:
-        rows = [
-            str(i) + "," + ",".join(fmt_real(v) for v in row) for i, row in enumerate(np.asarray(features))
-        ]
+        rows = [f"{i}," + ",".join(map(fmt_real, row)) for i, row in enumerate(features)]
         (out / "features.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

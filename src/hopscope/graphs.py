@@ -11,8 +11,14 @@ every diagonal entry). A sum that would leave int64 raises
 Count, weighted and pattern matrices are one idiom, :class:`_CSRWrapper`:
 a frozen dataclass around one scipy CSR matrix with read-only arrays, which
 scipy reads with no copy. A scipy result becomes canonical (sorted indices,
-no repeats, no explicit zeros) once, in :func:`_canonical`. Only arrays
-given to the public :class:`SparseCountMatrix` constructor are checked.
+no repeats, no explicit zeros) once, in :func:`_canonical`.
+
+Every outside value, in any module, passes one check here, and a bad one
+raises :class:`~hopscope.errors.InputError` instead of being cut or wrapped:
+:func:`_index` an integer setting, :func:`_real` a real one, :func:`_int64_field`
+an index or count array (whole numbers within int64, copied read-only; an
+edge table takes its test :func:`_whole` with no copy), :func:`_labels` one
+integer-dtype class id per node, :func:`_float64_field` a real array.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -52,21 +58,48 @@ _TABLE_BLOCK = 1 << 20  # characters of whole lines per block in _int_table
 _INT64_END = 1 << 63
 
 
-def _int64_field(values, name: str) -> np.ndarray:
-    """A read-only contiguous int64 copy of ``values``; floats must be whole numbers within int64."""
+def _array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """``values`` as an ndarray, not copied, of a dtype kind in ``kinds``; anything else raises :class:`InputError`."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # a ragged nested list
         raise InputError(f"{name} must form a regular array: {exc}") from None
-    if arr.dtype.kind == "f":
-        ok = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)
+    if arr.dtype.kind not in kinds:
+        raise InputError(f"{name} must hold {what}, got {arr.dtype} values")
+    return arr
+
+
+def _whole(values, name: str) -> np.ndarray:
+    """``values`` as an ndarray, not copied, once each is a whole number within int64 (floats and uint64 are read)."""
+    arr = _array(values, name, "iuf", "integers")
+    if arr.dtype.kind == "f" or arr.dtype == np.uint64:
+        ok = (arr == np.trunc(arr)) & (np.abs(arr) < _INT64_END)  # a nan or an infinity fails too
         if not ok.all():
             raise InputError(f"{name} must hold integers, got {arr[~ok][0].item()!r}")
-    elif arr.dtype.kind not in "iu":
-        raise InputError(f"{name} must hold integers, got {arr.dtype} values")
-    arr = np.array(arr, dtype=np.int64, order="C")
+    return arr
+
+
+def _int64_field(values, name: str) -> np.ndarray:
+    """A read-only contiguous int64 copy of ``values``, which :func:`_whole` checks."""
+    arr = np.array(_whole(values, name), dtype=np.int64, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _labels(labels, n: int) -> np.ndarray:
+    """``labels`` as int64, checked to be one non-negative integer class per node of n."""
+    arr = np.asarray(labels)
+    if arr.shape != (n,) or arr.dtype.kind not in "iu":
+        raise InputError(f"labels must be one integer class per node, shape ({n},), got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.int64, copy=False)
+    if n and arr.min() < 0:
+        raise InputError(f"class ids must be non-negative int64 values, got {arr.min()}")
+    return arr
+
+
+def _float64_field(values, name: str) -> np.ndarray:
+    """``values`` as float64, not copied when they already are; only bool, integer and float arrays."""
+    return _array(values, name, "biuf", "real numbers").astype(np.float64, copy=False)
 
 
 def _exact_total(values: np.ndarray) -> int:
@@ -94,14 +127,16 @@ def _canonical(m, dtype) -> sp.csr_matrix:
     return m
 
 
-def _index(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``; anything else raises :class:`InputError`."""
+def _index(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int from ``low`` up to ``high`` (no bound if None); anything else raises :class:`InputError`."""
     try:
         value = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
     if value < low:
         raise InputError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{name} must be at most {high}, got {value}")
     return value
 
 
@@ -266,7 +301,7 @@ class GraphMeta:
 
 
 def _as_edge_pairs(edges) -> np.ndarray:
-    """``edges`` as an ``(m, 2)`` array of integral values; an ndarray is taken as it is."""
+    """``edges`` as an ``(m, 2)`` array that :func:`_whole` passes; an ndarray is taken as it is."""
     try:
         arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
     except (TypeError, ValueError) as exc:
@@ -275,14 +310,7 @@ def _as_edge_pairs(edges) -> np.ndarray:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError("edges must be (src, dst) pairs")
-    if arr.dtype.kind == "f":
-        whole = np.isfinite(arr) & (arr == np.trunc(arr))
-        if not whole.all():
-            bad = arr[~whole.all(axis=1)][0]
-            raise InputError(f"non-integer edge endpoint: {tuple(bad.tolist())}")
-    elif arr.dtype.kind not in "iu":
-        raise InputError(f"edge endpoints must be integers, got {arr.dtype} values")
-    return arr
+    return _whole(arr, "edge endpoints")
 
 
 def from_edge_list(edges, n_nodes: int) -> SparseCountMatrix:

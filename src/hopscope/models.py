@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, _index, add_self_loops, degrees, symmetrize, transpose
+from .graphs import SparseCountMatrix, _float64_field, _index, add_self_loops, degrees, symmetrize, transpose
 from .normalization import _KERNELS, NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
 
 __all__ = [
@@ -446,7 +446,7 @@ def _features(ahat: WeightedAdjacency, x, params=()) -> np.ndarray:
     """``x`` as float64 with one row per node of ``ahat``; layer by layer,
     ``W`` and ``W0`` must be ``(width in, width out)`` and ``b`` ``(width out,)``
     (after the split axis of a stacked record)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _float64_field(x, "feature matrix")
     if x.ndim != 2 or x.shape[0] != ahat.n_cols:
         raise InputError(f"feature matrix must be ({ahat.n_cols}, d), got {x.shape}")
     width = x.shape[1]
@@ -480,7 +480,7 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
     logits, caches = _forward_pass(spec, ahat, x, params, hidden_masks)
-    upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
+    upstream_grad = _float64_field(upstream_grad, "upstream gradient")
     if upstream_grad.shape != logits.shape:
         raise InputError(f"upstream gradient must have shape {logits.shape}")
     return _backward_pass(spec, ahat.T, params, caches, upstream_grad)
@@ -611,8 +611,7 @@ def _views(flat: np.ndarray, like):
 
 def max_relative_error(got, want) -> float:
     """Largest absolute discrepancy scaled by the largest magnitude seen."""
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
+    got, want = _float64_field(got, "got"), _float64_field(want, "want")
     scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0), 1e-12)
     return float(np.abs(got - want).max(initial=0.0) / scale)
 

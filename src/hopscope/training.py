@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import synthesize_dataset  # its home is datasets; the name stays importable here
 from .errors import CountOverflowError, InputError, NumericError
-from .graphs import SparseCountMatrix, _index, _real
+from .graphs import SparseCountMatrix, _index, _int64_field, _labels, _real
 from .hops import support_nnz
 from .models import (
     ModelSpec,
@@ -62,10 +62,11 @@ class SplitSpec:
 
     def __post_init__(self):
         for name, what in (("train", "training"), ("val", "validation"), ("test", "test")):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.int64))
+            arr = _int64_field(getattr(self, name), f"{what} nodes")
+            if arr.ndim != 1:
+                raise InputError(f"{what} nodes must form a 1-D array, got shape {arr.shape}")
             if not len(arr):
                 raise InputError(f"a split needs at least one {what} node")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         all_idx = np.concatenate([self.train, self.val, self.test])
         if len(np.unique(all_idx)) != len(all_idx):
@@ -206,17 +207,6 @@ class _Nodes:
         """Each split's accuracy, as :func:`_accuracy` gives it (an exact count over the set size)."""
         hits = logits[self.rows].argmax(axis=1) == self.labels
         return np.bincount(self.split, weights=hits, minlength=len(self.sizes)) / self.sizes
-
-
-def _labels(labels, n: int) -> np.ndarray:
-    """``labels`` as int64, checked to be one non-negative integer class per node of n."""
-    arr = np.asarray(labels)
-    if arr.shape != (n,) or arr.dtype.kind not in "iu":
-        raise InputError(f"labels must be one integer class per node, shape ({n},), got {arr.dtype} {arr.shape}")
-    arr = arr.astype(np.int64, copy=False)
-    if n and arr.min() < 0:
-        raise InputError(f"class ids must be non-negative int64 values, got {arr.min()}")
-    return arr
 
 
 class _Lockstep:
@@ -532,26 +522,14 @@ def run_sweep(
     ks = sorted({_index(k, "k", 1) for k in k_range})
     if not ks:
         raise InputError("k_range must contain integers >= 1")
-    splits = make_splits(
-        labels, per_class_train=per_class_train, per_class_val=per_class_val,
-        n_splits=n_splits, seed=cfg.seed,
-    )
+    splits = make_splits(labels, per_class_train=per_class_train, per_class_val=per_class_val, n_splits=n_splits,
+                         seed=cfg.seed)
     rows = []
     for template in arches:
         for k, dens in zip(ks, _sweep_densities(template, graph, ks)):
             spec = replace(template, k=k)
             runs, failed = train_splits(spec, graph, x, labels, splits, cfg)
             merged = Metrics.merge(runs)
-            rows.append(
-                SweepRow(
-                    arch=spec.arch,
-                    k=k,
-                    norm=spec.norm,
-                    propagation=spec.propagation,
-                    acc_mean=merged.mean,
-                    acc_std=merged.std,
-                    density=dens,
-                    failures=len(failed),
-                )
-            )
+            rows.append(SweepRow(arch=spec.arch, k=k, norm=spec.norm, propagation=spec.propagation,
+                                 acc_mean=merged.mean, acc_std=merged.std, density=dens, failures=len(failed)))
     return rows

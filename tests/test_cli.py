@@ -218,11 +218,31 @@ def test_density_curve_nonpositive_kmax_exit_2(looped_graph_file, tmp_path, kmax
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lemma", ["self_loop", "two_node", "m_node"])
-def test_kmax_past_any_report_exit_2(looped_graph_file, capsys, lemma):
-    assert run_cli("analyze-loops", "--graph", looped_graph_file, "--lemma", lemma, "--m", "3", "--selfloops",
-                   "--kmax", "100000000000000000000") == 2
-    assert f"k_max must be at most {sys.maxsize}, got 100000000000000000000" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, name", [
+    *((["analyze-loops", "--lemma", lemma, "--m", "3", "--selfloops"], "k_max")
+      for lemma in ("self_loop", "two_node", "m_node")),
+    (["analyze-loops", "--lemma", "dag"], "--kmax"),  # checked before the cycle search ends the route
+    (["density-curve"], "--kmax"),
+    (["sweep", "--arches", "k_layer_gcn", "--density-out", "@dens.csv"], "--kmax"),
+], ids=["self_loop", "two_node", "m_node", "dag", "density-curve", "sweep"])
+def test_kmax_past_any_report_exit_2(looped_graph_file, tmp_path, capsys, argv, name):
+    # past sys.maxsize no route may start a ladder or a set over range(1, kmax + 1): it would grow without end
+    source = ["--synth", "structure_only", "--n", "60"] if argv[0] == "sweep" else ["--graph", looped_graph_file]
+    out = [] if argv[0] == "analyze-loops" else ["--out", tmp_path / "out.csv"]
+    argv = [str(a).replace("@", f"{tmp_path}/") for a in argv]
+    assert run_cli(*argv, *source, *out, "--kmax", "100000000000000000000") == 2
+    assert f"{name} must be at most {sys.maxsize}, got 100000000000000000000" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_two_main_calls_build_the_parser_once(looped_graph_file, tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    outs = []
+    for _ in range(2):
+        assert run_cli("density-curve", "--graph", looped_graph_file, "--kmax", "2", "--out", tmp_path / "d.csv") == 0
+        outs.append(capsys.readouterr().out)
+    assert cli.build_parser.cache_info().misses == 1
+    assert outs[0] == outs[1] and outs[0].startswith("resolved config: ")
 
 
 def test_m_node_without_m_exit_2(looped_graph_file):

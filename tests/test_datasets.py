@@ -202,6 +202,20 @@ def test_save_dataset_labels_match_per_line_writer(tmp_path, labels):
     assert (tmp_path / "labels.tsv").read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize("labels, features, message", [
+    ([0.7, 1.2, 2.9], None, "labels must hold integers, got 0.7$"),
+    ([0, 1, 2**63], None, "labels must hold integers, got 9.223372036854776e"),  # numpy reads this list as floats
+    (np.array([0, 1, 2**63], dtype=np.uint64), None, "labels must hold integers, got 9223372036854775808$"),
+    ([0, 1, 2**64], None, "labels must hold integers, got object values$"),
+    ([0, 1], None, r"labels must be one class id per node, shape \(3,\), got \(2,\)$"),
+    ([0, 1, 0], [[1.0], [2.0], [1j]], "features must hold real numbers, got complex128 values$"),
+], ids=["float", "past-int64", "uint64", "past-uint64", "short", "complex-features"])
+def test_save_dataset_rejects_labels_it_would_change_before_writing(tmp_path, labels, features, message):
+    with pytest.raises(InputError, match=message):
+        save_dataset(from_edge_list([(0, 1)], 3), features, labels, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_blank_edge_body_loads_without_warning(tmp_path):
     write_toy(tmp_path, features=False)
     (tmp_path / "edges.tsv").write_text("%nodes 3\n\n \t\n", encoding="utf-8")

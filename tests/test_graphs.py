@@ -173,6 +173,7 @@ def test_from_dense_rejects_negative():
     ([[np.nan]], "entries must hold integers, got nan$"),
     ([[1, np.inf]], "entries must hold integers, got inf$"),
     ([["1"]], "entries must hold integers, got <U1 values$"),
+    (np.array([[0, 2**64 - 1]], dtype=np.uint64), "entries must hold integers, got 18446744073709551615$"),
 ])
 def test_from_dense_rejects_non_integers(dense, message):
     with pytest.raises(InputError, match=message):
@@ -402,6 +403,9 @@ def csr(n_cols, rows):
     ((1, 2, [0, 1], [np.inf], [1]), "col_indices must hold integers, got inf$"),
     ((1, 2, [0, 1], [0], [2.0**64]), "values must hold integers"),
     ((1, 2, [0, 1], ["0"], [1]), "col_indices must hold integers, got <U1 values"),
+    ((1, 2, [0, 1], [0], np.array([2**63], dtype=np.uint64)), "values must hold integers, got 9223372036854775808$"),
+    ((1, 2, [0, 1], np.array([2**64 - 1], dtype=np.uint64), [1]),
+     "col_indices must hold integers, got 18446744073709551615$"),
 ])
 def test_constructor_rejects_each_broken_invariant(args, message):
     with pytest.raises(InputError, match=message):
@@ -461,10 +465,11 @@ def test_from_edge_list_accepts_arrays_lists_and_generators():
 
 
 @pytest.mark.parametrize("edges, n_nodes, message", [
-    ([(0.7, 1)], 3, r"non-integer edge endpoint: \(0.7, 1.0\)"),
-    (np.array([[0, 1], [1, np.nan]]), 3, "non-integer edge endpoint"),
-    ([("a", 1)], 3, "must be integers"),
-    ([(0, None)], 3, "must be integers"),
+    ([(0.7, 1)], 3, "edge endpoints must hold integers, got 0.7$"),
+    (np.array([[0, 1], [1, np.nan]]), 3, "edge endpoints must hold integers, got nan$"),
+    ([("a", 1)], 3, "edge endpoints must hold integers, got <U21 values$"),
+    ([(0, None)], 3, "edge endpoints must hold integers, got object values$"),
+    (np.array([[0, 2**63]], dtype=np.uint64), 3, "edge endpoints must hold integers, got 9223372036854775808$"),
     ([(0, 1), (1,)], 3, r"\(src, dst\) pairs"),
     ([(0, 1, 2)], 3, r"\(src, dst\) pairs"),
     (5, 3, r"\(src, dst\) pairs"),

@@ -27,6 +27,7 @@ from hopscope import (
 from hopscope import models
 from hopscope.errors import InputError, NumericError
 from hopscope.models import relu_kink_risk
+from hopscope.training import SplitSpec, TrainConfig, train_model
 
 
 def p3():
@@ -165,6 +166,35 @@ def test_layer_shape_errors():
         with pytest.raises(InputError):
             model_forward(sage, p3(), rng.standard_normal((3, 2)),
                           [SageLayerParams(W0=np.ones(w0), W1=np.ones((2, 3)), b=np.zeros(b))])
+
+
+@pytest.mark.parametrize("x, message", [
+    ([["a", "b"]] * 3, "feature matrix must hold real numbers, got <U1 values$"),
+    ([[1.0, 2.0], [3.0], [4.0, 5.0]], "feature matrix must form a regular array"),
+    ([[1.0, None]] * 3, "feature matrix must hold real numbers, got object values$"),
+    (np.full((3, 2), 1 + 2j), "feature matrix must hold real numbers, got complex128 values$"),
+], ids=["strings", "ragged", "none", "complex"])
+@pytest.mark.parametrize("call", ["model_forward", "model_backward", "train_model"])
+def test_features_must_be_real_numbers(x, message, call):
+    spec = ModelSpec(arch="k_layer_gcn", k=1, hidden_width=2)
+    params = init_params(spec, 2, 2, np.random.default_rng(0))
+    split, cfg = SplitSpec(train=[0], val=[1], test=[2], seed=0), TrainConfig(max_epochs=2, early_stop_patience=1)
+    calls = {"model_forward": lambda: model_forward(spec, p3(), x, params),
+             "model_backward": lambda: model_backward(spec, p3(), x, params, np.ones((3, 2))),
+             "train_model": lambda: train_model(spec, p3(), x, [0, 1, 0], split, cfg)}
+    with pytest.raises(InputError, match=message):
+        calls[call]()
+
+
+def test_bool_int_and_float_features_agree_and_an_upstream_gradient_must_be_real():
+    spec = ModelSpec(arch="k_layer_gcn", k=1, hidden_width=2)
+    params = init_params(spec, 2, 2, np.random.default_rng(0))
+    x = np.array([[1, 0], [0, 1], [1, 1]])
+    want = model_forward(spec, p3(), x.astype(float), params)
+    for same in (x, x.astype(bool), x.astype(np.float32)):
+        assert np.array_equal(model_forward(spec, p3(), same, params), want)
+    with pytest.raises(InputError, match="upstream gradient must hold real numbers, got complex128 values$"):
+        model_backward(spec, p3(), x, params, np.ones((3, 2), dtype=complex))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

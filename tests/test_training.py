@@ -74,11 +74,36 @@ def test_split_without_training_nodes_is_an_input_error(empty, what):
     (np.repeat([-1, 0, 1], 60), "class ids must be non-negative"),
     (np.repeat([0.5, 1.5, 2.5], 60), "one integer class per node"),
 ], ids=["negative_class", "fractional_labels"])
-@pytest.mark.parametrize("call", ["make_splits", "majority_baseline"])
+@pytest.mark.parametrize("call", ["make_splits", "majority_baseline", "DatasetBundle", "dataset_stats"])
 def test_splits_and_baseline_take_the_trainer_label_check(call, labels, message):
     split = make_splits(np.repeat([0, 1, 2], 60), n_splits=1)[0]
+    graph = from_edge_list([], len(labels))
+    calls = {"make_splits": lambda: make_splits(labels), "majority_baseline": lambda: majority_baseline(labels, split),
+             "DatasetBundle": lambda: datasets.DatasetBundle(graph, None, labels, "toy", 3, None),
+             "dataset_stats": lambda: datasets.dataset_stats(graph, labels)}
     with pytest.raises(InputError, match=message):
-        make_splits(labels) if call == "make_splits" else majority_baseline(labels, split)
+        calls[call]()
+
+
+@pytest.mark.parametrize("train, message", [
+    ([0.5, 3.9], "training nodes must hold integers, got 0.5$"),
+    (["1", "x"], "training nodes must hold integers, got <U1 values$"),
+    ([[0, 3]], r"training nodes must form a 1-D array, got shape \(1, 2\)$"),
+    (np.array([0, 2**63], dtype=np.uint64), "training nodes must hold integers, got 9223372036854775808$"),
+], ids=["float", "string", "2-D", "uint64"])
+def test_split_index_sets_must_be_whole_numbers(train, message):
+    with pytest.raises(InputError, match=message):
+        SplitSpec(train=train, val=[1], test=[2], seed=0)
+
+
+def test_split_and_bundle_leave_the_callers_arrays_writeable():
+    train, val, test, labels = (np.array(a) for a in ([0, 1], [2], [3], [1, 0, 1, 0]))
+    split = SplitSpec(train=train, val=val, test=test, seed=0)
+    bundle = datasets.DatasetBundle(from_edge_list([], 4), None, labels, "toy", 2, None)
+    for arr in (train, val, test, labels):
+        arr[0] = 7
+    assert (split.train[0], split.val[0], split.test[0], bundle.labels[0]) == (0, 2, 3, 1)
+    assert not any(arr.flags.writeable for arr in (split.train, split.val, split.test, bundle.labels))
 
 
 # ---------------------------------------------------------------------------
