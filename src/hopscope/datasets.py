@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import (SparseCountMatrix, _exact_total, _float64_field, _index, _int64_field, _int_table, _labels, _real,
-                     _token_int, content_lines, edge_array, from_edge_list)
+from .graphs import (SparseCountMatrix, _exact_total, _float64_field, _index, _int64_field, _int_table, _labels,
+                     _matvecs, _real, _token_int, content_lines, edge_array, from_edge_list)
 from .models import uniform_features
 from .normalization import WeightedAdjacency
 
@@ -446,7 +446,7 @@ def _synth_structure_only(n: int, rng: np.random.Generator, noise: float):
     graph = from_edge_list(edges, n)
     msp = graph.csr.astype(np.float64)
     indeg = np.asarray(msp.sum(axis=0)).ravel()
-    score = msp.T @ indeg  # total in-degree of each node's in-neighbors
+    score = _matvecs(msp.T, indeg)  # total in-degree of each node's in-neighbors
     labels = _quantile_labels(score)
     if noise > 0:
         flip = rng.random(n) < noise

@@ -20,6 +20,9 @@ an index or count array (whole numbers within int64, copied read-only; an
 edge table takes its test :func:`_whole` with no copy), :func:`_labels` one
 integer-dtype class id per node, :func:`_float64_field` a real array.
 
+Every sparse × dense product in the package is :func:`_matvecs`: the
+compiled kernel scipy's ``@`` ends in, called with none of its dispatch.
+
 All types are immutable after construction and safe to share across
 workers.
 """
@@ -33,6 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import CountOverflowError, InputError
 
@@ -56,15 +60,33 @@ __all__ = [
 
 _TABLE_BLOCK = 1 << 20  # characters of whole lines per block in _int_table
 _INT64_END = 1 << 63
+# (one vector, many vectors) kernels per format: the calls scipy's ``@`` ends in for a dense operand
+_KERNELS = {f: (getattr(_sparsetools, f + "_matvec"), getattr(_sparsetools, f + "_matvecs")) for f in ("csr", "csc")}
 
 
-def _array(values, name: str, kinds: str, what: str) -> np.ndarray:
-    """``values`` as an ndarray, not copied, of a dtype kind in ``kinds``; anything else raises :class:`InputError`."""
+def _matvecs(m, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``out + m @ x``, written into ``out`` (into zeros if None), for a float64 scipy CSR or CSC ``m`` and a
+    C-contiguous float64 ``(n_cols,)`` or ``(n_cols, w)`` ``x``, bit for bit as scipy's ``@``.
+
+    It takes scipy's route with none of its dispatch and no check of ``x``:
+    ``matvec`` for a vector or a single column, ``matvecs`` otherwise.
+    """
+    (n_row, n_col), w = m.shape, x.shape[1] if x.ndim == 2 else 1
+    out = np.zeros((n_row, w)[:x.ndim]) if out is None else out
+    if w == 1:
+        _KERNELS[m.format][0](n_row, n_col, m.indptr, m.indices, m.data, x, out)
+    else:
+        _KERNELS[m.format][1](n_row, n_col, w, m.indptr, m.indices, m.data, x, out)
+    return out
+
+
+def _array(values, name: str, kinds: str = "", what: str = "") -> np.ndarray:
+    """``values`` as an ndarray, not copied, of a dtype kind in ``kinds`` (any if empty), else :class:`InputError`."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # a ragged nested list
         raise InputError(f"{name} must form a regular array: {exc}") from None
-    if arr.dtype.kind not in kinds:
+    if kinds and arr.dtype.kind not in kinds:
         raise InputError(f"{name} must hold {what}, got {arr.dtype} values")
     return arr
 
@@ -86,9 +108,10 @@ def _int64_field(values, name: str) -> np.ndarray:
     return arr
 
 
-def _labels(labels, n: int) -> np.ndarray:
-    """``labels`` as int64, checked to be one non-negative integer class per node of n."""
-    arr = np.asarray(labels)
+def _labels(labels, n: int | None = None) -> np.ndarray:
+    """``labels`` as int64, checked to be one non-negative integer class per node of n (of every entry if None)."""
+    arr = _array(labels, "labels")
+    n = arr.size if n is None else n
     if arr.shape != (n,) or arr.dtype.kind not in "iu":
         raise InputError(f"labels must be one integer class per node, shape ({n},), got {arr.dtype} {arr.shape}")
     arr = arr.astype(np.int64, copy=False)
@@ -543,21 +566,20 @@ def edge_array(text: str, where: str = "line ") -> tuple[np.ndarray, int | None]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), declared
 
 
-def parse_edge_list(text: str, dedup: bool = False) -> SparseCountMatrix:
+def parse_edge_list(text: str) -> SparseCountMatrix:
     """Parse the tab-separated edge-list format.
 
     One ``src<TAB>dst`` pair per line; ``#`` starts a comment; an optional
     ``%nodes N`` header fixes the node count, which is otherwise inferred
-    as ``max endpoint + 1``. With ``dedup``, repeated pairs collapse to a
-    single unit edge. A text of plain integer lines under at most an exact
-    ``%nodes N`` first line is read by numpy a block of lines at a time; any
-    other text goes through the line grammar, and its errors still name
-    ``line N``.
+    as ``max endpoint + 1``. A text of plain integer lines under at most an
+    exact ``%nodes N`` first line is read by numpy a block of lines at a
+    time; any other text goes through the line grammar, and its errors still
+    name ``line N``.
     """
     edges, n_nodes = edge_array(text)
     if n_nodes is None:
         n_nodes = int(edges.max()) + 1 if len(edges) else 0
-    return from_edge_list(np.unique(edges, axis=0) if dedup else edges, n_nodes)
+    return from_edge_list(edges, n_nodes)
 
 
 def read_edge_list(path: str | os.PathLike) -> SparseCountMatrix:

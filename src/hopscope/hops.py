@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CountOverflowError, InputError, LoopHypothesisError
-from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, _index, _require_square, add_self_loops
+from .graphs import SparseCountMatrix, _canonical, _CSRWrapper, _index, _matvecs, _require_square, add_self_loops
 
 __all__ = [
     "INT64_MAX",
@@ -136,7 +136,7 @@ def _count_matmul(x: sp.csr_matrix, y: sp.csr_matrix) -> sp.csr_matrix:
     limit = float(INT64_MAX) * (1.0 - slack)
     xf = x.astype(np.float64)
     # every entry of x @ y is at most max_row_sum(x) * max(y)
-    if (xf @ np.ones(x.shape[1])).max(initial=0.0) * y.data.max(initial=0) * (1.0 + slack) > limit:
+    if _matvecs(xf, np.ones(x.shape[1])).max(initial=0.0) * y.data.max(initial=0) * (1.0 + slack) > limit:
         hot = (xf @ y.astype(np.float64)) > limit
         for i in np.flatnonzero(np.asarray(hot.sum(axis=1)).ravel()).tolist():
             acc = _exact_row(x, y, i)

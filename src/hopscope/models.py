@@ -31,7 +31,11 @@ directly, once per epoch each for all S splits of a cell: records are
 stacked (``_views`` of an (S, P) array) and hidden states are (n, S·d),
 so one sparse product per layer serves every split. Every buffer is built
 once per run (a :class:`_Workspace`), and the backward writes its
-gradients into views of the workspace's one flat vector. Stacking keeps
+gradients into views of the workspace's one flat vector. Every sparse
+product is one compiled call (``graphs._matvecs``): past layer 0's
+checked ``Â X``, each ``Â H`` and ``Âᵀ G`` is :func:`_spmm`, which skips
+the operand check, and the bias gradient is the all-ones row times the
+gradient buffer (:meth:`_Workspace.column_sums`). Stacking keeps
 each split's bits because every product and reduction adds a split's
 entries in the order a lone split adds them (:meth:`_Workspace.column_sums`,
 :meth:`_Workspace.norms`). Where a layer is one column wide on either
@@ -48,10 +52,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, _float64_field, _index, add_self_loops, degrees, symmetrize, transpose
-from .normalization import _KERNELS, NORM_SCHEMES, PowerAggregation, WeightedAdjacency, normalize, normalize_power
+from .graphs import SparseCountMatrix, _float64_field, _index, _matvecs, add_self_loops, degrees, symmetrize, transpose
+from .normalization import NORM_SCHEMES, PowerAggregation, WeightedAdjacency, _Transpose, normalize, normalize_power
 
 __all__ = [
     "ARCHITECTURES",
@@ -93,9 +98,6 @@ ACTIVATIONS = ("relu", "identity")
 # gradients and optimizer state. Norms and the l2 term sum in this order,
 # so reordering it changes their last bits.
 _FIELDS = ("W0", "W", "b")
-
-# scipy's compiled product of a CSR matrix and a dense block of vectors (see normalization._spmm)
-_MATVECS = _KERNELS["csr"][1]
 
 
 @dataclass(frozen=True)
@@ -214,28 +216,36 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _layer(p: LayerParams, kind: str, h: np.ndarray, m: np.ndarray | None, z: np.ndarray):
-    """The one layer kernel: writes ``M W + H W0 + b``, before the activation, into ``z``.
+def _spmm(op, h: np.ndarray) -> np.ndarray:
+    """``op @ h`` for a C-contiguous float64 ``h`` that fits: Â and Âᵀ by :func:`graphs._matvecs` with
+    no operand check, any other operator (a :class:`PowerAggregation`, a scipy matrix) by its ``@``."""
+    m = op.csr if isinstance(op, WeightedAdjacency) else op.csc if isinstance(op, _Transpose) else None
+    return op @ h if m is None else _matvecs(m, h)
+
+
+def _layer(p: LayerParams, kind: str, h: np.ndarray, m: np.ndarray | None, c: dict):
+    """The one layer kernel: writes ``M W + H W0 + b``, before the activation, into ``z`` of the layer cache ``c``.
 
     ``M`` is ``m`` (``Â H``) for an aggregation layer and ``H`` for a
     ``linear`` one (``m`` is None); ``H W0`` enters only for SAGE layers.
     Arrays are split views (:func:`_split_view`) and ``p`` is a 2-D or a
     stacked record, so one call serves every split; ``H`` and ``M`` may
-    also be 2-D arrays shared by all of them.
+    also be 2-D arrays shared by all of them. The bias goes onto the 2-D
+    ``z`` as one (S·d,) row, with the bits of ``z3 += b``.
     """
     if (kind == "sage") != (p.W0 is not None):
         raise InputError(f"{kind} layer {'without' if p.W0 is None else 'with'} a self weight W0")
-    np.matmul(h if m is None else m, p.W, out=z)
+    np.matmul(h if m is None else m, p.W, out=c["z3"])
     if p.W0 is not None:
-        z += np.matmul(h, p.W0)
-    z += p.b
+        c["z3"] += np.matmul(h, p.W0)
+    c["z"] += p.b.reshape(1, -1)
 
 
 def _layer_forward(ahat: WeightedAdjacency, h: np.ndarray, p: LayerParams, act: str, kind: str) -> np.ndarray:
     h = _features(ahat, h, [p])
     z = np.empty((len(h), p.W.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        _layer(p, kind, h, ahat @ h, z)
+        _layer(p, kind, h, ahat @ h, {"z": z, "z3": z})
         out = _act(act, z)
         _check_finite(out, "{} layer output", kind)
     return out
@@ -358,9 +368,8 @@ class _Workspace(list):
 
     @cached_property
     def _ones(self):
-        """The index and value arrays of the 1×n all-ones CSR matrix."""
-        n = len(self[0]["z"])
-        return np.array([0, n], dtype=np.int32), np.arange(n, dtype=np.int32), np.ones(n)
+        """The 1×n all-ones CSR row."""
+        return sp.csr_matrix(np.ones((1, len(self[0]["z"]))))
 
     def column_sums(self, g: np.ndarray) -> np.ndarray:
         """The column sums of an (n, w) buffer ``g``, w >= 2, as a new (w,) array.
@@ -369,10 +378,7 @@ class _Workspace(list):
         adds the rows in node order, as numpy's column reduce does for w >= 2,
         so the bits are numpy's (only a NaN's sign may differ where two meet).
         """
-        n, w = g.shape
-        out = np.zeros(w)
-        _MATVECS(1, n, w, *self._ones, g, out)
-        return out
+        return _matvecs(self._ones, g)[0]
 
     @cached_property
     def _norm_runs(self):
@@ -433,8 +439,8 @@ def _forward_pass(spec, ahat, x, params, hidden_masks, *, ax=None, work=None):
         for i, (kind, p, c) in enumerate(zip(kinds, params, work)):
             m = None
             if kind != "linear":
-                m = (ahat @ x if ax is None else ax) if i == 0 else _split_view(ahat @ h, splits)
-            _layer(p, kind, h3, m, c["z3"])
+                m = (ahat @ x if ax is None else ax) if i == 0 else _split_view(_spmm(ahat, h), splits)
+            _layer(p, kind, h3, m, c)
             c["m"] = m
             c["mask"] = None if c["last"] or hidden_masks is None else hidden_masks[i]
             h, h3 = work.output(c, spec.activation)
@@ -529,7 +535,7 @@ def _backward_pass(spec, ahat_t, params, caches, upstream):
         g, gw = work.scratch(i % 2, p.W.shape[-2])  # not the buffer that holds gz
         np.matmul(gz, _mT(p.W), out=gw)
         if c["m"] is not None:
-            g = ahat_t @ g
+            g = _spmm(ahat_t, g)
         if p.W0 is not None:
             _split_view(g, splits)[...] += np.matmul(gz, _mT(p.W0))
     norms = work.norms(grad)

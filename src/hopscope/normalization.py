@@ -13,58 +13,45 @@ values, so an entry that a zero degree wiped stays as an explicit zero.
 :func:`normalize_power` rescales ``A^k`` into a :class:`PowerAggregation`,
 which is never built: its degrees take k sparse products with a vector,
 and its ``@`` applies it by k sparse products, as SGC computes ``S^K X``.
-Both types offer ``@`` and ``.T``, so one model kernel takes either. A
-:class:`WeightedAdjacency` and its transpose multiply by :func:`_spmm`, which
-calls the compiled kernel that scipy's ``@`` ends in, without its dispatch.
+Both types offer ``@`` and ``.T``, so one model kernel takes either. Every
+product with a dense operand is :func:`graphs._matvecs`, the compiled
+kernel that scipy's ``@`` ends in, without its dispatch; the public ``@``
+first passes its operand through :func:`_operand`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import matmul
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import InputError, NumericError
-from .graphs import SparseCountMatrix, _CSRWrapper, _index, _require_square, add_self_loops
+from .graphs import SparseCountMatrix, _CSRWrapper, _float64_field, _index, _matvecs, _require_square, add_self_loops
 
 __all__ = ["NORM_SCHEMES", "WeightedAdjacency", "PowerAggregation", "normalize", "normalize_power", "gcn_canonical"]
 
 NORM_SCHEMES = ("none", "row", "sym", "dir")
 
-# (one vector, many vectors) kernels per format: the calls scipy's ``@`` ends in for a dense operand
-_KERNELS = {f: (getattr(_sparsetools, f + "_matvec"), getattr(_sparsetools, f + "_matvecs")) for f in ("csr", "csc")}
 
-
-def _spmm(m, x) -> np.ndarray:
-    """``m @ x`` for a float64 scipy CSR or CSC ``m`` and a dense 1-D or 2-D ``x``, bit for bit.
-
-    It takes scipy's route with none of its per-call dispatch: ``x`` as a
-    C-contiguous float64 array, a zero result, and ``matvec`` for a vector
-    or a single column, ``matvecs`` otherwise.
-    """
-    x = np.asarray(x, dtype=np.float64, order="C")
-    n_row, n_col = m.shape
-    if x.ndim not in (1, 2) or x.shape[0] != n_col:
-        raise ValueError(f"cannot multiply a {n_row}x{n_col} matrix by an operand of shape {x.shape}")
-    out = np.zeros((n_row,) + x.shape[1:])
-    matvec, matvecs = _KERNELS[m.format]
-    if x.ndim == 1 or x.shape[1] == 1:
-        matvec(n_row, n_col, m.indptr, m.indices, m.data, x, out)
-    else:
-        matvecs(n_row, n_col, x.shape[1], m.indptr, m.indices, m.data, x, out)
-    return out
+def _operand(x, shape: tuple[int, int]) -> np.ndarray:
+    """``x`` as a C-contiguous float64 ``(n_cols,)`` or ``(n_cols, w)`` array for a matrix of ``shape``;
+    anything else raises :class:`InputError`."""
+    x = _float64_field(x, "operand")
+    if x.ndim not in (1, 2) or x.shape[0] != shape[1]:
+        raise InputError(f"cannot multiply a {shape[0]}x{shape[1]} matrix by an operand of shape {x.shape}")
+    return np.ascontiguousarray(x)
 
 
 @dataclass(frozen=True, eq=False)
 class _Transpose:
-    """``Âᵀ`` of a :class:`WeightedAdjacency`: a CSC view over its arrays, multiplied by :func:`_spmm`."""
+    """``Âᵀ`` of a :class:`WeightedAdjacency`: a CSC view over its arrays."""
 
     csc: sp.csc_matrix
 
     def __matmul__(self, x):
-        return _spmm(self.csc, x)
+        return _matvecs(self.csc, _operand(x, self.csc.shape))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -83,7 +70,7 @@ class WeightedAdjacency(_CSRWrapper):
             arr.flags.writeable = False
 
     def __matmul__(self, x):
-        return _spmm(self.csr, x)
+        return _matvecs(self.csr, _operand(x, self.csr.shape))
 
     @property
     def T(self) -> _Transpose:
@@ -137,10 +124,11 @@ def normalize(a: SparseCountMatrix, scheme: str) -> WeightedAdjacency:
                              int(np.count_nonzero(empty)))
 
 
-def _walk(m, k: int, x):
-    """``M^k x`` by k sparse products."""
+def _walk(m, k: int, x, product=_matvecs):
+    """``M^k x`` by k sparse products ``product(M, x)``: by default for a float64 scipy CSR or CSC ``M``
+    and a C-contiguous float64 ``x``."""
     for _ in range(k):
-        x = m @ x
+        x = product(m, x)
     return x
 
 
@@ -173,7 +161,8 @@ class PowerAggregation:
         return self.a.shape[1]
 
     def __matmul__(self, x):
-        col = (-1,) + (1,) * (np.ndim(x) - 1)  # a diagonal scales the rows of a vector or a matrix
+        x = _operand(x, self.a.shape)
+        col = (-1,) + (1,) * (x.ndim - 1)  # a diagonal scales the rows of a vector or a matrix
         return self.d_l.reshape(col) * _walk(self.a, self.k, self.d_r.reshape(col) * x)
 
     @property
@@ -182,7 +171,7 @@ class PowerAggregation:
 
     def to_scipy(self) -> sp.csr_matrix:
         """The matrix as a new CSR, built by k sparse products."""
-        return sp.csr_matrix(sp.diags(self.d_l) @ _walk(self.a, self.k, sp.diags(self.d_r)))
+        return sp.csr_matrix(sp.diags(self.d_l) @ _walk(self.a, self.k, sp.diags(self.d_r), matmul))
 
 
 def normalize_power(a: SparseCountMatrix, k: int, scheme: str) -> PowerAggregation:

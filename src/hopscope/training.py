@@ -147,7 +147,7 @@ def make_splits(
     for name, value, low in (("per_class_train", per_class_train, 1), ("per_class_val", per_class_val, 1),
                              ("n_splits", n_splits, 1), ("seed", seed, 0)):
         _index(value, name, low)
-    labels = _labels(labels, np.size(labels))
+    labels = _labels(labels)
     classes = np.unique(labels)
     need = per_class_train + per_class_val + 1
     for c in classes:
@@ -172,7 +172,7 @@ def make_splits(
 
 def majority_baseline(labels, split: SplitSpec) -> float:
     """Test share of the most frequent training class (ties: lowest id); ``labels`` as in :func:`make_splits`."""
-    labels = _labels(labels, np.size(labels))
+    labels = _labels(labels)
     counts = np.bincount(labels[split.train])
     c_star = int(np.argmax(counts))
     return float(np.mean(labels[split.test] == c_star))

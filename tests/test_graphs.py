@@ -292,12 +292,6 @@ def test_parse_edge_list_infers_node_count():
     assert a.n_rows == 6
 
 
-def test_parse_edge_list_dedup_flag():
-    text = "0\t1\n0\t1\n"
-    assert parse_edge_list(text).to_dense()[0, 1] == 2
-    assert parse_edge_list(text, dedup=True).to_dense()[0, 1] == 1
-
-
 def test_parse_edge_list_malformed():
     with pytest.raises(InputError):
         parse_edge_list("0 1 2\n")

@@ -21,6 +21,7 @@ from hopscope import (
     model_backward,
     model_forward,
     normalize,
+    normalize_power,
     sage_layer_forward,
     uniform_features,
 )
@@ -360,12 +361,16 @@ def test_gradcheck_every_architecture(arch):
     assert gradient_check(spec, g, x, params, upstream) < 1e-4
 
 
-@pytest.mark.parametrize("arch", ["k_layer_gcn", "graphsage"])
-def test_hidden_layers_of_unequal_widths_run_and_check(arch):
-    # the spec's hidden width does not bind hand-made records: widths 5 and 3 share no buffer
+@pytest.mark.parametrize("arch, power", [("k_layer_gcn", False), ("graphsage", False), ("k_layer_gcn", True),
+                                         ("graphsage", True)],
+                         ids=["k_layer_gcn", "graphsage", "k_layer_gcn-power", "graphsage-power"])
+def test_hidden_layers_of_unequal_widths_run_and_check(arch, power):
+    # the spec's hidden width does not bind hand-made records: widths 5 and 3 share no buffer;
+    # a prebuilt operator of either type serves any spec, the passes taking a power operator's own @ and .T
     rng = np.random.default_rng(21)
     spec = ModelSpec(arch=arch, k=3, hidden_width=4, norm="sym")
     g = random_digraph(rng, 7)
+    g = normalize_power(g, 2, "sym") if power else g
     dims = [(2, 5), (5, 3), (3, 2)]
     params = [LayerParams(W=rng.standard_normal(d), b=rng.standard_normal(d[1]),
                           W0=rng.standard_normal(d) if arch == "graphsage" else None) for d in dims]

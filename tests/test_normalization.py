@@ -7,6 +7,7 @@ from hopscope import (
     gcn_canonical,
     mat_power_count,
     normalize,
+    normalize_power,
     support_equal,
     support_of,
     symmetrize,
@@ -117,9 +118,24 @@ def test_unknown_scheme_rejected():
 
 
 def test_direct_kernel_rejects_an_operand_of_the_wrong_shape():
-    # the compiled kernel trusts its sizes, so a mismatch must stop before it reads past x
-    w = normalize(p3(), "sym")
-    for op in (w, w.T):
+    # the compiled kernel trusts its sizes and casts its operand, so a bad one must stop before it reads past x
+    w, pw = normalize(p3(), "sym"), normalize_power(p3(), 2, "sym")
+    for op in (w, w.T, pw, pw.T):
         for x in (np.ones((2, 3)), np.ones(4), np.ones((3, 2, 2)), np.float64(1.0)):
-            with pytest.raises(ValueError, match="cannot multiply a 3x3 matrix"):
+            with pytest.raises(InputError, match="cannot multiply a 3x3 matrix"):
                 op @ x
+        for x, message in ((np.array([1 + 2j, 0, 3j]), "must hold real numbers, got complex128 values$"),
+                           (np.array(["a", "b", "c"]), "must hold real numbers, got <U1 values$"),
+                           ([[1.0], [2.0, 3.0], [4.0]], "must form a regular array")):
+            with pytest.raises(InputError, match="^operand " + message):
+                op @ x
+
+
+def test_operand_layout_leaves_the_product_bytes_alone():
+    rng = np.random.default_rng(5)
+    g = random_digraph(rng, 9)
+    x = rng.standard_normal((9, 8))
+    w, pw = normalize(g, "dir"), normalize_power(g, 3, "dir")
+    for op in (w, w.T, pw, pw.T):
+        for y in (x[:, ::2], np.asfortranarray(x), x[:, 3], x[:, 3:4]):
+            assert (op @ y).tobytes() == (op @ np.ascontiguousarray(y)).tobytes()

@@ -73,7 +73,8 @@ def test_split_without_training_nodes_is_an_input_error(empty, what):
 @pytest.mark.parametrize("labels, message", [
     (np.repeat([-1, 0, 1], 60), "class ids must be non-negative"),
     (np.repeat([0.5, 1.5, 2.5], 60), "one integer class per node"),
-], ids=["negative_class", "fractional_labels"])
+    ([[0, 1], [2]], "labels must form a regular array"),
+], ids=["negative_class", "fractional_labels", "ragged"])
 @pytest.mark.parametrize("call", ["make_splits", "majority_baseline", "DatasetBundle", "dataset_stats"])
 def test_splits_and_baseline_take_the_trainer_label_check(call, labels, message):
     split = make_splits(np.repeat([0, 1, 2], 60), n_splits=1)[0]
