@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import (SYNTH_KINDS, _plain_real, dataset_stats, fmt_real, load_dataset, resolve_dataset_dir,
-                       save_dataset, save_matrix_csv, save_sweep_csv, synthesize_dataset)
+from .datasets import (SYNTH_KINDS, _plain_real, _write_csv, dataset_stats, fmt_real, load_dataset,
+                       resolve_dataset_dir, save_dataset, save_matrix_csv, save_sweep_csv, synthesize_dataset)
 from .errors import HopscopeError, InputError, LoopHypothesisError
 from .graphs import _index, _plain, add_self_loops, content_lines, from_edge_list, read_edge_list, symmetrize, transpose
 from .hops import dag_profile, support_nnz, verify_loop_lemma
@@ -166,8 +166,8 @@ def cmd_analyze_loops(args) -> int:
     for (k, dens, nnz), note in zip(curve, notes):
         print(f"k={k:3d} nnz={nnz:6d} density={dens:.6f} {note}")
     if args.out:
-        lines = [f"{k},{fmt_real(dens)},{nnz},{str(bool(ok)).lower()}" for (k, dens, nnz), ok in zip(curve, holds)]
-        _write_lines(args.out, ["k,density,nnz,subset_holds"] + lines)
+        _save_csv(args.out, ("k", "density", "nnz", "subset_holds"),
+                  [(k, dens, nnz, bool(ok)) for (k, dens, nnz), ok in zip(curve, holds)])
     print(verdict, "PASS" if all(holds) else "FAIL")
     return 0 if all(holds) else 1
 
@@ -182,13 +182,13 @@ def _density_curve(graph, kmax: int, nnz=None) -> list[tuple[int, float, int]]:
     return [(k, c / n2 if n2 else 0.0, c) for k, c in enumerate(nnz, start=1)]
 
 
-def _write_lines(out, lines):
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _save_csv(out, header, rows):
+    _write_csv(out, header, rows)
     print(f"wrote {out}")
 
 
 def _write_density_csv(out, curve):
-    _write_lines(out, ["k,density,nnz"] + [f"{k},{fmt_real(dens)},{nnz}" for k, dens, nnz in curve])
+    _save_csv(out, ("k", "density", "nnz"), curve)
 
 
 def cmd_density_curve(args) -> int:
@@ -234,11 +234,9 @@ def cmd_train(args) -> int:
         print(f"majority baseline mean={fmt_real(float(np.mean(merged.majority_baselines)))} "
               f"epochs_run={list(merged.epochs_run)}")
     if args.out:
-        lines = ["split,accuracy,baseline,epochs_run,best_epoch"]
-        for si, r in enumerate(runs):
-            lines.append(f"{si},{fmt_real(r.accuracies[0])},{fmt_real(r.majority_baselines[0])},"
-                         f"{r.epochs_run[0]},{r.best_epochs[0]}")
-        _write_lines(args.out, lines)
+        _save_csv(args.out, ("split", "accuracy", "baseline", "epochs_run", "best_epoch"),
+                  [(si, r.accuracies[0], r.majority_baselines[0], r.epochs_run[0], r.best_epochs[0])
+                   for si, r in enumerate(runs)])
     return 0 if runs else 1
 
 

@@ -22,10 +22,11 @@ spaces and newlines, tokens ``-?[0-9]+`` within int64, two on each
 non-blank line, and, for the labels, each node exactly once.
 Any other text goes through the line grammar, so an error still names
 ``file:line``. :func:`save_dataset` writes both files from byte
-matrices built in numpy, a block of rows at a time. All CSV output uses
-UTF-8, ``.`` decimals, a header row, deterministic row order, and 12
-significant digits for reals, so identical inputs always produce
-byte-identical files.
+matrices built in numpy, a block of rows at a time. Every CSV file, the
+CLI's included, is written by :func:`_write_csv`: UTF-8, a header row
+(none in ``features.csv``), deterministic row order, 12 significant
+digits for reals and ``true``/``false`` for booleans, so identical
+inputs always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, InputError
-from .graphs import (SparseCountMatrix, _exact_total, _float64_field, _index, _int64_field, _int_table, _labels,
-                     _matvecs, _real, _token_int, content_lines, edge_array, from_edge_list)
+from .graphs import (SparseCountMatrix, _exact_total, _index, _int64_field, _int_table, _labels, _matvecs, _real,
+                     _real_matrix, _token_int, content_lines, edge_array, from_edge_list)
 from .models import uniform_features
 from .normalization import WeightedAdjacency
 
@@ -67,6 +68,23 @@ _WRITE_BLOCK = 1 << 16  # lines formatted per write in save_dataset
 def fmt_real(x: float) -> str:
     """12-significant-digit decimal rendering used by every CSV writer."""
     return format(float(x), ".12g")
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: a real by :func:`fmt_real`, a boolean as ``true`` or ``false``, anything else by ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # numpy's float64 too
+        return fmt_real(value)
+    return str(value)
+
+
+def _write_csv(path: str | os.PathLike, header, rows):
+    """Write the ``header`` names (no header row if None), then one line of :func:`_csv_cell` cells
+    per row of ``rows``: UTF-8, ``,`` between cells and ``\\n`` after every line, the last included."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)
@@ -251,18 +269,13 @@ def resolve_dataset_dir(name_or_path: str) -> Path:
 def save_matrix_csv(m, path: str | os.PathLike):
     """Write a matrix as a dense CSV with a c0..c{m-1} header row.
 
-    Integer matrices round-trip exactly; real values carry 12
-    significant digits.
+    The matrix must be 2-D, real and finite (:class:`InputError` otherwise).
+    Integer matrices round-trip exactly; real values carry 12 significant digits.
     """
-    dense = m.to_dense() if isinstance(m, (SparseCountMatrix, WeightedAdjacency)) else np.asarray(m)
-    integral = np.issubdtype(dense.dtype, np.integer)
-    lines = ["," .join(f"c{j}" for j in range(dense.shape[1]))]
-    for row in dense:
-        if integral:
-            lines.append(",".join(str(int(v)) for v in row))
-        else:
-            lines.append(",".join(fmt_real(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dense = _real_matrix(m.to_dense() if isinstance(m, (SparseCountMatrix, WeightedAdjacency)) else m, "matrix")
+    if dense.dtype.kind == "b":
+        dense = dense.view(np.uint8)  # a boolean cell is written as 0 or 1
+    _write_csv(path, [f"c{j}" for j in range(dense.shape[1])], dense.tolist())
 
 
 def load_matrix_csv(path: str | os.PathLike) -> np.ndarray:
@@ -293,11 +306,8 @@ def load_matrix_csv(path: str | os.PathLike) -> np.ndarray:
 
 def save_sweep_csv(rows, path: str | os.PathLike):
     """Write sweep results; an empty sweep still gets the header row."""
-    lines = ["arch,k,norm,propagation,acc_mean,acc_std,density,failures"]
-    for r in rows:
-        lines.append(f"{r.arch},{r.k},{r.norm},{r.propagation},"
-                     f"{fmt_real(r.acc_mean)},{fmt_real(r.acc_std)},{fmt_real(r.density)},{r.failures}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ("arch", "k", "norm", "propagation", "acc_mean", "acc_std", "density", "failures"),
+               [(r.arch, r.k, r.norm, r.propagation, r.acc_mean, r.acc_std, r.density, r.failures) for r in rows])
 
 
 def _int_lines(*columns: np.ndarray) -> str:
@@ -347,11 +357,16 @@ def _write_lines(path: Path, head: str, *columns: np.ndarray):
 
 
 def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, out_dir: str | os.PathLike):
-    """Write a dataset directory in the loadable on-disk format; ``labels`` are any int64 class ids, one a node."""
+    """Write a dataset directory in the loadable on-disk format; ``labels`` are any int64 class ids, one a node,
+    and ``features``, if any, one row of finite reals per node, at least one a row."""
     labels = _int64_field(labels, "labels")
     if labels.shape != (graph.n_rows,):
         raise InputError(f"labels must be one class id per node, shape ({graph.n_rows},), got {labels.shape}")
-    features = None if features is None else _float64_field(features, "features")
+    if features is not None:
+        features = _real_matrix(features, "features")
+        if features.shape[0] != graph.n_rows or not features.shape[1]:
+            raise InputError(f"features must be one row per node, shape ({graph.n_rows}, d >= 1), "
+                             f"got {features.shape}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # One line per unit of multiplicity, in row-major order of the entries,
@@ -362,8 +377,8 @@ def save_dataset(graph: SparseCountMatrix, features: np.ndarray | None, labels, 
     # without nodes the file still ends its one (empty) line
     _write_lines(out / "labels.tsv", "" if len(labels) else "\n", np.arange(len(labels)), labels)
     if features is not None:
-        rows = [f"{i}," + ",".join(map(fmt_real, row)) for i, row in enumerate(features)]
-        (out / "features.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows = features.astype(np.float64).tolist()
+        _write_csv(out / "features.csv", None, ((i, *row) for i, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ raises :class:`~hopscope.errors.InputError` instead of being cut or wrapped:
 :func:`_index` an integer setting, :func:`_real` a real one, :func:`_int64_field`
 an index or count array (whole numbers within int64, copied read-only; an
 edge table takes its test :func:`_whole` with no copy), :func:`_labels` one
-integer-dtype class id per node, :func:`_float64_field` a real array.
+integer-dtype class id per node, :func:`_float64_field` a real array,
+:func:`_real_matrix` a 2-D array of finite reals.
 
 Every sparse × dense product in the package is :func:`_matvecs`: the
 compiled kernel scipy's ``@`` ends in, called with none of its dispatch.
@@ -64,15 +65,15 @@ _INT64_END = 1 << 63
 _KERNELS = {f: (getattr(_sparsetools, f + "_matvec"), getattr(_sparsetools, f + "_matvecs")) for f in ("csr", "csc")}
 
 
-def _matvecs(m, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``out + m @ x``, written into ``out`` (into zeros if None), for a float64 scipy CSR or CSC ``m`` and a
-    C-contiguous float64 ``(n_cols,)`` or ``(n_cols, w)`` ``x``, bit for bit as scipy's ``@``.
+def _matvecs(m, x: np.ndarray) -> np.ndarray:
+    """``m @ x``, in fresh zeros, for a float64 scipy CSR or CSC ``m`` and a C-contiguous
+    float64 ``(n_cols,)`` or ``(n_cols, w)`` ``x``, bit for bit as scipy's ``@``.
 
     It takes scipy's route with none of its dispatch and no check of ``x``:
     ``matvec`` for a vector or a single column, ``matvecs`` otherwise.
     """
     (n_row, n_col), w = m.shape, x.shape[1] if x.ndim == 2 else 1
-    out = np.zeros((n_row, w)[:x.ndim]) if out is None else out
+    out = np.zeros((n_row, w)[:x.ndim])
     if w == 1:
         _KERNELS[m.format][0](n_row, n_col, m.indptr, m.indices, m.data, x, out)
     else:
@@ -123,6 +124,16 @@ def _labels(labels, n: int | None = None) -> np.ndarray:
 def _float64_field(values, name: str) -> np.ndarray:
     """``values`` as float64, not copied when they already are; only bool, integer and float arrays."""
     return _array(values, name, "biuf", "real numbers").astype(np.float64, copy=False)
+
+
+def _real_matrix(values, name: str) -> np.ndarray:
+    """``values`` as a 2-D bool, integer or float array of finite values, not copied, in its own dtype."""
+    arr = _array(values, name, "biuf", "real numbers")
+    if arr.ndim != 2:
+        raise InputError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InputError(f"{name} must hold finite values, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 def _exact_total(values: np.ndarray) -> int:

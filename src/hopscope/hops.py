@@ -250,17 +250,6 @@ def _rung_form(m):
     return _canonical(m, bool) if csr else _unpack(m)
 
 
-def _product_nnz_floor(base: sp.csr_matrix, cur: sp.csr_matrix) -> int:
-    """A one-pass lower bound on ``nnz(base @ cur)`` for positive canonical operands.
-
-    No term can cancel, so row i of the product holds at least the
-    entries of the fullest row of ``cur`` among i's out-neighbours.
-    """
-    picked = np.diff(cur.indptr)[base.indices]
-    starts = base.indptr[:-1][np.diff(base.indptr) > 0]
-    return int(np.maximum.reduceat(picked, starts).sum()) if picked.size else 0
-
-
 def _rung_key(rung) -> tuple[bool, bytes]:
     """A boolean rung's form and bytes, equal exactly for rungs of one pattern.
 
@@ -276,20 +265,17 @@ def _rung_key(rung) -> tuple[bool, bytes]:
 def _rungs(base: sp.csr_matrix) -> Iterator:
     """Yield ``support(B^1), support(B^2), ...`` of the boolean CSR ``base``, each in its :func:`_rung_form`.
 
-    Each step is one :func:`_bool_matmul` with the base on the left. A CSR
-    rung packs before its product when :func:`_product_nnz_floor` already
-    passes the packing line. A rung equal to the one before it is a fixed
-    point of ``P ↦ support(B·P)``, so it is yielded again with no further
-    product.
+    Each step is one :func:`_bool_matmul` with the base on the left; the
+    product then takes its form. A rung equal to the one before it is a
+    fixed point of ``P ↦ support(B·P)``, so it is yielded again with no
+    further product.
     """
     if base.shape[0] != base.shape[1]:
         raise InputError("matrix power requires a square matrix")
-    n = base.shape[0]
     cur = _rung_form(base)
     while True:
         yield cur
-        step = _pack(cur) if sp.issparse(cur) and _packs(n, _product_nnz_floor(base, cur)) else cur
-        nxt = _rung_form(_bool_matmul(base, step))
+        nxt = _rung_form(_bool_matmul(base, cur))
         if _rung_key(nxt) == _rung_key(cur):
             yield from repeat(cur)
         cur = nxt

@@ -158,7 +158,7 @@ class ModelSpec:
 
 def uniform_features(n: int, d: int = 1) -> np.ndarray:
     """All-ones feature matrix (the no-feature setting)."""
-    return np.ones((n, d), dtype=np.float64)
+    return np.ones((_index(n, "n", 0), _index(d, "d", 1)), dtype=np.float64)
 
 
 def degree_features(a: SparseCountMatrix, which: str = "both") -> np.ndarray:
@@ -306,7 +306,8 @@ def init_params(spec: ModelSpec, in_dim: int, n_classes: int, rng: np.random.Gen
     A SAGE layer draws its self weight ``W0`` before ``W``.
     """
     kinds = spec.layer_kinds()
-    widths = [in_dim] + [spec.hidden_width] * (len(kinds) - 1) + [n_classes]
+    hidden = [spec.hidden_width] * (len(kinds) - 1)
+    widths = [_index(in_dim, "in_dim", 1), *hidden, _index(n_classes, "n_classes", 1)]
     params = []
     for kind, d_in, d_out in zip(kinds, widths, widths[1:]):
         w0 = _glorot(rng, d_in, d_out) if kind == "sage" else None
@@ -486,10 +487,15 @@ def model_backward(spec: ModelSpec, a, x: np.ndarray, params, upstream_grad: np.
     ahat = _resolve_ahat(spec, a)
     x = _features(ahat, x, params)
     logits, caches = _forward_pass(spec, ahat, x, params, hidden_masks)
+    return _backward_pass(spec, ahat.T, params, caches, _upstream(upstream_grad, logits.shape))
+
+
+def _upstream(upstream_grad, shape: tuple) -> np.ndarray:
+    """``upstream_grad`` as float64 of the logits' ``shape``, else :class:`InputError`."""
     upstream_grad = _float64_field(upstream_grad, "upstream gradient")
-    if upstream_grad.shape != logits.shape:
-        raise InputError(f"upstream gradient must have shape {logits.shape}")
-    return _backward_pass(spec, ahat.T, params, caches, upstream_grad)
+    if upstream_grad.shape != shape:
+        raise InputError(f"upstream gradient must have shape {shape}")
+    return upstream_grad
 
 
 def _backward_pass(spec, ahat_t, params, caches, upstream):
@@ -569,6 +575,7 @@ def collapse_linear(a: SparseCountMatrix, x: np.ndarray, params, k: int) -> np.n
 def finite_difference_gradients(spec: ModelSpec, a, x, params, upstream_grad, step: float = 1e-4):
     """Central-difference gradients of ``sum(upstream * logits)``, bumping a flat copy of ``params``."""
     ahat = _resolve_ahat(spec, a)
+    upstream_grad = _upstream(upstream_grad, model_forward(spec, ahat, x, params).shape)
     theta, trial = _packed(params)
     g = np.zeros_like(theta)
     for idx in range(theta.size):
@@ -618,6 +625,8 @@ def _views(flat: np.ndarray, like):
 def max_relative_error(got, want) -> float:
     """Largest absolute discrepancy scaled by the largest magnitude seen."""
     got, want = _float64_field(got, "got"), _float64_field(want, "want")
+    if got.shape != want.shape:
+        raise InputError(f"got and want must have one shape, got {got.shape} and {want.shape}")
     scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0), 1e-12)
     return float(np.abs(got - want).max(initial=0.0) / scale)
 

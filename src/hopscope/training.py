@@ -97,11 +97,9 @@ class TrainConfig:
             raise InputError("early-stop patience must be below max_epochs")
 
     @staticmethod
-    def paper_protocol(**overrides) -> "TrainConfig":
+    def paper_protocol() -> "TrainConfig":
         """The full-size budget: 1500 epochs, patience 410, scheduler 80."""
-        base = dict(lr=0.01, max_epochs=1500, early_stop_patience=410, lr_sched_patience=80)
-        base.update(overrides)
-        return TrainConfig(**base)
+        return TrainConfig(lr=0.01, max_epochs=1500, early_stop_patience=410, lr_sched_patience=80)
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,29 @@ def test_save_dataset_rejects_labels_it_would_change_before_writing(tmp_path, la
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("features, message", [
+    ([1.0, 2.0, 3.0], r"features must be 2-D, got shape \(3,\)$"),
+    (np.ones((3, 1, 1)), r"features must be 2-D, got shape \(3, 1, 1\)$"),
+    (np.ones((2, 1)), r"features must be one row per node, shape \(3, d >= 1\), got \(2, 1\)$"),
+    (np.ones((3, 0)), r"features must be one row per node, shape \(3, d >= 1\), got \(3, 0\)$"),
+    ([[1.0], [np.nan], [2.0]], "features must hold finite values, got nan$"),
+    ([[1.0], [2.0], [-np.inf]], "features must hold finite values, got -inf$"),
+], ids=["1-D", "3-D", "short", "no-columns", "nan", "inf"])
+def test_save_dataset_refuses_features_its_loader_would_refuse(tmp_path, features, message):
+    with pytest.raises(InputError, match=message):
+        save_dataset(from_edge_list([(0, 1)], 3), features, [0, 1, 0], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_save_dataset_round_trips_integer_and_boolean_features(tmp_path):
+    features = np.array([[-3, 1], [0, 2**30], [7, 1]])
+    save_dataset(from_edge_list([(0, 1)], 3), features, [0, 1, 0], tmp_path / "int")
+    save_dataset(from_edge_list([(0, 1)], 3), features > 0, [0, 1, 0], tmp_path / "bool")
+    assert (tmp_path / "int" / "features.csv").read_text() == "0,-3,1\n1,0,1073741824\n2,7,1\n"
+    assert np.array_equal(load_dataset(tmp_path / "int").features, features.astype(np.float64))
+    assert np.array_equal(load_dataset(tmp_path / "bool").features, (features > 0).astype(np.float64))
+
+
 def test_blank_edge_body_loads_without_warning(tmp_path):
     write_toy(tmp_path, features=False)
     (tmp_path / "edges.tsv").write_text("%nodes 3\n\n \t\n", encoding="utf-8")
@@ -302,6 +325,30 @@ def test_matrix_csv_header_only_is_zero_rows_wide(tmp_path):
     save_matrix_csv(np.zeros((0, 3)), path)
     assert path.read_text() == "c0,c1,c2\n"
     assert load_matrix_csv(path).shape == (0, 3)
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.ones(3), r"matrix must be 2-D, got shape \(3,\)$"),
+    (np.ones((2, 2, 2)), r"matrix must be 2-D, got shape \(2, 2, 2\)$"),
+    ([["a", "b"]], "matrix must hold real numbers, got <U1 values$"),
+    ([[1.0, np.inf]], "matrix must hold finite values, got inf$"),
+    ([[np.nan]], "matrix must hold finite values, got nan$"),
+], ids=["1-D", "3-D", "strings", "inf", "nan"])
+def test_save_matrix_csv_refuses_what_load_matrix_csv_would_refuse(tmp_path, m, message):
+    path = tmp_path / "m.csv"
+    with pytest.raises(InputError, match=message):
+        save_matrix_csv(m, path)
+    assert not path.exists()
+
+
+def test_save_matrix_csv_keeps_integer_cells(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix_csv(np.array([[2**62 + 1, -1]]), path)
+    save_matrix_csv(np.array([[2**64 - 1, 0]], dtype=np.uint64), tmp_path / "u.csv")
+    save_matrix_csv(np.eye(2, dtype=bool), tmp_path / "b.csv")
+    assert path.read_text() == "c0,c1\n4611686018427387905,-1\n"
+    assert (tmp_path / "u.csv").read_text() == "c0,c1\n18446744073709551615,0\n"
+    assert (tmp_path / "b.csv").read_text() == "c0,c1\n1,0\n0,1\n"
 
 
 def test_sweep_csv_empty_is_header_only(tmp_path):

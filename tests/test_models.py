@@ -187,6 +187,27 @@ def test_features_must_be_real_numbers(x, message, call):
         calls[call]()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: uniform_features(-1), "n must be at least 0, got -1$"),
+    (lambda: uniform_features(2.5), "n must be an integer, got 2.5$"),
+    (lambda: uniform_features(3, 0), "d must be at least 1, got 0$"),
+    (lambda: init_params(ModelSpec(arch="k_layer_gcn", k=1), 0, 2, np.random.default_rng(0)),
+     "in_dim must be at least 1, got 0$"),
+    (lambda: init_params(ModelSpec(arch="k_layer_gcn", k=1), 2, 0, np.random.default_rng(0)),
+     "n_classes must be at least 1, got 0$"),
+    (lambda: finite_difference_gradients(ModelSpec(arch="k_layer_gcn", k=1, hidden_width=2), p3(), np.ones((3, 2)),
+                                         init_params(ModelSpec(arch="k_layer_gcn", k=1), 2, 2,
+                                                     np.random.default_rng(0)), np.ones((3, 3))),
+     r"upstream gradient must have shape \(3, 2\)$"),
+    (lambda: max_relative_error(np.ones(3), np.ones(2)),
+     r"got and want must have one shape, got \(3,\) and \(2,\)$"),
+], ids=["uniform-negative-n", "uniform-float-n", "uniform-zero-d", "init-zero-in-dim", "init-zero-classes",
+        "fd-upstream-shape", "max-error-shapes"])
+def test_public_helpers_refuse_bad_sizes_and_shapes(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_bool_int_and_float_features_agree_and_an_upstream_gradient_must_be_real():
     spec = ModelSpec(arch="k_layer_gcn", k=1, hidden_width=2)
     params = init_params(spec, 2, 2, np.random.default_rng(0))
